@@ -164,6 +164,14 @@ def _model_cfg(section, datasets, features, variant) -> EncoderConfig:
     )
 
 
+def _write_metrics_csv(out: Path, rows):
+    """metrics.csv of (seed, method, split, {map, auc, hamming}) rows, run id = out's name."""
+    with open(out / "metrics.csv", "w") as fh:
+        fh.write("run_id,seed,method,split,map,auc,hamming\n")
+        for seed, method, split, m in rows:
+            fh.write(f"{out.name},{seed},{method},{split},{m['map']},{m['auc']},{m['hamming']}\n")
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -215,18 +223,10 @@ def cmd_eval(args):
     data = _build_data(manifest, datasets, features, cfg["split"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for split in ("val", "test"):
-        res = trainer.evaluate_split(state.best_params, state.model_cfg, data, split)
-        rows.append((split, res))
-    with open(out / "metrics.csv", "w") as fh:
-        fh.write("run_id,seed,method,split,map,auc,hamming\n")
-        for split, res in rows:
-            fh.write(
-                f"{out.name},{state.train_cfg.seed},{state.train_cfg.method},{split},"
-                f"{res.map},{res.auc},{res.hamming}\n"
-            )
-    for split, res in rows:
+    results = {s: trainer.evaluate_split(state.best_params, state.model_cfg, data, s) for s in ("val", "test")}
+    seed, method = state.train_cfg.seed, state.train_cfg.method
+    _write_metrics_csv(out, [(seed, method, split, res.as_dict()) for split, res in results.items()])
+    for split, res in results.items():
         print(f"{split}: map={res.map:.4f} auc={res.auc:.4f} hamming={res.hamming:.4f}")
     return EXIT_OK
 
@@ -247,14 +247,8 @@ def cmd_compare(args):
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "report.json", "w") as fh:
         json.dump(report, fh, indent=2, default=str)
-    with open(out / "metrics.csv", "w") as fh:
-        fh.write("run_id,seed,method,split,map,auc,hamming\n")
-        for m_name, rows in report["per_run"].items():
-            for seed, row in zip(seeds, rows):
-                fh.write(
-                    f"{out.name},{seed},{m_name},{report['split']},"
-                    f"{row['map']},{row['auc']},{row['hamming']}\n"
-                )
+    per_run = report["per_run"].items()
+    _write_metrics_csv(out, [(seed, m, report["split"], row) for m, rows in per_run for seed, row in zip(seeds, rows)])
     for m_name, agg in report["summary"].items():
         print(
             f"{m_name}: map={agg['map']['mean']:.4f}±{agg['map']['std']:.4f} "
@@ -281,12 +275,10 @@ def cmd_export_attn(args):
         fh.write("subject,token,patch_index,roi,mean_weight\n")
         for ds in data.datasets:
             rows = data.splits[ds.subject_id]["test"]
-            b = len(rows)
-            g = model.build_forward_graph(mcfg, [ds.subject_id] * b, b, want_attention=True)
-            from . import diffcore
-
-            outv = diffcore.evaluate(g, {**state.best_params, "patches": ds.responses[rows]})
-            record = model.AttentionRecord(mcfg.layers - 1, outv[f"attn/{mcfg.layers - 1}"], mcfg.n_lead_tokens)
+            out_b = model.forward(
+                state.best_params, mcfg, ds.responses[rows], [ds.subject_id] * len(rows), want_attention=True
+            )
+            record = out_b["attention"][-1]
             for token in tokens:
                 w = model.extract_attention(record, token, mcfg.variant).mean(axis=0)
                 w = w / w.sum()
@@ -387,7 +379,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (msed.MsedError, msed.ManifestError, neurodata.NeuroDataError, stimfeat.StimFeatError) as exc:
+    except (msed.MsedError, msed.ManifestError, neurodata.NeuroDataError, stimfeat.StimFeatError,
+            model.UnknownSubject) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except trainer.TrainingDiverged as exc:

@@ -141,6 +141,16 @@ class Graph:
     def reshape(self, a, shape):
         return self._push(Node("reshape", (a,), {"shape": tuple(shape)}))
 
+    def take_rows(self, parts, index):
+        """Stack S (d,) nodes and pick row index[b] for each batch row -> (B, d).
+
+        `index` is an integer node; it takes no gradient.
+        """
+        return self._push(Node("take-rows", (*parts, index)))
+
+    def broadcast_to(self, a, shape):
+        return self._push(Node("broadcast-to", (a,), {"shape": tuple(shape)}))
+
     def _push(self, node: Node) -> int:
         self.nodes.append(node)
         return len(self.nodes) - 1
@@ -259,7 +269,11 @@ def _forward_one(node_id, node, vals):
             return _conv3d_forward(ins[0], ins[1], a["stride"])
         if kind == "reshape":
             return ins[0].reshape(a["shape"])
-    except ValueError as exc:
+        if kind == "take-rows":
+            return np.stack(ins[:-1])[ins[-1]]
+        if kind == "broadcast-to":
+            return np.broadcast_to(ins[0], a["shape"])
+    except (ValueError, IndexError) as exc:
         raise ShapeMismatch(node_id, kind, str(exc)) from exc
     raise DiffcoreError(f"unknown primitive kind {kind!r}")
 
@@ -368,6 +382,12 @@ def _backward_one(node, g, ins, out):
         return (gx, gw)
     if kind == "reshape":
         return (g.reshape(ins[0].shape),)
+    if kind == "take-rows":
+        index = ins[-1]
+        # one gradient per part; zip in _run_backward leaves the index input without one
+        return tuple(g[index == s].sum(axis=0) for s in range(len(ins) - 1))
+    if kind == "broadcast-to":
+        return (_unbroadcast(g, ins[0].shape),)
     raise DiffcoreError(f"no adjoint rule for kind {node.kind!r}")
 
 

@@ -4,12 +4,13 @@ The clip-mused variant prepends two learnable per-subject tokens (low-level,
 high-level) to the patch sequence; every other parameter is shared across
 subjects.  Baselines cover class-token ViTs (ss-vit, ms-smodel), an identity
 token model (ms-emb), and a flat MLP (ss-mlp).  All forward/backward passes
-run through the diffcore graph.
+run through the diffcore graph.  Each row's subject is an integer input that
+picks its token rows, so one graph serves every subject mix of a batch size.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,6 +18,8 @@ from . import diffcore
 from .diffcore import Graph, cosine_similarity_matrix
 
 VARIANTS = ("clip-mused", "ss-vit", "ms-smodel", "ms-emb", "ss-mlp")
+# param-name prefix of each variant's per-subject token rows
+SUBJECT_TOKEN = {"clip-mused": "token/llv", "ms-emb": "token/emb"}
 INIT_STD = 0.02
 LN_EPS = 1e-5
 
@@ -66,7 +69,6 @@ class EncoderConfig:
     mlp_ratio: int = 4
     head_hidden: int | None = None  # classifier hidden width, defaults to d_model
     conv: ConvConfig | None = None
-    interleave_conv: bool = False  # alternate conv/transformer layers: not implemented
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -81,8 +83,6 @@ class EncoderConfig:
             self.head_hidden = self.d_model
         if self.head_hidden < 1:
             raise ModelConfigError("classifier hidden width must be >= 1")
-        if self.interleave_conv:
-            raise ModelConfigError("interleaved conv/transformer layers are not implemented")
         if self.conv is not None:
             m, d_in = self.conv.patch_geometry()
             if (m, d_in) != (self.patch_count, self.patch_dim):
@@ -214,7 +214,7 @@ def _linear(g: Graph, x, w_name, b_name):
     return g.add(g.matmul(x, g.param(w_name)), g.param(b_name))
 
 
-def _mhsa(g: Graph, x, prefix: str, cfg: EncoderConfig, batch: int, record_attn: bool):
+def _mhsa(g: Graph, x, prefix: str, cfg: EncoderConfig, batch: int):
     d, h = cfg.d_model, cfg.heads
     dh = d // h
     t = cfg.seq_len
@@ -232,12 +232,12 @@ def _mhsa(g: Graph, x, prefix: str, cfg: EncoderConfig, batch: int, record_attn:
     ctx = g.matmul(attn, vh)
     merged = g.reshape(g.transpose(ctx, (0, 2, 1, 3)), (batch, t, d))
     out = _linear(g, merged, f"{prefix}/Wo", f"{prefix}/bo")
-    return out, (attn if record_attn else None)
+    return out, attn
 
 
-def _encoder_block(g: Graph, z_prev, layer: int, cfg: EncoderConfig, batch: int, record_attn: bool):
+def _encoder_block(g: Graph, z_prev, layer: int, cfg: EncoderConfig, batch: int):
     ln1 = _affine_ln(g, z_prev, f"layer{layer}/ln1/gamma", f"layer{layer}/ln1/beta")
-    attn_out, attn = _mhsa(g, ln1, f"layer{layer}/attn", cfg, batch, record_attn)
+    attn_out, attn = _mhsa(g, ln1, f"layer{layer}/attn", cfg, batch)
     z_mid = g.add(attn_out, z_prev)
     ln2 = _affine_ln(g, z_mid, f"layer{layer}/ln2/gamma", f"layer{layer}/ln2/beta")
     h1 = g.gelu(_linear(g, ln2, f"layer{layer}/mlp/W1", f"layer{layer}/mlp/b1"))
@@ -246,16 +246,6 @@ def _encoder_block(g: Graph, z_prev, layer: int, cfg: EncoderConfig, batch: int,
     # "conventional" uses the attention output instead
     residual = z_prev if cfg.residual_variant == "paper" else z_mid
     return g.add(mlp_out, residual), attn
-
-
-def _subject_token_rows(g: Graph, prefix: str, subject_index: list, d: int):
-    parts = [g.reshape(g.param(f"{prefix}/{sid}"), (1, 1, d)) for sid in subject_index]
-    return g.concat(parts, axis=0)  # (B, 1, d)
-
-
-def _tiled_shared_token(g: Graph, name: str, batch: int, d: int):
-    tok = g.reshape(g.param(name), (1, 1, d))
-    return g.add(tok, g.const(np.zeros((batch, 1, d))))
 
 
 def _conv_front_end(g: Graph, volumes, cfg: EncoderConfig, batch: int):
@@ -273,12 +263,18 @@ def _classifier(g: Graph, z, cfg: EncoderConfig):
 
 def build_forward_graph(
     cfg: EncoderConfig,
-    subject_index: list,
+    subjects: list,
     batch: int,
     want_attention: bool = False,
 ) -> Graph:
-    """Forward graph for one batch: inputs 'patches' (or 'volumes'), outputs
-    'y_hat' plus 'z_llv'/'z_hlv' (clip-mused) or 'z' (class-token variants)."""
+    """Forward graph for batches of `batch` rows of any mix of `subjects`.
+
+    Inputs are 'patches' (or 'volumes' with a conv front end) and, for the
+    token variants, 'subject_idx': each row's position in `subjects` (see
+    `subject_positions`).  Outputs are 'y_hat' plus 'z_llv'/'z_hlv'
+    (clip-mused) or 'z' (other variants), 'patches' with a conv front end,
+    and 'attn/<layer>' when `want_attention`.
+    """
     g = Graph()
     d = cfg.d_model
 
@@ -292,27 +288,26 @@ def build_forward_graph(
 
     if cfg.conv is not None:
         patches = _conv_front_end(g, g.input("volumes"), cfg, batch)
+        g.mark_output("patches", patches)
     else:
         patches = g.input("patches")
     embedded = g.matmul(patches, g.param("embed/E"))  # (B, M, d)
 
+    def subject_tokens(prefix):
+        rows = g.take_rows([g.param(f"{prefix}/{sid}") for sid in subjects], g.input("subject_idx"))
+        return g.reshape(rows, (batch, 1, d))
+
     if cfg.variant == "clip-mused":
-        lead = [
-            _subject_token_rows(g, "token/llv", subject_index, d),
-            _subject_token_rows(g, "token/hlv", subject_index, d),
-        ]
-    elif cfg.variant == "ms-emb":
-        lead = [
-            _tiled_shared_token(g, "token/class", batch, d),
-            _subject_token_rows(g, "token/emb", subject_index, d),
-        ]
-    else:  # ss-vit, ms-smodel
-        lead = [_tiled_shared_token(g, "token/class", batch, d)]
+        lead = [subject_tokens("token/llv"), subject_tokens("token/hlv")]
+    else:
+        lead = [g.broadcast_to(g.param("token/class"), (batch, 1, d))]
+        if cfg.variant == "ms-emb":
+            lead.append(subject_tokens("token/emb"))
 
     z = g.add(g.concat(lead + [embedded], axis=1), g.param("embed/E_pos"))
     for l in range(cfg.layers):
-        z, attn = _encoder_block(g, z, l, cfg, batch, want_attention)
-        if want_attention and attn is not None:
+        z, attn = _encoder_block(g, z, l, cfg, batch)
+        if want_attention:
             g.mark_output(f"attn/{l}", attn)
 
     if cfg.variant == "clip-mused":
@@ -328,72 +323,50 @@ def build_forward_graph(
     return g
 
 
-def _check_subjects(cfg, subject_index, params):
-    if cfg.variant == "clip-mused":
-        missing = [s for s in subject_index if f"token/llv/{s}" not in params]
-    elif cfg.variant == "ms-emb":
-        missing = [s for s in subject_index if f"token/emb/{s}" not in params]
-    else:
-        missing = []
+def token_subjects(cfg: EncoderConfig, params: dict) -> list:
+    """Subjects that own token rows in `params`, sorted: the `take_rows` order."""
+    prefix = SUBJECT_TOKEN.get(cfg.variant)
+    if prefix is None:
+        return []
+    return sorted(name[len(prefix) + 1 :] for name in params if name.startswith(prefix + "/"))
+
+
+def subject_positions(cfg: EncoderConfig, subjects: list, subject_index: list) -> np.ndarray:
+    """Each batch row's position in `subjects`, the 'subject_idx' input.
+
+    Variants without subject tokens take any subject (all positions 0).
+    """
+    if cfg.variant not in SUBJECT_TOKEN:
+        return np.zeros(len(subject_index), dtype=np.intp)
+    pos = {sid: i for i, sid in enumerate(subjects)}
+    missing = sorted({sid for sid in subject_index if sid not in pos})
     if missing:
-        raise UnknownSubject(f"no tokens for subjects {sorted(set(missing))}")
+        raise UnknownSubject(f"no tokens for subjects {missing}")
+    return np.array([pos[sid] for sid in subject_index], dtype=np.intp)
 
 
-def encode(patches: np.ndarray, subject_index: list, params: dict, cfg: EncoderConfig, want_attention: bool = False):
-    """Run the clip-mused encoder; returns (z_llv, z_hlv, attention records)."""
-    if cfg.variant != "clip-mused":
-        raise ModelConfigError("encode() is the clip-mused path; use forward_baseline")
-    _check_subjects(cfg, subject_index, params)
-    batch = patches.shape[0]
-    g = build_forward_graph(cfg, subject_index, batch, want_attention)
-    out = diffcore.evaluate(g, {**params, "patches": patches})
-    records = [
-        AttentionRecord(l, out[f"attn/{l}"], cfg.n_lead_tokens)
-        for l in range(cfg.layers)
-        if f"attn/{l}" in out
-    ]
-    return out["z_llv"], out["z_hlv"], records
+def forward(params: dict, cfg: EncoderConfig, x: np.ndarray, subject_index: list, want_attention: bool = False) -> dict:
+    """Run the model on one batch; returns every marked output by name.
 
-
-def classify(z_llv: np.ndarray, z_hlv: np.ndarray, params: dict, cfg: EncoderConfig) -> np.ndarray:
-    if z_llv.shape[0] != z_hlv.shape[0]:
-        raise ModelConfigError("batch sizes of the two representations differ")
-    g = Graph()
-    z = g.concat([g.input("z_llv"), g.input("z_hlv")], axis=1)
-    g.mark_output("y_hat", _classifier(g, z, cfg))
-    head = {k: v for k, v in params.items() if k.startswith("head/")}
-    return diffcore.evaluate(g, {**head, "z_llv": z_llv, "z_hlv": z_hlv})["y_hat"]
-
-
-def forward_baseline(patches: np.ndarray, subject_index: list, params: dict, cfg: EncoderConfig, want_attention: bool = False):
-    """Forward pass for the baseline variants; returns (z, y_hat, attention)."""
-    if cfg.variant not in ("ss-vit", "ms-smodel", "ms-emb", "ss-mlp"):
-        raise ModelConfigError(f"unknown baseline variant {cfg.variant!r}")
-    _check_subjects(cfg, subject_index, params)
-    batch = patches.shape[0]
-    g = build_forward_graph(cfg, subject_index, batch, want_attention)
-    out = diffcore.evaluate(g, {**params, "patches": patches})
-    records = [
-        AttentionRecord(l, out[f"attn/{l}"], cfg.n_lead_tokens)
-        for l in range(cfg.layers)
-        if f"attn/{l}" in out
-    ]
-    return out["z"], out["y_hat"], records
-
-
-def volume_patchify_cnn(volumes: np.ndarray, conv: ConvConfig, params: dict) -> np.ndarray:
-    """Apply the strided conv + gelu front-end to (B, D1, D2, D3[, Cin]) volumes."""
-    if volumes.ndim == 4:
-        volumes = volumes[..., None]
-    m, d_in = conv.patch_geometry()
-    batch = volumes.shape[0]
-    g = Graph()
-    x = g.input("volumes")
-    for i in range(len(conv.channels)):
-        x = g.conv3d(x, g.param(f"conv{i}/w"), conv.strides[i])
-        x = g.gelu(g.add(x, g.param(f"conv{i}/b")))
-    g.mark_output("patches", g.reshape(x, (batch, m, d_in)))
-    return diffcore.evaluate(g, {**params, "volumes": volumes})["patches"]
+    `x` holds patches (B, M, d_in), or volumes (B, D1, D2, D3[, Cin]) when
+    `cfg.conv` is set.  With `want_attention`, 'attention' holds one
+    AttentionRecord per layer in place of the raw 'attn/<layer>' outputs.
+    """
+    subjects = token_subjects(cfg, params)
+    idx = subject_positions(cfg, subjects, subject_index)
+    g = build_forward_graph(cfg, subjects, x.shape[0], want_attention)
+    if "volumes" in g.inputs:
+        bindings = {"volumes": x[..., None] if x.ndim == 4 else x}
+    else:
+        bindings = {"patches": x}
+    out = diffcore.evaluate(g, {**params, **bindings, "subject_idx": idx})
+    if want_attention:
+        out["attention"] = [
+            AttentionRecord(l, out.pop(f"attn/{l}"), cfg.n_lead_tokens)
+            for l in range(cfg.layers)
+            if f"attn/{l}" in out
+        ]
+    return out
 
 
 TOKEN_POSITIONS = {

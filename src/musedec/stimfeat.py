@@ -58,18 +58,6 @@ class RawModalFeatures:
                 raise StimFeatError("caption_sims needs k >= 1 columns")
 
 
-def load_features(feature_dir) -> StimulusFeatureSet:
-    """Read an ingested feature set (llv.msed, hlv.msed, ids, labels.csv)."""
-    d = Path(feature_dir)
-    ids = msed.read_ids(d / "stimulus_ids.json")
-    f_llv = msed.read_tensor(d / "llv.msed")
-    f_hlv = msed.read_tensor(d / "hlv.msed")
-    label_ids, labels = msed.read_labels_csv(d / "labels.csv")
-    if label_ids != [str(s) for s in ids]:
-        raise StimFeatError("label ids do not match stimulus ids")
-    return StimulusFeatureSet([str(s) for s in ids], f_llv, f_hlv, labels)
-
-
 def load_raw_modal(feature_dir) -> RawModalFeatures:
     """Read pre-fusion modality features (image.msed, text.msed, optional caption_sims)."""
     d = Path(feature_dir)

@@ -31,7 +31,6 @@ METHOD_VARIANT = {
     "ms-emb": "ms-emb",
 }
 SINGLE_SUBJECT_METHODS = ("ss-vit", "ss-mlp", "clip-ss-vit")
-GUIDED_VARIANTS = ("clip-mused",)
 
 
 class TrainerError(Exception):
@@ -163,8 +162,8 @@ def _clip_grads(grads, max_norm):
 # training graphs
 
 
-def _build_loss_graph(cfg, weights: LossWeights, subject_index, batch, mapping):
-    g = model.build_forward_graph(cfg, subject_index, batch)
+def _build_loss_graph(cfg, weights: LossWeights, subjects, batch, mapping):
+    g = model.build_forward_graph(cfg, subjects, batch)
     y = g.input("labels")
     parts = {"loss_c": objectives.add_bce_loss(g, g.outputs["y_hat"], y, cfg.n_classes)}
     if cfg.variant == "clip-mused":
@@ -186,8 +185,12 @@ def _build_loss_graph(cfg, weights: LossWeights, subject_index, batch, mapping):
     return g
 
 
-def _batch_bindings(batch: Batch, cfg: EncoderConfig, mapping: bool, rsm_warnings):
-    bindings = {"patches": batch.patches, "labels": batch.labels}
+def _batch_bindings(batch: Batch, cfg: EncoderConfig, subjects, mapping: bool, rsm_warnings):
+    bindings = {
+        "patches": batch.patches,
+        "labels": batch.labels,
+        "subject_idx": model.subject_positions(cfg, subjects, batch.subject_index),
+    }
     if cfg.variant == "clip-mused":
         if mapping:
             bindings["f_llv"] = batch.f_llv
@@ -205,17 +208,17 @@ def _batch_bindings(batch: Batch, cfg: EncoderConfig, mapping: bool, rsm_warning
 def predict(params, cfg: EncoderConfig, data: TrainData, split: str, chunk: int = 256):
     """Scores/labels over one split, pooled across subjects (row-aligned)."""
     scores, labels = [], []
+    subjects = model.token_subjects(cfg, params)
     graph_cache = {}
     for ds in data.datasets:
         rows = data.splits[ds.subject_id][split]
         for start in range(0, len(rows), chunk):
             sel = rows[start : start + chunk]
             b = len(sel)
-            key = (ds.subject_id, b)
-            if key not in graph_cache:
-                graph_cache[key] = model.build_forward_graph(cfg, [ds.subject_id] * b, b)
-            g = graph_cache[key]
-            out = diffcore.evaluate(g, {**params, "patches": ds.responses[sel]})
+            if b not in graph_cache:
+                graph_cache[b] = model.build_forward_graph(cfg, subjects, b)
+            idx = model.subject_positions(cfg, subjects, [ds.subject_id] * b)
+            out = diffcore.evaluate(graph_cache[b], {**params, "patches": ds.responses[sel], "subject_idx": idx})
             scores.append(out["y_hat"])
             labels.append(ds.labels[sel])
     return np.concatenate(scores), np.concatenate(labels)
@@ -282,7 +285,8 @@ def train(
     rng = np.random.default_rng()
     rng.bit_generator.state = state.rng_state
 
-    graph_cache: dict = {}
+    subjects = model.token_subjects(model_cfg, state.params)
+    graph_cache: dict = {}  # batch size -> loss graph
     rsm_warnings = [0]
 
     for epoch in range(state.epoch, cfg.max_epochs):
@@ -292,13 +296,11 @@ def train(
             )
             part_sums: dict = {}
             for batch in batches:
-                key = (tuple(batch.subject_index), len(batch.subject_index))
-                if key not in graph_cache:
-                    graph_cache[key] = _build_loss_graph(
-                        model_cfg, cfg.weights, batch.subject_index, len(batch.subject_index), mapping
-                    )
-                g = graph_cache[key]
-                bindings = {**state.params, **_batch_bindings(batch, model_cfg, mapping, rsm_warnings)}
+                b = len(batch.subject_index)
+                if b not in graph_cache:
+                    graph_cache[b] = _build_loss_graph(model_cfg, cfg.weights, subjects, b, mapping)
+                g = graph_cache[b]
+                bindings = {**state.params, **_batch_bindings(batch, model_cfg, subjects, mapping, rsm_warnings)}
                 outputs, grads = diffcore.evaluate_with_gradient(g, bindings, "loss")
                 if cfg.grad_clip is not None:
                     grads = _clip_grads(grads, cfg.grad_clip)
@@ -354,15 +356,11 @@ def train(
 # run directory + checkpoint IO
 
 
-def _cfg_dict(cfg):
-    d = dataclasses.asdict(cfg)
-    return d
-
-
 def _write_run_dir(out_dir: Path, cfg, model_cfg, state: Checkpoint, report: RunReport):
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "config.json", "w") as fh:
-        json.dump({"train": _cfg_dict(cfg), "model": _cfg_dict(model_cfg)}, fh, indent=2, default=str)
+        cfgs = {"train": dataclasses.asdict(cfg), "model": dataclasses.asdict(model_cfg)}
+        json.dump(cfgs, fh, indent=2, default=str)
     with open(out_dir / "losses.csv", "w") as fh:
         keys = sorted({k for row in state.loss_history for k in row if k != "epoch"})
         fh.write("epoch," + ",".join(keys) + "\n")
@@ -403,8 +401,8 @@ def save_checkpoint(ckpt_dir, state: Checkpoint):
         "rng_state": state.rng_state,
         "stopped": state.stopped,
         "param_names": list(state.params.keys()),
-        "train_cfg": _cfg_dict(state.train_cfg),
-        "model_cfg": _cfg_dict(state.model_cfg),
+        "train_cfg": dataclasses.asdict(state.train_cfg),
+        "model_cfg": dataclasses.asdict(state.model_cfg),
         "loss_history": state.loss_history,
         "val_history": state.val_history,
         "events": state.events,
@@ -428,6 +426,7 @@ def load_checkpoint(ckpt_dir) -> Checkpoint:
     tc["weights"] = LossWeights(**tc["weights"])
     train_cfg = TrainConfig(**tc)
     mc = dict(header["model_cfg"])
+    mc.pop("interleave_conv", None)  # always False in headers that still carry it
     if mc.get("conv"):
         conv = dict(mc["conv"])
         for k in ("input_shape", "channels", "kernels", "strides"):

@@ -33,7 +33,7 @@ def test_criterion_1_gradient_correctness_full_loss_graph():
     )
     weights = LossWeights(lambda_perp=0.001, lambda_llv=0.1, lambda_hlv=0.1)
     subject_index = ["subA", "subB", "subA", "subB"]
-    g = trainer._build_loss_graph(cfg, weights, subject_index, 4, mapping=False)
+    g = trainer._build_loss_graph(cfg, weights, ["subA", "subB"], 4, mapping=False)
 
     rng = np.random.default_rng(0)
     params = model.init_params(cfg, ["subA", "subB"], rng)
@@ -41,6 +41,7 @@ def test_criterion_1_gradient_correctness_full_loss_graph():
     bindings = {
         **params,
         "patches": rng.normal(size=(4, 4, 4)),
+        "subject_idx": model.subject_positions(cfg, ["subA", "subB"], subject_index),
         "labels": feats.labels,
         "m_llv": stimfeat.compute_stimulus_rsm(feats.f_llv),
         "m_hlv": stimfeat.compute_stimulus_rsm(feats.f_hlv),
@@ -62,22 +63,25 @@ def test_criterion_2_subject_token_isolation():
     patches = rng.normal(size=(3, 4, 4))
     idx = ["subA"] * 3
 
-    z_llv, z_hlv, _ = model.encode(patches, idx, params, cfg)
+    out = model.forward(params, cfg, patches, idx)
+    z_llv, z_hlv = out["z_llv"], out["z_hlv"]
     perturbed = dict(params)
     perturbed["token/llv/subB"] = params["token/llv/subB"] + rng.normal(size=8)
     perturbed["token/hlv/subB"] = params["token/hlv/subB"] + rng.normal(size=8)
-    z_llv2, z_hlv2, _ = model.encode(patches, idx, perturbed, cfg)
+    out2 = model.forward(perturbed, cfg, patches, idx)
+    z_llv2, z_hlv2 = out2["z_llv"], out2["z_hlv"]
     assert np.array_equal(z_llv, z_llv2), "subA outputs changed bitwise"
     assert np.array_equal(z_hlv, z_hlv2)
 
     weights = LossWeights(lambda_perp=0.001, lambda_llv=0.1, lambda_hlv=0.1)
-    g = trainer._build_loss_graph(cfg, weights, idx, 3, mapping=False)
+    g = trainer._build_loss_graph(cfg, weights, ["subA", "subB"], 3, mapping=False)
     feats = stimfeat.synth_features(3, 3, 6, 6, seed=3)
     grads = diffcore.gradient(
         g,
         {
             **params,
             "patches": patches,
+            "subject_idx": model.subject_positions(cfg, ["subA", "subB"], idx),
             "labels": feats.labels,
             "m_llv": stimfeat.compute_stimulus_rsm(feats.f_llv),
             "m_hlv": stimfeat.compute_stimulus_rsm(feats.f_hlv),
@@ -295,7 +299,7 @@ def test_criterion_8_export_integrity(tmp_path):
     subjects = ["s0", "s1", "s2"]
     params = model.init_params(cfg, subjects, rng)
     patches = rng.normal(size=(4, 5, 4))
-    _, _, records = model.encode(patches, ["s0"] * 4, params, cfg, want_attention=True)
+    records = model.forward(params, cfg, patches, ["s0"] * 4, want_attention=True)["attention"]
     for rec in records:
         for token in ("llv", "hlv"):
             amap = model.extract_attention(rec, token)
@@ -385,7 +389,8 @@ def test_criterion_9_residual_variant_regression():
             for k in params:
                 if k.endswith(("gamma", "beta")):
                     params[k] = params[k] + 0.05 * rng.normal(size=params[k].shape)
-        z_llv, z_hlv, _ = model.encode(patches, idx, params, cfg)
+        out = model.forward(params, cfg, patches, idx)
+        z_llv, z_hlv = out["z_llv"], out["z_hlv"]
         ref_llv, ref_hlv = _trace_two_layer(cfg, patches, idx, params)
         np.testing.assert_allclose(z_llv, ref_llv, atol=1e-10)
         np.testing.assert_allclose(z_hlv, ref_hlv, atol=1e-10)

@@ -211,6 +211,20 @@ class TestExports:
         for total in sums.values():
             assert total == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("command", ["eval", "export-attn"])
+    def test_subject_without_token_is_data_error(self, trained, command, capsys):
+        tmp_path, _, config_path, ckpt = trained
+        args = list(GEN_ARGS)
+        args[args.index("--subjects") + 1] = "3"  # a third, untrained subject
+        wider = tmp_path / "wider"
+        assert cli.main(args + ["--out", str(wider)]) == cli.EXIT_OK
+        code = cli.main(
+            [command, "--checkpoint", str(ckpt), "--config", str(config_path),
+             "--data", str(wider / "manifest.json"), "--out", str(tmp_path / command)]
+        )
+        assert code == cli.EXIT_DATA
+        assert "sub_02" in capsys.readouterr().err
+
     def test_export_rsm_properties(self, trained):
         tmp_path, _, _, ckpt = trained
         out_dir = tmp_path / "rsm"

@@ -157,6 +157,45 @@ def test_conv3d_adjoint_matches_finite_differences():
     assert report.passed, report.per_param
 
 
+def _take_rows_graph(n_parts):
+    g = Graph()
+    rows = g.take_rows([g.param(f"p{s}") for s in range(n_parts)], g.input("idx"))
+    g.mark_output("rows", rows)
+    g.mark_output("out", g.frobenius_sq(g.gelu(g.elementwise_mul(rows, g.input("w")))))
+    return g
+
+
+def test_take_rows_picks_rows_in_index_order():
+    g = _take_rows_graph(3)
+    parts = {f"p{s}": np.full(2, float(s)) for s in range(3)}
+    rows = evaluate(g, {**parts, "idx": np.array([2, 0, 2]), "w": np.ones((3, 2))})["rows"]
+    np.testing.assert_array_equal(rows, [[2.0, 2.0], [0.0, 0.0], [2.0, 2.0]])
+
+
+def test_take_rows_adjoint_repeated_and_absent_indices():
+    rng = np.random.default_rng(21)
+    g = _take_rows_graph(4)
+    bindings = {f"p{s}": rng.normal(size=3) for s in range(4)}
+    # part 1 is picked three times, parts 0 and 3 never
+    bindings.update(idx=np.array([1, 2, 1, 1]), w=rng.normal(size=(4, 3)))
+    report = grad_check(g, bindings, "out", h=1e-5, tol=1e-6)
+    assert report.passed, report.per_param
+    grads = gradient(g, bindings, "out")
+    assert np.any(grads["p1"]) and np.any(grads["p2"])
+    for absent in ("p0", "p3"):
+        assert np.array_equal(grads[absent], np.zeros(3)), absent
+
+
+def test_broadcast_to_adjoint_matches_finite_differences():
+    rng = np.random.default_rng(22)
+    g = Graph()
+    tiled = g.broadcast_to(g.param("t"), (4, 1, 3))
+    g.mark_output("out", g.frobenius_sq(g.gelu(g.elementwise_mul(tiled, g.input("w")))))
+    bindings = {"t": rng.normal(size=3), "w": rng.normal(size=(4, 1, 3))}
+    report = grad_check(g, bindings, "out", h=1e-5, tol=1e-6)
+    assert report.passed, report.per_param
+
+
 def test_conv3d_identity_kernel():
     g = Graph()
     g.mark_output("y", g.conv3d(g.input("x"), g.input("w"), stride=1))

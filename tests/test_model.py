@@ -10,17 +10,16 @@ from musedec.model import (
     ModelConfigError,
     UnknownSubject,
     build_forward_graph,
-    classify,
     count_params,
-    encode,
     extract_attention,
-    forward_baseline,
+    forward,
     init_params,
     param_shapes,
     shared_param_count,
+    subject_positions,
     token_rsm,
+    token_subjects,
     total_param_count,
-    volume_patchify_cnn,
 )
 
 SUBJECTS = ["sub_00", "sub_01", "sub_02"]
@@ -125,10 +124,6 @@ class TestConfig:
         with pytest.raises(ModelConfigError):
             tiny_cfg(d_model=7, heads=2)
 
-    def test_interleave_not_implemented(self):
-        with pytest.raises(ModelConfigError):
-            tiny_cfg(interleave_conv=True)
-
     def test_lead_tokens(self):
         assert tiny_cfg().n_lead_tokens == 2
         assert tiny_cfg(variant="ms-emb").n_lead_tokens == 2
@@ -195,11 +190,12 @@ class TestForwardOracle:
             if k.endswith(("gamma", "beta")):
                 params[k] = params[k] + 0.1 * rng.normal(size=params[k].shape)
         patches, idx = make_inputs(cfg, 4)
-        z_llv, z_hlv, _ = encode(patches, idx, params, cfg)
+        out = forward(params, cfg, patches, idx)
+        z_llv, z_hlv = out["z_llv"], out["z_hlv"]
         z_ref = np_forward(cfg, patches, idx, params)
         np.testing.assert_allclose(z_llv, _np_affine_ln(z_ref[:, 0], params, "final_ln"), atol=1e-10)
         np.testing.assert_allclose(z_hlv, _np_affine_ln(z_ref[:, 1], params, "final_ln"), atol=1e-10)
-        y = classify(z_llv, z_hlv, params, cfg)
+        y = out["y_hat"]
         np.testing.assert_allclose(
             y, np_head(cfg, np.concatenate([z_llv, z_hlv], axis=1), params), atol=1e-10
         )
@@ -213,8 +209,7 @@ class TestForwardOracle:
             if params is None:
                 params = init_params(cfg, SUBJECTS, np.random.default_rng(4))
                 patches, idx = make_inputs(cfg, 3)
-            z_llv, _, _ = encode(patches, idx, params, cfg)
-            outs[residual] = z_llv
+            outs[residual] = forward(params, cfg, patches, idx)["z_llv"]
         assert not np.allclose(outs["paper"], outs["conventional"])
 
     @pytest.mark.parametrize("variant", ["ss-vit", "ms-smodel", "ms-emb"])
@@ -222,7 +217,8 @@ class TestForwardOracle:
         cfg = tiny_cfg(variant=variant)
         params = init_params(cfg, SUBJECTS, np.random.default_rng(5))
         patches, idx = make_inputs(cfg, 4, seed=6)
-        z, y, _ = forward_baseline(patches, idx, params, cfg)
+        out = forward(params, cfg, patches, idx)
+        z, y = out["z"], out["y_hat"]
         z_ref = _np_affine_ln(np_forward(cfg, patches, idx, params)[:, 0], params, "final_ln")
         np.testing.assert_allclose(z, z_ref, atol=1e-10)
         np.testing.assert_allclose(y, np_head(cfg, z_ref, params), atol=1e-10)
@@ -231,7 +227,8 @@ class TestForwardOracle:
         cfg = tiny_cfg(variant="ss-mlp")
         params = init_params(cfg, [], np.random.default_rng(7))
         patches, idx = make_inputs(cfg, 5, seed=8)
-        z, y, _ = forward_baseline(patches, idx, params, cfg)
+        out = forward(params, cfg, patches, idx)
+        z, y = out["z"], out["y_hat"]
         flat = patches.reshape(5, -1)
         h = _np_gelu(flat @ params["mlp/W1"] + params["mlp/b1"])
         y_ref = 1.0 / (1.0 + np.exp(-(h @ params["mlp/W2"] + params["mlp/b2"])))
@@ -242,10 +239,20 @@ class TestForwardOracle:
         cfg = tiny_cfg()
         params = init_params(cfg, SUBJECTS, np.random.default_rng(9))
         patches, idx = make_inputs(cfg, 6)
-        z_llv, z_hlv, _ = encode(patches, idx, params, cfg)
-        y = classify(z_llv, z_hlv, params, cfg)
+        y = forward(params, cfg, patches, idx)["y_hat"]
         assert y.shape == (6, cfg.n_classes)
         assert ((y > 0) & (y < 1)).all()
+
+
+@pytest.mark.parametrize("variant", model.VARIANTS)
+def test_forward_keeps_float32(variant):
+    cfg = tiny_cfg(variant=variant)
+    params = init_params(cfg, SUBJECTS, np.random.default_rng(24))
+    params = {k: v.astype(np.float32) for k, v in params.items()}
+    patches, idx = make_inputs(cfg, 4, seed=25)
+    out = forward(params, cfg, patches.astype(np.float32), idx)
+    for name, value in out.items():
+        assert value.dtype == np.float32, (name, value.dtype)
 
 
 class TestSubjectIsolation:
@@ -254,13 +261,15 @@ class TestSubjectIsolation:
         params = init_params(cfg, SUBJECTS, np.random.default_rng(10))
         patches, _ = make_inputs(cfg, 4, seed=11)
         idx = ["sub_00", "sub_01", "sub_00", "sub_02"]
-        base_llv, base_hlv, _ = encode(patches, idx, params, cfg)
+        base = forward(params, cfg, patches, idx)
+        base_llv, base_hlv = base["z_llv"], base["z_hlv"]
         bumped = dict(params)
         # a uniform shift would be invisible to layer norm; perturb one coord
         bump = np.zeros(cfg.d_model)
         bump[0] = 0.5
         bumped["token/llv/sub_01"] = params["token/llv/sub_01"] + bump
-        new_llv, new_hlv, _ = encode(patches, idx, bumped, cfg)
+        new = forward(bumped, cfg, patches, idx)
+        new_llv, new_hlv = new["z_llv"], new["z_hlv"]
         for i, sid in enumerate(idx):
             if sid == "sub_01":
                 assert not np.allclose(new_llv[i], base_llv[i])
@@ -273,16 +282,18 @@ class TestSubjectIsolation:
         params = init_params(cfg, SUBJECTS, np.random.default_rng(0))
         patches, _ = make_inputs(cfg, 2)
         with pytest.raises(UnknownSubject):
-            encode(patches, ["sub_00", "sub_99"], params, cfg)
+            forward(params, cfg, patches, ["sub_00", "sub_99"])
 
     def test_token_gradients_flow_only_to_present_subjects(self):
         cfg = tiny_cfg(layers=1)
         params = init_params(cfg, SUBJECTS, np.random.default_rng(12))
         idx = ["sub_00", "sub_01"]
-        g = build_forward_graph(cfg, idx, 2)
+        subjects = token_subjects(cfg, params)
+        g = build_forward_graph(cfg, subjects, 2)
         g.mark_output("scalar", g.mean(g.outputs["y_hat"]))
         patches, _ = make_inputs(cfg, 2, seed=13)
-        grads = diffcore.gradient(g, {**params, "patches": patches}, "scalar")
+        bindings = {**params, "patches": patches, "subject_idx": subject_positions(cfg, subjects, idx)}
+        grads = diffcore.gradient(g, bindings, "scalar")
         assert np.abs(grads["token/llv/sub_00"]).max() > 0
         assert np.abs(grads["token/hlv/sub_01"]).max() > 0
         assert "token/llv/sub_02" not in grads or np.abs(grads["token/llv/sub_02"]).max() == 0
@@ -295,7 +306,8 @@ class TestGradients:
         patches = np.random.default_rng(15).normal(size=(2, 2, 3))
         g = build_forward_graph(cfg, ["a", "b"], 2)
         g.mark_output("scalar", g.frobenius_sq(g.outputs["y_hat"]))
-        report = diffcore.grad_check(g, {**params, "patches": patches}, "scalar", tol=1e-4)
+        bindings = {**params, "patches": patches, "subject_idx": subject_positions(cfg, ["a", "b"], ["a", "b"])}
+        report = diffcore.grad_check(g, bindings, "scalar", tol=1e-4)
         assert report.passed, f"max rel err {report.max_rel_err}"
 
 
@@ -319,12 +331,12 @@ class TestConvFrontEnd:
     def test_volume_patchify_matches_manual_conv(self):
         rng = np.random.default_rng(16)
         conv = ConvConfig((5, 5, 5), (2,), (3,), (2,))
-        params = {
-            "conv0/w": rng.normal(size=(3, 3, 3, 1, 2)),
-            "conv0/b": rng.normal(size=(2,)),
-        }
+        cfg = tiny_cfg(patch_count=8, patch_dim=2, d_model=4, heads=2, layers=1, conv=conv)
+        params = init_params(cfg, SUBJECTS, np.random.default_rng(0))
+        params["conv0/w"] = rng.normal(size=(3, 3, 3, 1, 2))
+        params["conv0/b"] = rng.normal(size=(2,))
         vols = rng.normal(size=(2, 5, 5, 5))
-        patches = volume_patchify_cnn(vols, conv, params)
+        patches = forward(params, cfg, vols, SUBJECTS[:2])["patches"]
         assert patches.shape == (2, 8, 2)
         # brute-force a single output cell
         w, b = params["conv0/w"], params["conv0/b"]
@@ -340,8 +352,7 @@ class TestConvFrontEnd:
         cfg = tiny_cfg(patch_count=8, patch_dim=2, d_model=4, heads=2, layers=1, conv=conv)
         params = init_params(cfg, SUBJECTS, np.random.default_rng(17))
         vols = np.random.default_rng(18).normal(size=(3, 5, 5, 5, 1))
-        g = build_forward_graph(cfg, SUBJECTS, 3)
-        out = diffcore.evaluate(g, {**params, "volumes": vols})
+        out = forward(params, cfg, vols, SUBJECTS)
         assert out["y_hat"].shape == (3, cfg.n_classes)
         assert out["z_llv"].shape == (3, cfg.d_model)
 
@@ -351,7 +362,7 @@ class TestAttention:
         cfg = tiny_cfg()
         params = init_params(cfg, SUBJECTS, np.random.default_rng(19))
         patches, idx = make_inputs(cfg, 3, seed=20)
-        _, _, records = encode(patches, idx, params, cfg, want_attention=True)
+        records = forward(params, cfg, patches, idx, want_attention=True)["attention"]
         assert len(records) == cfg.layers
         t = cfg.seq_len
         for rec in records:
@@ -362,7 +373,7 @@ class TestAttention:
         cfg = tiny_cfg()
         params = init_params(cfg, SUBJECTS, np.random.default_rng(21))
         patches, idx = make_inputs(cfg, 2, seed=22)
-        _, _, records = encode(patches, idx, params, cfg, want_attention=True)
+        records = forward(params, cfg, patches, idx, want_attention=True)["attention"]
         amap = extract_attention(records[-1], "hlv")
         assert amap.shape == (2, cfg.patch_count)
         np.testing.assert_allclose(amap.sum(axis=1), 1.0, atol=1e-12)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from musedec import neurodata, stimfeat, trainer
+from musedec import model, neurodata, stimfeat, trainer
 from musedec.model import EncoderConfig
 from musedec.neurodata import SplitSpec
 from musedec.objectives import LossWeights
@@ -197,6 +197,34 @@ class TestTrainLoop:
             [ds.labels[data.splits[ds.subject_id]["test"]] for ds in data.datasets]
         )
         np.testing.assert_array_equal(labels, expect_labels)
+
+    def test_one_graph_per_batch_size(self, monkeypatch):
+        """Shuffled cross-subject batches share the graph of their batch size."""
+        build, predict_, batch_bindings = model.build_forward_graph, trainer.predict, trainer._batch_bindings
+        train_builds, mixes, in_predict = [], set(), [False]
+
+        def counting_build(cfg, subjects, batch, *args, **kwargs):
+            if not in_predict[0]:
+                train_builds.append(batch)
+            return build(cfg, subjects, batch, *args, **kwargs)
+
+        def flagged_predict(*args, **kwargs):
+            in_predict[0] = True
+            try:
+                return predict_(*args, **kwargs)
+            finally:
+                in_predict[0] = False
+
+        def recording_bindings(batch, *args, **kwargs):
+            mixes.add((len(batch.subject_index), tuple(batch.subject_index)))
+            return batch_bindings(batch, *args, **kwargs)
+
+        monkeypatch.setattr(model, "build_forward_graph", counting_build)
+        monkeypatch.setattr(trainer, "predict", flagged_predict)
+        monkeypatch.setattr(trainer, "_batch_bindings", recording_bindings)
+        train(small_cfg(max_epochs=3), small_model(), small_data(n_sub=3))
+        assert len(mixes) > 1, "batches should mix subjects differently"
+        assert sorted(train_builds) == sorted({b for b, _ in mixes})
 
     def test_token_isolation_during_training(self):
         # training on one subject's data must not move another's tokens
