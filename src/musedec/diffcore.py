@@ -89,6 +89,10 @@ class Graph:
     def matmul(self, a, b):
         return self._push(Node("matmul", (a, b)))
 
+    def linear(self, x, w, b):
+        """x @ w + b over the last axis of x, as one 2-D GEMM."""
+        return self._push(Node("linear", (x, w, b)))
+
     def add(self, a, b):
         return self._push(Node("add", (a, b)))
 
@@ -106,8 +110,20 @@ class Graph:
         """Normalize the last axis to zero mean / unit variance (pre-affine)."""
         return self._push(Node("layer-norm", (a,), {"eps": float(eps)}))
 
+    def affine_layer_norm(self, a, gamma, beta, eps: float = 1e-5):
+        """layer_norm(a) * gamma + beta."""
+        return self._push(Node("affine-layer-norm", (a, gamma, beta), {"eps": float(eps)}))
+
     def softmax_rows(self, a):
         return self._push(Node("softmax-rows", (a,)))
+
+    def attention_probs(self, q, k, heads: int):
+        """Per-head softmax(q k^T / sqrt(d/heads)) of (B, T, d) q and k -> (B, H, T, T)."""
+        return self._push(Node("attention-probs", (q, k), {"heads": int(heads)}))
+
+    def attend(self, p, v):
+        """Heads of (B, H, T, T) weights applied to (B, T, d) v, merged -> (B, T, d)."""
+        return self._push(Node("attend", (p, v)))
 
     def gelu(self, a):
         return self._push(Node("gelu", (a,)))
@@ -157,7 +173,7 @@ class Graph:
 
 
 # ---------------------------------------------------------------------------
-# forward rules
+# shared math: each fused rule and its unfused counterpart use these helpers
 
 
 def _unbroadcast(g, shape):
@@ -170,20 +186,47 @@ def _unbroadcast(g, shape):
     return g.reshape(shape)
 
 
-def _layer_norm_forward(x, eps):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mu) / np.sqrt(var + eps)
+def _swap_last(x):
+    return np.swapaxes(x, -1, -2)
 
 
-def _softmax_rows_forward(x):
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
+def _normalize(x, eps):
+    """Layer norm over the last axis -> (xhat, 1/std)."""
+    xc = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    return xc * inv, inv
+
+
+def _normalize_adjoint(g, xhat, inv):
+    gm = g.mean(axis=-1, keepdims=True)
+    gxm = (g * xhat).mean(axis=-1, keepdims=True)
+    return inv * (g - gm - xhat * gxm)
+
+
+def _softmax(x):
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _gelu_forward(x):
-    return 0.5 * x * (1.0 + erf(x * _INV_SQRT2))
+def _softmax_adjoint(g, s):
+    return s * (g - (g * s).sum(axis=-1, keepdims=True))
+
+
+def _split_heads(x, heads):
+    """(B, T, d) -> (B, H, T, d/H)."""
+    b, t, d = x.shape
+    return x.reshape(b, t, heads, d // heads).transpose(0, 2, 1, 3)
+
+
+def _merge_heads(x):
+    """(B, H, T, dh) -> (B, T, H*dh)."""
+    b, h, t, dh = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
+
+
+def _head_scale(q, heads):
+    # a Python float: an np.float64 scalar would upcast float32 scores
+    return 1.0 / math.sqrt(q.shape[-1] // heads)
 
 
 def _sigmoid_forward(x):
@@ -208,218 +251,261 @@ def _cosine_sim_forward(z):
     return c, u, safe, zero
 
 
-def _conv3d_forward(x, w, stride):
-    # x: (B, D1, D2, D3, Cin), w: (k1, k2, k3, Cin, Cout), valid padding
-    k1, k2, k3, cin, cout = w.shape
-    s1, s2, s3 = stride
-    b, d1, d2, d3, _ = x.shape
-    o1 = (d1 - k1) // s1 + 1
-    o2 = (d2 - k2) // s2 + 1
-    o3 = (d3 - k3) // s3 + 1
-    out = np.zeros((b, o1, o2, o3, cout), dtype=x.dtype)
-    for a in range(k1):
-        for bb in range(k2):
-            for c in range(k3):
-                xs = x[:, a : a + o1 * s1 : s1, bb : bb + o2 * s2 : s2, c : c + o3 * s3 : s3, :]
-                out += xs @ w[a, bb, c]
-    return out
-
-
-def _forward_one(node_id, node, vals):
-    kind = node.kind
-    ins = [vals[i] for i in node.inputs]
-    a = node.attrs
-    try:
-        if kind == "matmul":
-            return ins[0] @ ins[1]
-        if kind == "add":
-            return ins[0] + ins[1]
-        if kind == "scale":
-            return ins[0] * a["c"]
-        if kind == "concat":
-            return np.concatenate(ins, axis=a["axis"])
-        if kind == "slice-row":
-            return ins[0][:, a["index"], :]
-        if kind == "layer-norm":
-            return _layer_norm_forward(ins[0], a["eps"])
-        if kind == "softmax-rows":
-            return _softmax_rows_forward(ins[0])
-        if kind == "gelu":
-            return _gelu_forward(ins[0])
-        if kind == "sigmoid":
-            return _sigmoid_forward(ins[0])
-        if kind == "mean":
-            return np.array([ins[0].mean()], dtype=ins[0].dtype)
-        if kind == "frobenius-sq":
-            x = ins[0]
-            return np.array([float((x * x).sum())], dtype=x.dtype)
-        if kind == "cosine-sim-matrix":
-            c, _, _, _ = _cosine_sim_forward(ins[0])
-            return c
-        if kind == "log":
-            x = ins[0]
-            if a.get("lo") is not None or a.get("hi") is not None:
-                x = np.clip(x, a.get("lo"), a.get("hi"))
-            return np.log(x)
-        if kind == "elementwise-mul":
-            return ins[0] * ins[1]
-        if kind == "transpose":
-            return np.transpose(ins[0], a["axes"])
-        if kind == "conv3d":
-            return _conv3d_forward(ins[0], ins[1], a["stride"])
-        if kind == "reshape":
-            return ins[0].reshape(a["shape"])
-        if kind == "take-rows":
-            return np.stack(ins[:-1])[ins[-1]]
-        if kind == "broadcast-to":
-            return np.broadcast_to(ins[0], a["shape"])
-    except (ValueError, IndexError) as exc:
-        raise ShapeMismatch(node_id, kind, str(exc)) from exc
-    raise DiffcoreError(f"unknown primitive kind {kind!r}")
+def _conv_windows(x_shape, w_shape, stride):
+    """Yield (kernel offset, strided slice of x) for a valid-padding conv."""
+    out = [(d - k) // s + 1 for d, k, s in zip(x_shape[1:4], w_shape[:3], stride)]
+    for offset in np.ndindex(*w_shape[:3]):
+        spatial = (slice(i, i + n * s, s) for i, n, s in zip(offset, out, stride))
+        yield offset, (slice(None), *spatial, slice(None))
 
 
 # ---------------------------------------------------------------------------
-# adjoint rules
+# rules: forward(ins, attrs) -> (out, saved); backward(g, ins, out, saved, attrs)
+# -> one adjoint per input.  `saved` is whatever the forward keeps for its
+# backward.  No rule writes into `g` or an input: adjoints may alias each other.
 
 
-def _swap_last(x):
-    return np.swapaxes(x, -1, -2)
+def _matmul_bwd(g, ins, out, saved, a):
+    x, w = ins
+    if w.ndim == 2 and x.ndim > 2:
+        # one 2-D GEMM for the weight instead of a (B, d, h) batch summed away
+        return g @ w.T, x.reshape(-1, w.shape[0]).T @ g.reshape(-1, w.shape[1])
+    return _unbroadcast(g @ _swap_last(w), x.shape), _unbroadcast(_swap_last(x) @ g, w.shape)
 
 
-def _backward_one(node, g, ins, out):
-    kind = node.kind
-    a = node.attrs
-    if kind == "matmul":
-        ga = _unbroadcast(g @ _swap_last(ins[1]), ins[0].shape)
-        gb = _unbroadcast(_swap_last(ins[0]) @ g, ins[1].shape)
-        return (ga, gb)
-    if kind == "add":
-        return (_unbroadcast(g, ins[0].shape), _unbroadcast(g, ins[1].shape))
-    if kind == "scale":
-        return (g * a["c"],)
-    if kind == "concat":
-        axis = a["axis"]
-        grads = []
-        start = 0
-        for x in ins:
-            n = x.shape[axis]
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(start, start + n)
-            grads.append(g[tuple(sl)])
-            start += n
-        return tuple(grads)
-    if kind == "slice-row":
-        gx = np.zeros_like(ins[0])
-        gx[:, a["index"], :] = g
-        return (gx,)
-    if kind == "layer-norm":
-        x = ins[0]
-        d = x.shape[-1]
-        mu = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
-        inv = 1.0 / np.sqrt(var + a["eps"])
-        xhat = (x - mu) * inv
-        gm = g.mean(axis=-1, keepdims=True)
-        gxm = (g * xhat).mean(axis=-1, keepdims=True)
-        return (inv * (g - gm - xhat * gxm),)
-    if kind == "softmax-rows":
-        s = out
-        dot = (g * s).sum(axis=-1, keepdims=True)
-        return (s * (g - dot),)
-    if kind == "gelu":
-        x = ins[0]
-        cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-        return (g * (cdf + x * pdf),)
-    if kind == "sigmoid":
-        return (g * out * (1.0 - out),)
-    if kind == "mean":
-        x = ins[0]
-        return (np.full_like(x, g[0] / x.size),)
-    if kind == "frobenius-sq":
-        return (2.0 * g[0] * ins[0],)
-    if kind == "cosine-sim-matrix":
-        z = ins[0]
-        _, u, norms, zero = _cosine_sim_forward(z)
-        gsym = g.copy()
-        np.fill_diagonal(gsym, 0.0)  # diagonal is pinned to 1 in the forward
-        gu = (gsym + gsym.T) @ u
-        gz = (gu - (gu * u).sum(axis=1, keepdims=True) * u) / norms[:, None]
-        if zero.any():
-            gz[zero, :] = 0.0
-        return (gz,)
-    if kind == "log":
-        x = ins[0]
-        lo, hi = a.get("lo"), a.get("hi")
-        xc = np.clip(x, lo, hi) if (lo is not None or hi is not None) else x
-        gx = g / xc
-        if lo is not None:
-            gx = np.where(x < lo, 0.0, gx)
-        if hi is not None:
-            gx = np.where(x > hi, 0.0, gx)
-        return (gx,)
-    if kind == "elementwise-mul":
-        return (
-            _unbroadcast(g * ins[1], ins[0].shape),
-            _unbroadcast(g * ins[0], ins[1].shape),
-        )
-    if kind == "transpose":
-        inv = np.argsort(a["axes"])
-        return (np.transpose(g, inv),)
-    if kind == "conv3d":
-        x, w = ins
-        k1, k2, k3, cin, cout = w.shape
-        s1, s2, s3 = a["stride"]
-        o1, o2, o3 = out.shape[1:4]
-        gx = np.zeros_like(x)
-        gw = np.zeros_like(w)
-        for i in range(k1):
-            for j in range(k2):
-                for l in range(k3):
-                    xs = x[:, i : i + o1 * s1 : s1, j : j + o2 * s2 : s2, l : l + o3 * s3 : s3, :]
-                    gw[i, j, l] = np.einsum("bxyzc,bxyzd->cd", xs, g)
-                    gx[:, i : i + o1 * s1 : s1, j : j + o2 * s2 : s2, l : l + o3 * s3 : s3, :] += g @ w[i, j, l].T
-        return (gx, gw)
-    if kind == "reshape":
-        return (g.reshape(ins[0].shape),)
-    if kind == "take-rows":
-        index = ins[-1]
-        # one gradient per part; zip in _run_backward leaves the index input without one
-        return tuple(g[index == s].sum(axis=0) for s in range(len(ins) - 1))
-    if kind == "broadcast-to":
-        return (_unbroadcast(g, ins[0].shape),)
-    raise DiffcoreError(f"no adjoint rule for kind {node.kind!r}")
+def _linear_fwd(ins, a):
+    x, w, b = ins
+    y = x.reshape(-1, w.shape[0]) @ w + b
+    return y.reshape(*x.shape[:-1], w.shape[1]), None
+
+
+def _linear_bwd(g, ins, out, saved, a):
+    x, w, _ = ins
+    g2 = g.reshape(-1, w.shape[1])
+    return (g2 @ w.T).reshape(x.shape), x.reshape(-1, w.shape[0]).T @ g2, g2.sum(axis=0)
+
+
+def _affine_ln_fwd(ins, a):
+    x, gamma, beta = ins
+    xhat, inv = _normalize(x, a["eps"])
+    return xhat * gamma + beta, (xhat, inv)
+
+
+def _affine_ln_bwd(g, ins, out, saved, a):
+    xhat, inv = saved
+    d = g.shape[-1]
+    gx = _normalize_adjoint(g * ins[1], xhat, inv)
+    return gx, (g * xhat).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0)
+
+
+def _attention_probs_fwd(ins, a):
+    q, k = ins
+    h = a["heads"]
+    scores = _split_heads(q, h) @ _swap_last(_split_heads(k, h))
+    return _softmax(scores * _head_scale(q, h)), None
+
+
+def _attention_probs_bwd(g, ins, p, saved, a):
+    q, k = ins
+    h = a["heads"]
+    gs = _softmax_adjoint(g, p) * _head_scale(q, h)
+    return _merge_heads(gs @ _split_heads(k, h)), _merge_heads(_swap_last(gs) @ _split_heads(q, h))
+
+
+def _attend_fwd(ins, a):
+    p, v = ins
+    return _merge_heads(p @ _split_heads(v, p.shape[1])), None
+
+
+def _attend_bwd(g, ins, out, saved, a):
+    p, v = ins
+    h = p.shape[1]
+    gctx = _split_heads(g, h)
+    return gctx @ _swap_last(_split_heads(v, h)), _merge_heads(_swap_last(p) @ gctx)
+
+
+def _concat_bwd(g, ins, out, saved, a):
+    axis = a["axis"]
+    bounds = np.cumsum([x.shape[axis] for x in ins])[:-1]
+    return tuple(np.split(g, bounds, axis=axis))
+
+
+def _slice_row_bwd(g, ins, out, saved, a):
+    gx = np.zeros_like(ins[0])
+    gx[:, a["index"], :] = g
+    return (gx,)
+
+
+def _gelu_fwd(ins, a):
+    x = ins[0]
+    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    return x * cdf, cdf
+
+
+def _gelu_bwd(g, ins, out, cdf, a):
+    x = ins[0]
+    pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
+    return (g * (cdf + x * pdf),)
+
+
+def _cosine_sim_fwd(ins, a):
+    c, u, norms, zero = _cosine_sim_forward(ins[0])
+    return c, (u, norms, zero)
+
+
+def _cosine_sim_bwd(g, ins, out, saved, a):
+    u, norms, zero = saved
+    gsym = g.copy()
+    np.fill_diagonal(gsym, 0.0)  # diagonal is pinned to 1 in the forward
+    gu = (gsym + gsym.T) @ u
+    gz = (gu - (gu * u).sum(axis=1, keepdims=True) * u) / norms[:, None]
+    if zero.any():
+        gz[zero, :] = 0.0
+    return (gz,)
+
+
+def _log_fwd(ins, a):
+    x = ins[0]
+    if a.get("lo") is not None or a.get("hi") is not None:
+        x = np.clip(x, a.get("lo"), a.get("hi"))
+    return np.log(x), None
+
+
+def _log_bwd(g, ins, out, saved, a):
+    x = ins[0]
+    lo, hi = a.get("lo"), a.get("hi")
+    xc = np.clip(x, lo, hi) if (lo is not None or hi is not None) else x
+    gx = g / xc
+    if lo is not None:
+        gx = np.where(x < lo, 0.0, gx)
+    if hi is not None:
+        gx = np.where(x > hi, 0.0, gx)
+    return (gx,)
+
+
+def _conv3d_fwd(ins, a):
+    # x: (B, D1, D2, D3, Cin), w: (k1, k2, k3, Cin, Cout), valid padding
+    x, w = ins
+    out = None
+    for offset, window in _conv_windows(x.shape, w.shape, a["stride"]):
+        term = x[window] @ w[offset]
+        out = term if out is None else out + term
+    return out, None
+
+
+def _conv3d_bwd(g, ins, out, saved, a):
+    x, w = ins
+    gx = np.zeros_like(x)
+    gw = np.zeros_like(w)
+    for offset, window in _conv_windows(x.shape, w.shape, a["stride"]):
+        gw[offset] = np.einsum("bxyzc,bxyzd->cd", x[window], g)
+        gx[window] += g @ w[offset].T
+    return gx, gw
+
+
+def _take_rows_bwd(g, ins, out, saved, a):
+    index = ins[-1]
+    # one adjoint per part; zip in _run_backward leaves the index input without one
+    return tuple(g[index == s].sum(axis=0) for s in range(len(ins) - 1))
+
+
+_RULES = {
+    "matmul": (lambda ins, a: (ins[0] @ ins[1], None), _matmul_bwd),
+    "linear": (_linear_fwd, _linear_bwd),
+    "add": (
+        lambda ins, a: (ins[0] + ins[1], None),
+        lambda g, ins, out, s, a: (_unbroadcast(g, ins[0].shape), _unbroadcast(g, ins[1].shape)),
+    ),
+    "scale": (lambda ins, a: (ins[0] * a["c"], None), lambda g, ins, out, s, a: (g * a["c"],)),
+    "concat": (lambda ins, a: (np.concatenate(ins, axis=a["axis"]), None), _concat_bwd),
+    "slice-row": (lambda ins, a: (ins[0][:, a["index"], :], None), _slice_row_bwd),
+    "layer-norm": (
+        lambda ins, a: _normalize(ins[0], a["eps"]),
+        lambda g, ins, xhat, inv, a: (_normalize_adjoint(g, xhat, inv),),
+    ),
+    "affine-layer-norm": (_affine_ln_fwd, _affine_ln_bwd),
+    "softmax-rows": (
+        lambda ins, a: (_softmax(ins[0]), None),
+        lambda g, ins, out, s, a: (_softmax_adjoint(g, out),),
+    ),
+    "attention-probs": (_attention_probs_fwd, _attention_probs_bwd),
+    "attend": (_attend_fwd, _attend_bwd),
+    "gelu": (_gelu_fwd, _gelu_bwd),
+    "sigmoid": (lambda ins, a: (_sigmoid_forward(ins[0]), None), lambda g, ins, out, s, a: (g * out * (1.0 - out),)),
+    "mean": (
+        lambda ins, a: (np.array([ins[0].mean()], dtype=ins[0].dtype), None),
+        lambda g, ins, out, s, a: (np.full_like(ins[0], g[0] / ins[0].size),),
+    ),
+    "frobenius-sq": (
+        lambda ins, a: (np.array([float((ins[0] * ins[0]).sum())], dtype=ins[0].dtype), None),
+        lambda g, ins, out, s, a: (2.0 * g[0] * ins[0],),
+    ),
+    "cosine-sim-matrix": (_cosine_sim_fwd, _cosine_sim_bwd),
+    "log": (_log_fwd, _log_bwd),
+    "elementwise-mul": (
+        lambda ins, a: (ins[0] * ins[1], None),
+        lambda g, ins, out, s, a: (_unbroadcast(g * ins[1], ins[0].shape), _unbroadcast(g * ins[0], ins[1].shape)),
+    ),
+    "transpose": (
+        lambda ins, a: (np.transpose(ins[0], a["axes"]), None),
+        lambda g, ins, out, s, a: (np.transpose(g, np.argsort(a["axes"])),),
+    ),
+    "conv3d": (_conv3d_fwd, _conv3d_bwd),
+    "reshape": (lambda ins, a: (ins[0].reshape(a["shape"]), None), lambda g, ins, out, s, a: (g.reshape(ins[0].shape),)),
+    "take-rows": (lambda ins, a: (np.stack(ins[:-1])[ins[-1]], None), _take_rows_bwd),
+    "broadcast-to": (
+        lambda ins, a: (np.broadcast_to(ins[0], a["shape"]), None),
+        lambda g, ins, out, s, a: (_unbroadcast(g, ins[0].shape),),
+    ),
+}
+_LEAVES = ("param", "input", "const")
 
 
 # ---------------------------------------------------------------------------
 # public operations
 
 
-def _run_forward(graph: Graph, bindings: dict) -> list:
+def _leaf_value(node: Node, bindings: dict):
+    if node.kind == "const":
+        return node.attrs["value"]
+    name = node.attrs["name"]
+    if name not in bindings:
+        raise UnboundParameter(f"{node.kind} {name!r} is not bound")
+    return np.asarray(bindings[name])
+
+
+def _run_forward(graph: Graph, bindings: dict):
+    """Values of every node, and what each rule saved for its backward."""
     vals = [None] * len(graph.nodes)
+    saved = [None] * len(graph.nodes)
     for i, node in enumerate(graph.nodes):
-        if node.kind == "param" or node.kind == "input":
-            name = node.attrs["name"]
-            if name not in bindings:
-                raise UnboundParameter(f"{node.kind} {name!r} is not bound")
-            vals[i] = np.asarray(bindings[name])
-        elif node.kind == "const":
-            vals[i] = node.attrs["value"]
-        else:
-            out = _forward_one(i, node, vals)
-            if not np.all(np.isfinite(out)):
-                raise NonFiniteOutput(i, node.kind)
-            vals[i] = out
-    return vals
+        kind = node.kind
+        if kind in _LEAVES:
+            vals[i] = _leaf_value(node, bindings)
+            continue
+        rule = _RULES.get(kind)
+        if rule is None:
+            raise DiffcoreError(f"unknown primitive kind {kind!r}")
+        try:
+            out, saved[i] = rule[0]([vals[j] for j in node.inputs], node.attrs)
+        except (ValueError, IndexError) as exc:
+            raise ShapeMismatch(i, kind, str(exc)) from exc
+        # per node, so the first non-finite node is named even when a later
+        # node (a sigmoid of inf, say) squashes it back to finite values
+        if not np.isfinite(out).all():
+            raise NonFiniteOutput(i, kind)
+        vals[i] = out
+    return vals, saved
 
 
 def evaluate(graph: Graph, bindings: dict) -> dict:
     """Run the forward pass and return every marked output."""
-    vals = _run_forward(graph, bindings)
+    vals, _ = _run_forward(graph, bindings)
     return {name: vals[nid] for name, nid in graph.outputs.items()}
 
 
-def _run_backward(graph: Graph, vals: list, scalar_id: int) -> dict:
+def _run_backward(graph: Graph, vals: list, saved: list, scalar_id: int) -> dict:
+    """Reverse sweep; releases each node's value, saved state and adjoint once used."""
     if vals[scalar_id].shape != (1,):
         raise NotAScalar(f"output node has shape {vals[scalar_id].shape}, expected (1,)")
     adjoint = [None] * len(graph.nodes)
@@ -427,15 +513,13 @@ def _run_backward(graph: Graph, vals: list, scalar_id: int) -> dict:
     for i in range(scalar_id, -1, -1):
         node = graph.nodes[i]
         g = adjoint[i]
-        if g is None or node.kind in ("param", "input", "const"):
+        if g is None or node.kind in _LEAVES:
             continue
-        ins = [vals[j] for j in node.inputs]
-        grads = _backward_one(node, g, ins, vals[i])
+        grads = _RULES[node.kind][1](g, [vals[j] for j in node.inputs], vals[i], saved[i], node.attrs)
+        adjoint[i] = vals[i] = saved[i] = None
+        # no copy: rules never write into an adjoint, and `+` allocates
         for j, gj in zip(node.inputs, grads):
-            if adjoint[j] is None:
-                adjoint[j] = gj.copy()
-            else:
-                adjoint[j] = adjoint[j] + gj
+            adjoint[j] = gj if adjoint[j] is None else adjoint[j] + gj
     out = {}
     for name, nid in graph.params.items():
         if adjoint[nid] is None:
@@ -447,15 +531,15 @@ def _run_backward(graph: Graph, vals: list, scalar_id: int) -> dict:
 
 def gradient(graph: Graph, bindings: dict, scalar_output: str) -> dict:
     """Partial derivatives of the named scalar output w.r.t. every parameter."""
-    vals = _run_forward(graph, bindings)
-    return _run_backward(graph, vals, graph.outputs[scalar_output])
+    vals, saved = _run_forward(graph, bindings)
+    return _run_backward(graph, vals, saved, graph.outputs[scalar_output])
 
 
 def evaluate_with_gradient(graph: Graph, bindings: dict, scalar_output: str):
     """One forward pass shared by evaluation and the reverse sweep."""
-    vals = _run_forward(graph, bindings)
+    vals, saved = _run_forward(graph, bindings)
     outputs = {name: vals[nid] for name, nid in graph.outputs.items()}
-    grads = _run_backward(graph, vals, graph.outputs[scalar_output])
+    grads = _run_backward(graph, vals, saved, graph.outputs[scalar_output])
     return outputs, grads
 
 

@@ -206,38 +206,25 @@ def count_params(params: dict) -> int:
 
 
 def _affine_ln(g: Graph, x, gamma_name, beta_name):
-    normed = g.layer_norm(x, eps=LN_EPS)
-    return g.add(g.elementwise_mul(normed, g.param(gamma_name)), g.param(beta_name))
+    return g.affine_layer_norm(x, g.param(gamma_name), g.param(beta_name), eps=LN_EPS)
 
 
 def _linear(g: Graph, x, w_name, b_name):
-    return g.add(g.matmul(x, g.param(w_name)), g.param(b_name))
+    return g.linear(x, g.param(w_name), g.param(b_name))
 
 
-def _mhsa(g: Graph, x, prefix: str, cfg: EncoderConfig, batch: int):
-    d, h = cfg.d_model, cfg.heads
-    dh = d // h
-    t = cfg.seq_len
+def _mhsa(g: Graph, x, prefix: str, cfg: EncoderConfig):
     q = _linear(g, x, f"{prefix}/Wq", f"{prefix}/bq")
     k = _linear(g, x, f"{prefix}/Wk", f"{prefix}/bk")
     v = _linear(g, x, f"{prefix}/Wv", f"{prefix}/bv")
-
-    def heads(node):
-        r = g.reshape(node, (batch, t, h, dh))
-        return g.transpose(r, (0, 2, 1, 3))  # (B, H, T, dh)
-
-    qh, kh, vh = heads(q), heads(k), heads(v)
-    scores = g.scale(g.matmul(qh, g.transpose(kh, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
-    attn = g.softmax_rows(scores)  # (B, H, T, T)
-    ctx = g.matmul(attn, vh)
-    merged = g.reshape(g.transpose(ctx, (0, 2, 1, 3)), (batch, t, d))
-    out = _linear(g, merged, f"{prefix}/Wo", f"{prefix}/bo")
+    attn = g.attention_probs(q, k, cfg.heads)  # (B, H, T, T)
+    out = _linear(g, g.attend(attn, v), f"{prefix}/Wo", f"{prefix}/bo")
     return out, attn
 
 
-def _encoder_block(g: Graph, z_prev, layer: int, cfg: EncoderConfig, batch: int):
+def _encoder_block(g: Graph, z_prev, layer: int, cfg: EncoderConfig):
     ln1 = _affine_ln(g, z_prev, f"layer{layer}/ln1/gamma", f"layer{layer}/ln1/beta")
-    attn_out, attn = _mhsa(g, ln1, f"layer{layer}/attn", cfg, batch)
+    attn_out, attn = _mhsa(g, ln1, f"layer{layer}/attn", cfg)
     z_mid = g.add(attn_out, z_prev)
     ln2 = _affine_ln(g, z_mid, f"layer{layer}/ln2/gamma", f"layer{layer}/ln2/beta")
     h1 = g.gelu(_linear(g, ln2, f"layer{layer}/mlp/W1", f"layer{layer}/mlp/b1"))
@@ -306,7 +293,7 @@ def build_forward_graph(
 
     z = g.add(g.concat(lead + [embedded], axis=1), g.param("embed/E_pos"))
     for l in range(cfg.layers):
-        z, attn = _encoder_block(g, z, l, cfg, batch)
+        z, attn = _encoder_block(g, z, l, cfg)
         if want_attention:
             g.mark_output(f"attn/{l}", attn)
 
@@ -345,6 +332,17 @@ def subject_positions(cfg: EncoderConfig, subjects: list, subject_index: list) -
     return np.array([pos[sid] for sid in subject_index], dtype=np.intp)
 
 
+def input_bindings(cfg: EncoderConfig, x: np.ndarray) -> dict:
+    """Bind batch `x` to the graph's data input.
+
+    That is 'patches' (B, M, d_in), or 'volumes' (B, D1, D2, D3, Cin) with a
+    conv front end, where a 4-D `x` gets its single channel axis added.
+    """
+    if cfg.conv is None or cfg.variant == "ss-mlp":
+        return {"patches": x}
+    return {"volumes": x[..., None] if x.ndim == 4 else x}
+
+
 def forward(params: dict, cfg: EncoderConfig, x: np.ndarray, subject_index: list, want_attention: bool = False) -> dict:
     """Run the model on one batch; returns every marked output by name.
 
@@ -355,11 +353,7 @@ def forward(params: dict, cfg: EncoderConfig, x: np.ndarray, subject_index: list
     subjects = token_subjects(cfg, params)
     idx = subject_positions(cfg, subjects, subject_index)
     g = build_forward_graph(cfg, subjects, x.shape[0], want_attention)
-    if "volumes" in g.inputs:
-        bindings = {"volumes": x[..., None] if x.ndim == 4 else x}
-    else:
-        bindings = {"patches": x}
-    out = diffcore.evaluate(g, {**params, **bindings, "subject_idx": idx})
+    out = diffcore.evaluate(g, {**params, **input_bindings(cfg, x), "subject_idx": idx})
     if want_attention:
         out["attention"] = [
             AttentionRecord(l, out.pop(f"attn/{l}"), cfg.n_lead_tokens)

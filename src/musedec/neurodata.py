@@ -1,7 +1,8 @@
 """Multi-subject neural datasets: reduction, splits, batching, synthesis.
 
 Responses live as (n_samples, M, d_in) patch sequences per subject, with M
-and d_in identical across subjects of one experiment.  PCA projections are
+and d_in identical across subjects of one experiment, or as (n_samples, D1,
+D2, D3) volumes for a model with a conv front end.  PCA projections are
 always fit on training rows only.
 """
 
@@ -22,13 +23,13 @@ class NeuroDataError(Exception):
 @dataclass
 class SubjectDataset:
     subject_id: str
-    responses: np.ndarray  # (n_i, M, d_in)
+    responses: np.ndarray  # (n_i, M, d_in) patches, or (n_i, D1, D2, D3) volumes
     stimulus_ids: list
     labels: np.ndarray  # (n_i, C)
 
     def __post_init__(self):
-        if self.responses.ndim != 3:
-            raise NeuroDataError(f"responses must be 3-D, got shape {self.responses.shape}")
+        if self.responses.ndim not in (3, 4):
+            raise NeuroDataError(f"responses must be 3-D patches or 4-D volumes, got shape {self.responses.shape}")
         n = self.responses.shape[0]
         if n < 1 or len(self.stimulus_ids) != n or self.labels.shape[0] != n:
             raise NeuroDataError("sample counts disagree within subject dataset")
@@ -40,7 +41,7 @@ class SubjectDataset:
 
 @dataclass
 class Batch:
-    patches: np.ndarray  # (B, M, d_in)
+    patches: np.ndarray  # (B, M, d_in), or (B, D1, D2, D3) volumes
     subject_index: list  # subject ids, length B
     labels: np.ndarray  # (B, C)
     f_llv: np.ndarray  # (B, d_l)

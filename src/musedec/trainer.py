@@ -126,26 +126,43 @@ class RunReport:
 def adam_step(params, grads, moments, lr, beta1=0.9, beta2=0.999, eps=1e-8, t=1):
     """Bias-corrected Adam update over every parameter (in place).
 
-    Returns (params, moments, skipped): a non-finite gradient skips the whole
-    step so one bad batch cannot poison the parameters.
+    Gradients, parameters and moments are concatenated in `params` order, one
+    flat array per parameter dtype, updated in one vectorised step and written
+    back per name as reshaped views, so each tensor keeps its dtype.  A
+    missing gradient counts as zero.  Returns (params, moments, skipped): a
+    non-finite gradient skips the whole step so one bad batch cannot poison
+    the parameters.
     """
     if t < 1:
         raise TrainerError("Adam step count must be >= 1")
     m, v = moments
-    for g in grads.values():
-        if not np.all(np.isfinite(g)):
+    groups: dict = {}
+    for name, p in params.items():
+        groups.setdefault(p.dtype, []).append(name)
+    flat_grads = []
+    for names in groups.values():
+        g = np.concatenate(
+            [np.zeros(params[n].size, params[n].dtype) if grads.get(n) is None else grads[n].ravel() for n in names]
+        )
+        if not np.isfinite(g).all():
             return params, moments, True
+        flat_grads.append(g)
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(p)
-        m[name] = beta1 * m[name] + (1.0 - beta1) * g
-        v[name] = beta2 * v[name] + (1.0 - beta2) * g * g
-        mhat = m[name] / bc1
-        vhat = v[name] / bc2
-        params[name] = p - lr * mhat / (np.sqrt(vhat) + eps)
+    for names, g in zip(groups.values(), flat_grads):
+        m_flat = beta1 * np.concatenate([m[n].ravel() for n in names]) + (1.0 - beta1) * g
+        v_flat = beta2 * np.concatenate([v[n].ravel() for n in names]) + (1.0 - beta2) * g * g
+        mhat = m_flat / bc1
+        vhat = v_flat / bc2
+        p_flat = np.concatenate([params[n].ravel() for n in names]) - lr * mhat / (np.sqrt(vhat) + eps)
+        start = 0
+        for n in names:
+            shape = params[n].shape
+            stop = start + params[n].size
+            params[n] = p_flat[start:stop].reshape(shape)
+            m[n] = m_flat[start:stop].reshape(shape)
+            v[n] = v_flat[start:stop].reshape(shape)
+            start = stop
     return params, moments, False
 
 
@@ -187,7 +204,7 @@ def _build_loss_graph(cfg, weights: LossWeights, subjects, batch, mapping):
 
 def _batch_bindings(batch: Batch, cfg: EncoderConfig, subjects, mapping: bool, rsm_warnings):
     bindings = {
-        "patches": batch.patches,
+        **model.input_bindings(cfg, batch.patches),
         "labels": batch.labels,
         "subject_idx": model.subject_positions(cfg, subjects, batch.subject_index),
     }
@@ -218,7 +235,8 @@ def predict(params, cfg: EncoderConfig, data: TrainData, split: str, chunk: int 
             if b not in graph_cache:
                 graph_cache[b] = model.build_forward_graph(cfg, subjects, b)
             idx = model.subject_positions(cfg, subjects, [ds.subject_id] * b)
-            out = diffcore.evaluate(graph_cache[b], {**params, "patches": ds.responses[sel], "subject_idx": idx})
+            bindings = {**params, **model.input_bindings(cfg, ds.responses[sel]), "subject_idx": idx}
+            out = diffcore.evaluate(graph_cache[b], bindings)
             scores.append(out["y_hat"])
             labels.append(ds.labels[sel])
     return np.concatenate(scores), np.concatenate(labels)

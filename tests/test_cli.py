@@ -4,7 +4,7 @@ import filecmp
 import numpy as np
 import pytest
 
-from musedec import cli
+from musedec import cli, diffcore
 
 
 CONFIG = {
@@ -135,6 +135,19 @@ class TestTrainEval:
              "--out", str(tmp_path / "r")]
         )
         assert code == cli.EXIT_DATA
+
+    def test_diverged_training_exit_code(self, workspace, monkeypatch, capsys):
+        tmp_path, manifest_path, config_path = workspace
+        _, gelu_backward = diffcore._RULES["gelu"]
+        monkeypatch.setitem(
+            diffcore._RULES, "gelu", (lambda ins, attrs: (np.full_like(ins[0], np.nan), None), gelu_backward)
+        )
+        code = cli.main(
+            ["train", "--config", str(config_path), "--data", str(manifest_path),
+             "--out", str(tmp_path / "diverged")]
+        )
+        assert code == cli.EXIT_NUMERIC == 4
+        assert "training diverged" in capsys.readouterr().err
 
     def test_config_missing_section(self, workspace):
         tmp_path, manifest_path, _ = workspace

@@ -4,6 +4,7 @@ import pytest
 from musedec import diffcore
 from musedec.diffcore import (
     Graph,
+    NonFiniteOutput,
     ShapeMismatch,
     UnboundParameter,
     NotAScalar,
@@ -142,6 +143,56 @@ def test_primitive_adjoints_match_finite_differences(name):
             bindings[pname] = rng.normal(size=(4, 4))
     report = grad_check(g, bindings, "out", h=1e-5, tol=1e-6)
     assert report.passed, (name, report.per_param)
+
+
+# fused primitives: builder and the shape of every parameter it reads
+FUSED_GRAPHS = {
+    "linear-2d": (
+        lambda g: g.frobenius_sq(g.gelu(g.linear(g.param("x"), g.param("w"), g.param("b")))),
+        {"x": (4, 3), "w": (3, 5), "b": (5,)},
+    ),
+    "linear-3d": (
+        lambda g: g.frobenius_sq(g.gelu(g.linear(g.param("x"), g.param("w"), g.param("b")))),
+        {"x": (2, 4, 3), "w": (3, 5), "b": (5,)},
+    ),
+    "affine-layer-norm": (
+        lambda g: g.frobenius_sq(
+            g.elementwise_mul(g.affine_layer_norm(g.param("x"), g.param("gamma"), g.param("beta")), g.param("m"))
+        ),
+        {"x": (2, 3, 5), "gamma": (5,), "beta": (5,), "m": (2, 3, 5)},
+    ),
+    "attention-probs": (
+        lambda g: g.frobenius_sq(g.elementwise_mul(g.attention_probs(g.param("q"), g.param("k"), 2), g.param("m"))),
+        {"q": (2, 3, 4), "k": (2, 3, 4), "m": (2, 2, 3, 3)},
+    ),
+    "attend": (
+        lambda g: g.frobenius_sq(g.gelu(g.attend(g.param("p"), g.param("v")))),
+        {"p": (2, 2, 3, 3), "v": (2, 3, 4)},
+    ),
+    "matmul-nd-2d": (
+        lambda g: g.frobenius_sq(g.gelu(g.matmul(g.param("x"), g.param("w")))),
+        {"x": (2, 4, 3), "w": (3, 5)},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FUSED_GRAPHS))
+def test_fused_adjoints_match_finite_differences(name):
+    build, shapes = FUSED_GRAPHS[name]
+    rng = np.random.default_rng(sum(map(ord, name)))
+    g = scalar_graph(build)
+    bindings = {pname: rng.normal(size=shape) for pname, shape in shapes.items()}
+    report = grad_check(g, bindings, "out", h=1e-5, tol=1e-6)
+    assert report.passed, (name, report.per_param)
+
+
+def test_nonfinite_node_is_named_even_when_squashed():
+    g = Graph()
+    big = g.scale(g.input("x"), 1e300)
+    g.mark_output("y", g.sigmoid(big))  # sigmoid(inf) is a finite 1.0
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteOutput) as info:
+        evaluate(g, {"x": np.array([1e10, 1.0])})
+    assert info.value.node_id == big
 
 
 def test_conv3d_adjoint_matches_finite_differences():

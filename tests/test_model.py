@@ -311,6 +311,57 @@ class TestGradients:
         assert report.passed, f"max rel err {report.max_rel_err}"
 
 
+def _unfused_block(g, z_prev, layer, cfg, batch):
+    """One encoder block from the unfused primitives, the fused block's oracle."""
+    d, h, t = cfg.d_model, cfg.heads, cfg.seq_len
+    dh = d // h
+
+    def p(name):
+        return g.param(f"layer{layer}/{name}")
+
+    def affine_ln(x, name):
+        return g.add(g.elementwise_mul(g.layer_norm(x, eps=model.LN_EPS), p(f"{name}/gamma")), p(f"{name}/beta"))
+
+    def linear(x, w, b):
+        return g.add(g.matmul(x, p(w)), p(b))
+
+    def heads(node):
+        return g.transpose(g.reshape(node, (batch, t, h, dh)), (0, 2, 1, 3))
+
+    ln1 = affine_ln(z_prev, "ln1")
+    q, k, v = (heads(linear(ln1, f"attn/W{c}", f"attn/b{c}")) for c in "qkv")
+    attn = g.softmax_rows(g.scale(g.matmul(q, g.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh)))
+    merged = g.reshape(g.transpose(g.matmul(attn, v), (0, 2, 1, 3)), (batch, t, d))
+    z_mid = g.add(linear(merged, "attn/Wo", "attn/bo"), z_prev)
+    ln2 = affine_ln(z_mid, "ln2")
+    mlp = linear(g.gelu(linear(ln2, "mlp/W1", "mlp/b1")), "mlp/W2", "mlp/b2")
+    return g.add(mlp, z_prev if cfg.residual_variant == "paper" else z_mid), attn
+
+
+@pytest.mark.parametrize("residual", ["paper", "conventional"])
+def test_fused_block_matches_unfused_primitives(residual):
+    cfg = tiny_cfg(residual_variant=residual)
+    batch = 3
+    rng = np.random.default_rng(26)
+    params = {k: v + 0.1 * rng.normal(size=v.shape) for k, v in init_params(cfg, SUBJECTS, rng).items()}
+    bindings = {**params, "z": rng.normal(size=(batch, cfg.seq_len, cfg.d_model)),
+                "m": rng.normal(size=(batch, cfg.seq_len, cfg.d_model))}
+    results = []
+    for block in (lambda g, z: model._encoder_block(g, z, 1, cfg), lambda g, z: _unfused_block(g, z, 1, cfg, batch)):
+        g = diffcore.Graph()
+        out, attn = block(g, g.param("z"))
+        g.mark_output("out", out)
+        g.mark_output("attn", attn)
+        g.mark_output("loss", g.frobenius_sq(g.elementwise_mul(out, g.input("m"))))
+        results.append(diffcore.evaluate_with_gradient(g, bindings, "loss"))
+    (fused, fused_grads), (ref, ref_grads) = results
+    for name in ("out", "attn", "loss"):
+        np.testing.assert_allclose(fused[name], ref[name], rtol=0, atol=1e-12, err_msg=name)
+    assert sorted(fused_grads) == sorted(ref_grads)
+    for name in ref_grads:
+        np.testing.assert_allclose(fused_grads[name], ref_grads[name], rtol=0, atol=1e-12, err_msg=name)
+
+
 class TestConvFrontEnd:
     def test_patch_geometry_12_cube(self):
         conv = ConvConfig((12, 12, 12), (16,), (6,), (3,))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from musedec import model, neurodata, stimfeat, trainer
+from musedec import diffcore, model, neurodata, stimfeat, trainer
 from musedec.model import EncoderConfig
 from musedec.neurodata import SplitSpec
 from musedec.objectives import LossWeights
@@ -103,6 +103,83 @@ class TestAdam:
     def test_step_count_floor(self):
         with pytest.raises(TrainerError):
             adam_step({}, {}, ({}, {}), 0.1, t=0)
+
+
+def _reference_adam(params, grads, m, v, lr, t, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Per-tensor Adam loop that the flat update must match bit for bit."""
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
+    for name, p in params.items():
+        g = grads.get(name)
+        if g is None:
+            g = np.zeros_like(p)
+        m[name] = beta1 * m[name] + (1.0 - beta1) * g
+        v[name] = beta2 * v[name] + (1.0 - beta2) * g * g
+        mhat = m[name] / bc1
+        vhat = v[name] / bc2
+        params[name] = p - lr * mhat / (np.sqrt(vhat) + eps)
+
+
+class TestFlatAdam:
+    SHAPES = {"w": (3, 4), "b": (4,), "tok": (1,), "skip": (2, 2)}  # "skip" never gets a gradient
+
+    @pytest.mark.parametrize("dtypes", ["float64", "float32", "mixed"])
+    def test_bitwise_equal_to_per_tensor_loop(self, dtypes):
+        rng = np.random.default_rng(30)
+        dtype = {n: np.float32 if dtypes == "float32" or (dtypes == "mixed" and n in ("b", "skip")) else np.float64
+                 for n in self.SHAPES}
+        params = {n: rng.normal(size=s).astype(dtype[n]) for n, s in self.SHAPES.items()}
+        flat = ({n: p.copy() for n, p in params.items()},
+                {n: np.zeros_like(p) for n, p in params.items()},
+                {n: np.zeros_like(p) for n, p in params.items()})
+        ref = ({n: p.copy() for n, p in params.items()},
+               {n: np.zeros_like(p) for n, p in params.items()},
+               {n: np.zeros_like(p) for n, p in params.items()})
+        for t in (1, 2, 3):
+            grads = {n: rng.normal(size=s).astype(dtype[n]) for n, s in self.SHAPES.items() if n != "skip"}
+            _, _, skipped = adam_step(flat[0], grads, (flat[1], flat[2]), 0.01, t=t)
+            assert not skipped
+            _reference_adam(ref[0], grads, ref[1], ref[2], 0.01, t)
+        for got, want in zip(flat, ref):
+            for n in self.SHAPES:
+                assert got[n].dtype == dtype[n] and got[n].shape == self.SHAPES[n], n
+                assert np.array_equal(got[n], want[n]), n
+
+    def test_nonfinite_grad_leaves_everything_untouched(self):
+        rng = np.random.default_rng(31)
+        params = {n: rng.normal(size=s) for n, s in self.SHAPES.items()}
+        m = {n: rng.normal(size=s) for n, s in self.SHAPES.items()}
+        v = {n: rng.random(size=s) for n, s in self.SHAPES.items()}
+        before = [{n: x.copy() for n, x in d.items()} for d in (params, m, v)]
+        grads = {n: rng.normal(size=s) for n, s in self.SHAPES.items()}
+        grads["tok"] = np.array([np.inf])
+        _, _, skipped = adam_step(params, grads, (m, v), 0.01, t=5)
+        assert skipped
+        for now, then in zip((params, m, v), before):
+            for n in self.SHAPES:
+                assert np.array_equal(now[n], then[n]), n
+
+
+class TestGradClip:
+    def test_clipped_norm_equals_limit(self, monkeypatch):
+        """Every step of a run with a tiny limit reaches Adam with exactly that global norm."""
+        norms = []
+        step = trainer.adam_step
+
+        def recording_step(params, grads, *args, **kwargs):
+            norms.append(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
+            return step(params, grads, *args, **kwargs)
+
+        monkeypatch.setattr(trainer, "adam_step", recording_step)
+        state, _ = train(small_cfg(max_epochs=1, grad_clip=1e-3), small_model(), small_data())
+        assert len(norms) == state.t > 0
+        np.testing.assert_allclose(norms, 1e-3, rtol=1e-12)
+
+    def test_norm_below_limit_is_unchanged(self):
+        grads = {"a": np.array([0.3, 0.4]), "b": np.zeros((2, 2))}
+        clipped = trainer._clip_grads(dict(grads), 1.0)
+        for n in grads:
+            assert np.array_equal(clipped[n], grads[n])
 
 
 class TestConfigValidation:
@@ -242,6 +319,29 @@ class TestTrainLoop:
         np.testing.assert_array_equal(
             state.params[f"token/llv/{sub1}"], init_tokens[f"token/llv/{sub1}"]
         )
+
+
+    def test_nonfinite_forward_raises_training_diverged(self, monkeypatch):
+        _, gelu_backward = diffcore._RULES["gelu"]
+        monkeypatch.setitem(
+            diffcore._RULES, "gelu", (lambda ins, attrs: (np.full_like(ins[0], np.inf), None), gelu_backward)
+        )
+        with pytest.raises(trainer.TrainingDiverged, match=r"epoch 0: node \d+ \(gelu\)"):
+            train(small_cfg(max_epochs=1), small_model(), small_data())
+
+    def test_conv_front_end_trains_and_predicts(self):
+        conv = model.ConvConfig((5, 5, 5), (2,), (3,), (2,))
+        mcfg = small_model(variant="ss-vit", patch_count=8, patch_dim=2, conv=conv)
+        features = stimfeat.synth_features(24, 4, 8, 12, seed=0)
+        volumes = np.random.default_rng(32).normal(size=(24, 5, 5, 5))
+        ds = neurodata.SubjectDataset("sub_00", volumes, list(features.stimulus_ids), features.labels.copy())
+        splits = neurodata.split_dataset([ds], SplitSpec("same-stimuli", counts=(16, 4, 4), seed=0))
+        data = TrainData([ds], features, splits)
+        state, report = train(small_cfg(method="ss-vit", max_epochs=1, batch_size=8), mcfg, data)
+        assert state.t == 2 and report.epochs_run == 1
+        assert np.any(state.params["conv0/w"] != trainer._init_state(state.train_cfg, mcfg, data).params["conv0/w"])
+        scores, _ = predict(state.best_params, mcfg, data, "test")
+        assert scores.shape == (4, 4) and np.isfinite(scores).all()
 
 
 class TestCheckpoint:
