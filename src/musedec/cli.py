@@ -8,6 +8,7 @@ keeps runs deterministic).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -22,13 +23,10 @@ def _cap_threads():
 
 _cap_threads()
 
-import numpy as np  # noqa: E402
-
-from . import metrics, model, msed, neurodata, stimfeat, trainer  # noqa: E402
+from . import model, msed, neurodata, stimfeat, trainer  # noqa: E402
 from .model import EncoderConfig  # noqa: E402
-from .neurodata import SplitSpec, SubjectDataset  # noqa: E402
+from .neurodata import SplitSpec, load_experiment, write_experiment  # noqa: E402
 from .objectives import LossWeights  # noqa: E402
-from .stimfeat import StimulusFeatureSet  # noqa: E402
 from .trainer import METHOD_VARIANT, TrainConfig, TrainData  # noqa: E402
 
 EXIT_OK = 0
@@ -42,125 +40,60 @@ class UsageError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# dataset IO
+# config and data
 
 
-def write_experiment(out_dir, datasets, features: StimulusFeatureSet, mode: str, roi_names=None, truth=None):
-    out = Path(out_dir)
-    (out / "features").mkdir(parents=True, exist_ok=True)
-    msed.write_tensor(out / "features" / "llv.msed", features.f_llv)
-    msed.write_tensor(out / "features" / "hlv.msed", features.f_hlv)
-    msed.write_ids(out / "features" / "stimulus_ids.json", features.stimulus_ids)
-    msed.write_labels_csv(out / "features" / "labels.csv", features.stimulus_ids, features.labels)
-
-    subjects = []
-    for ds in datasets:
-        sdir = out / ds.subject_id
-        sdir.mkdir(exist_ok=True)
-        msed.write_tensor(sdir / "responses.msed", ds.responses)
-        msed.write_ids(sdir / "stimulus_ids.json", ds.stimulus_ids)
-        msed.write_labels_csv(sdir / "labels.csv", ds.stimulus_ids, ds.labels)
-        subjects.append(
-            {
-                "id": ds.subject_id,
-                "responses": f"{ds.subject_id}/responses.msed",
-                "stimulus_ids": f"{ds.subject_id}/stimulus_ids.json",
-                "labels": f"{ds.subject_id}/labels.csv",
-            }
-        )
-    manifest = {
-        "experiment": out.name,
-        "mode": mode,
-        "subjects": subjects,
-        "features": {
-            "llv": "features/llv.msed",
-            "hlv": "features/hlv.msed",
-            "stimulus_ids": "features/stimulus_ids.json",
-        },
-        "roi_names": roi_names or [f"roi_{i}" for i in range(datasets[0].responses.shape[1])],
-    }
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-    if truth is not None:
-        tdir = out / "ground_truth"
-        tdir.mkdir(exist_ok=True)
-        msed.write_tensor(tdir / "style_map.msed", truth["style_map"])
-        msed.write_tensor(tdir / "sem_codes.msed", truth["sem_codes"])
-        for sid, rec in truth["subjects"].items():
-            msed.write_tensor(tdir / f"{sid}_rot.msed", rec["rot"])
-            msed.write_tensor(tdir / f"{sid}_perm.msed", rec["perm"].astype(np.float64))
-    return out / "manifest.json"
+MODEL_DEFAULTS = {
+    "layers": 2, "heads": 4, "d_model": 32, "residual_variant": "paper", "mlp_ratio": 4, "head_hidden": None,
+}
+SPLIT_KEYS = ("mode", "counts", "fractions", "seed")
 
 
-def load_experiment(manifest_path):
-    manifest = msed.load_manifest(manifest_path)
-    base = Path(manifest_path).parent
-    feat_ids = msed.read_ids(base / manifest["features"]["stimulus_ids"])
-    f_llv = msed.read_tensor(base / manifest["features"]["llv"])
-    f_hlv = msed.read_tensor(base / manifest["features"]["hlv"])
-    flabel_path = base / "features" / "labels.csv"
-    label_ids, flabels = msed.read_labels_csv(flabel_path)
-    features = StimulusFeatureSet([str(s) for s in feat_ids], f_llv, f_hlv, flabels)
+def _load_config(path):
+    """The config's train/model/split sections; bad JSON, a missing section or an unknown key is a usage error."""
+    with open(path) as fh:
+        try:
+            cfg = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
+    for key in ("train", "model", "split"):
+        if key not in cfg:
+            raise UsageError(f"config missing section {key!r}")
+    for where, section, valid in (
+        ("train", cfg["train"], [f.name for f in dataclasses.fields(TrainConfig)]),
+        ("train.weights", cfg["train"].get("weights", {}), [f.name for f in dataclasses.fields(LossWeights)]),
+        ("model", cfg["model"], MODEL_DEFAULTS),
+        ("split", cfg["split"], SPLIT_KEYS),
+    ):
+        unknown = sorted(set(section) - set(valid))
+        if unknown:
+            raise UsageError(
+                f"unknown key(s) {', '.join(map(repr, unknown))} in config section {where!r}; "
+                f"valid: {', '.join(sorted(valid))}"
+            )
+    return cfg
 
-    datasets = []
-    for sub in manifest["subjects"]:
-        responses = msed.read_tensor(base / sub["responses"])
-        sids = [str(s) for s in msed.read_ids(base / sub["stimulus_ids"])]
-        _, labels = msed.read_labels_csv(base / sub["labels"])
-        for sid in sids:
-            if sid not in features.index:
-                raise msed.ManifestError(f"subject {sub['id']}: stimulus {sid} missing from features")
-        ds = SubjectDataset(sub["id"], responses, sids, labels)
-        _, _, feat_rows = features.rows(sids)
-        if not np.array_equal(labels, feat_rows):
-            raise msed.ManifestError(f"subject {sub['id']}: label rows disagree with features")
-        datasets.append(ds)
-    return manifest, datasets, features
 
-
-def _build_data(manifest, datasets, features, split_cfg) -> TrainData:
+def _load_data(manifest_path, split_cfg):
+    """(manifest, TrainData) of an experiment split by the config's split section."""
+    manifest, datasets, features = load_experiment(manifest_path)
     spec = SplitSpec(
         mode=split_cfg.get("mode", manifest["mode"]),
         counts=tuple(split_cfg["counts"]) if "counts" in split_cfg else None,
         fractions=tuple(split_cfg["fractions"]) if "fractions" in split_cfg else None,
         seed=split_cfg.get("seed", 0),
     )
-    splits = neurodata.split_dataset(datasets, spec)
-    return TrainData(datasets, features, splits)
+    return manifest, TrainData(datasets, features, neurodata.split_dataset(datasets, spec))
 
 
-def _load_config(path):
-    with open(path) as fh:
-        cfg = json.load(fh)
-    for key in ("train", "model", "split"):
-        if key not in cfg:
-            raise UsageError(f"config missing section {key!r}")
-    return cfg
-
-
-def _train_cfg(section, method=None, seed=None) -> TrainConfig:
-    section = dict(section)
-    weights = LossWeights(**section.pop("weights", {}))
-    if method is not None:
-        section["method"] = method
-    if seed is not None:
-        section["seed"] = seed
-    return TrainConfig(weights=weights, **section)
-
-
-def _model_cfg(section, datasets, features, variant) -> EncoderConfig:
-    n, m, d_in = datasets[0].responses.shape[0], datasets[0].responses.shape[1], datasets[0].responses.shape[2]
+def _model_cfg(section, data: TrainData, variant) -> EncoderConfig:
+    _, m, d_in = data.datasets[0].responses.shape
     return EncoderConfig(
-        layers=section.get("layers", 2),
-        heads=section.get("heads", 4),
-        d_model=section.get("d_model", 32),
+        **{**MODEL_DEFAULTS, **section},
         patch_dim=d_in,
         patch_count=m,
-        n_classes=features.labels.shape[1],
-        residual_variant=section.get("residual_variant", "paper"),
+        n_classes=data.features.labels.shape[1],
         variant=variant,
-        mlp_ratio=section.get("mlp_ratio", 4),
-        head_hidden=section.get("head_hidden"),
     )
 
 
@@ -199,15 +132,11 @@ def cmd_gen_synth(args):
 
 def cmd_train(args):
     cfg = _load_config(args.config)
-    manifest, datasets, features = load_experiment(args.data)
-    data = _build_data(manifest, datasets, features, cfg["split"])
-    train_cfg = _train_cfg(cfg["train"], method=args.method, seed=args.seed)
-    model_cfg = _model_cfg(cfg["model"], datasets, features, METHOD_VARIANT[train_cfg.method])
-    try:
-        state, report = trainer.train(train_cfg, model_cfg, data, out_dir=args.out)
-    except trainer.TrainingDiverged as exc:
-        print(f"training diverged: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    _, data = _load_data(args.data, cfg["split"])
+    overrides = {k: v for k, v in (("method", args.method), ("seed", args.seed)) if v is not None}
+    train_cfg = dataclasses.replace(trainer.parse_train_config(cfg["train"]), **overrides)
+    model_cfg = _model_cfg(cfg["model"], data, METHOD_VARIANT[train_cfg.method])
+    _, report = trainer.train(train_cfg, model_cfg, data, out_dir=args.out)
     best = report.best_val
     print(
         f"method={train_cfg.method} seed={train_cfg.seed} epochs={report.epochs_run} "
@@ -219,8 +148,7 @@ def cmd_train(args):
 def cmd_eval(args):
     state = trainer.load_checkpoint(args.checkpoint)
     cfg = _load_config(args.config)
-    manifest, datasets, features = load_experiment(args.data)
-    data = _build_data(manifest, datasets, features, cfg["split"])
+    _, data = _load_data(args.data, cfg["split"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     results = {s: trainer.evaluate_split(state.best_params, state.model_cfg, data, s) for s in ("val", "test")}
@@ -233,15 +161,11 @@ def cmd_eval(args):
 
 def cmd_compare(args):
     cfg = _load_config(args.config)
-    manifest, datasets, features = load_experiment(args.data)
-    data = _build_data(manifest, datasets, features, cfg["split"])
+    _, data = _load_data(args.data, cfg["split"])
     methods = args.methods.split(",")
-    for m_name in methods:
-        if m_name not in METHOD_VARIANT:
-            raise UsageError(f"unknown method {m_name!r}; valid: {sorted(METHOD_VARIANT)}")
     seeds = [int(s) for s in args.seeds.split(",")]
-    train_cfg = _train_cfg(cfg["train"])
-    model_cfg = _model_cfg(cfg["model"], datasets, features, "clip-mused")
+    train_cfg = trainer.parse_train_config(cfg["train"])
+    model_cfg = _model_cfg(cfg["model"], data, "clip-mused")
     report = trainer.compare(methods, train_cfg, model_cfg, data, seeds)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -266,8 +190,7 @@ def cmd_export_attn(args):
     if not tokens:
         print(f"variant {mcfg.variant!r} has no exportable tokens", file=sys.stderr)
         return EXIT_DATA
-    manifest, datasets, features = load_experiment(args.data)
-    data = _build_data(manifest, datasets, features, cfg["split"])
+    manifest, data = _load_data(args.data, cfg["split"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     roi_names = manifest.get("roi_names") or [f"roi_{i}" for i in range(mcfg.patch_count)]
@@ -294,9 +217,7 @@ def cmd_export_rsm(args):
     if mcfg.variant != "clip-mused":
         print(f"variant {mcfg.variant!r} has no subject token pair", file=sys.stderr)
         return EXIT_DATA
-    subject_ids = sorted(
-        name.split("/", 2)[2] for name in state.best_params if name.startswith("token/llv/")
-    )
+    subject_ids = model.token_subjects(mcfg, state.best_params)
     llv, hlv = model.token_rsm(state.best_params, subject_ids)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -317,7 +238,14 @@ def build_parser():
     p = argparse.ArgumentParser(prog="musedec", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gen-synth", help="generate a synthetic multi-subject dataset")
+    def command(name, func, help, *required):
+        c = sub.add_parser(name, help=help)
+        for flag in required:
+            c.add_argument(flag, required=True)
+        c.set_defaults(func=func)
+        return c
+
+    g = command("gen-synth", cmd_gen_synth, "generate a synthetic multi-subject dataset", "--out")
     g.add_argument("--subjects", type=int, required=True)
     g.add_argument("--samples", type=int, required=True)
     g.add_argument("--classes", type=int, required=True)
@@ -328,43 +256,19 @@ def build_parser():
     g.add_argument("--snr", type=float, default=5.0)
     g.add_argument("--scramble", type=float, default=1.0)
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--out", required=True)
-    g.set_defaults(func=cmd_gen_synth)
 
-    t = sub.add_parser("train", help="train one model")
-    t.add_argument("--config", required=True)
+    t = command("train", cmd_train, "train one model", "--config", "--out")
     t.add_argument("--data", required=True, help="dataset manifest path")
     t.add_argument("--method", default=None)
     t.add_argument("--seed", type=int, default=None)
-    t.add_argument("--out", required=True)
-    t.set_defaults(func=cmd_train)
 
-    e = sub.add_parser("eval", help="evaluate a saved checkpoint")
-    e.add_argument("--checkpoint", required=True)
-    e.add_argument("--config", required=True)
-    e.add_argument("--data", required=True)
-    e.add_argument("--out", required=True)
-    e.set_defaults(func=cmd_eval)
-
-    c = sub.add_parser("compare", help="train and compare several methods")
-    c.add_argument("--config", required=True)
-    c.add_argument("--data", required=True)
+    run_args = ("--checkpoint", "--config", "--data", "--out")
+    command("eval", cmd_eval, "evaluate a saved checkpoint", *run_args)
+    c = command("compare", cmd_compare, "train and compare several methods", "--config", "--data", "--out")
     c.add_argument("--methods", required=True, help="comma-separated method names")
     c.add_argument("--seeds", required=True, help="comma-separated integer seeds")
-    c.add_argument("--out", required=True)
-    c.set_defaults(func=cmd_compare)
-
-    a = sub.add_parser("export-attn", help="export token attention maps as CSV")
-    a.add_argument("--checkpoint", required=True)
-    a.add_argument("--config", required=True)
-    a.add_argument("--data", required=True)
-    a.add_argument("--out", required=True)
-    a.set_defaults(func=cmd_export_attn)
-
-    r = sub.add_parser("export-rsm", help="export between-subject token RSMs as CSV")
-    r.add_argument("--checkpoint", required=True)
-    r.add_argument("--out", required=True)
-    r.set_defaults(func=cmd_export_rsm)
+    command("export-attn", cmd_export_attn, "export token attention maps as CSV", *run_args)
+    command("export-rsm", cmd_export_rsm, "export between-subject token RSMs as CSV", "--checkpoint", "--out")
     return p
 
 
@@ -376,20 +280,14 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except UsageError as exc:
+    except trainer.TrainingDiverged as exc:  # a TrainerError, so caught first
+        print(f"training diverged: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except (UsageError, trainer.TrainerError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (msed.MsedError, msed.ManifestError, neurodata.NeuroDataError, stimfeat.StimFeatError,
-            model.UnknownSubject) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except trainer.TrainingDiverged as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except trainer.TrainerError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
+            model.UnknownSubject, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -99,6 +99,10 @@ class Graph:
     def scale(self, a, c: float):
         return self._push(Node("scale", (a,), {"c": float(c)}))
 
+    def one_minus(self, a):
+        """1 - a, with a Python-float 1 so a float32 input stays float32."""
+        return self._push(Node("one-minus", (a,)))
+
     def concat(self, parts, axis: int):
         return self._push(Node("concat", tuple(parts), {"axis": int(axis)}))
 
@@ -417,6 +421,7 @@ _RULES = {
         lambda g, ins, out, s, a: (_unbroadcast(g, ins[0].shape), _unbroadcast(g, ins[1].shape)),
     ),
     "scale": (lambda ins, a: (ins[0] * a["c"], None), lambda g, ins, out, s, a: (g * a["c"],)),
+    "one-minus": (lambda ins, a: (1.0 - ins[0], None), lambda g, ins, out, s, a: (-g,)),
     "concat": (lambda ins, a: (np.concatenate(ins, axis=a["axis"]), None), _concat_bwd),
     "slice-row": (lambda ins, a: (ins[0][:, a["index"], :], None), _slice_row_bwd),
     "layer-norm": (

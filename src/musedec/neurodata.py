@@ -1,4 +1,5 @@
-"""Multi-subject neural datasets: reduction, splits, batching, synthesis.
+"""Multi-subject neural datasets: reduction, splits, batching, synthesis, and
+experiment directories (a manifest.json plus MSED files) on disk.
 
 Responses live as (n_samples, M, d_in) patch sequences per subject, with M
 and d_in identical across subjects of one experiment, or as (n_samples, D1,
@@ -8,11 +9,14 @@ always fit on training rows only.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 from scipy.linalg import expm
 
+from . import msed
 from .stimfeat import StimulusFeatureSet
 
 
@@ -289,3 +293,77 @@ def synth_generate(
             )
         )
     return datasets, truth
+
+
+def write_experiment(out_dir, datasets, features: StimulusFeatureSet, mode: str, roi_names=None, truth=None):
+    """Write an experiment directory (plus `synth_generate`'s `truth`, if given); returns the manifest path."""
+    out = Path(out_dir)
+    (out / "features").mkdir(parents=True, exist_ok=True)
+    msed.write_tensor(out / "features" / "llv.msed", features.f_llv)
+    msed.write_tensor(out / "features" / "hlv.msed", features.f_hlv)
+    msed.write_ids(out / "features" / "stimulus_ids.json", features.stimulus_ids)
+    msed.write_labels_csv(out / "features" / "labels.csv", features.stimulus_ids, features.labels)
+
+    subjects = []
+    for ds in datasets:
+        sdir = out / ds.subject_id
+        sdir.mkdir(exist_ok=True)
+        msed.write_tensor(sdir / "responses.msed", ds.responses)
+        msed.write_ids(sdir / "stimulus_ids.json", ds.stimulus_ids)
+        msed.write_labels_csv(sdir / "labels.csv", ds.stimulus_ids, ds.labels)
+        subjects.append(
+            {
+                "id": ds.subject_id,
+                "responses": f"{ds.subject_id}/responses.msed",
+                "stimulus_ids": f"{ds.subject_id}/stimulus_ids.json",
+                "labels": f"{ds.subject_id}/labels.csv",
+            }
+        )
+    manifest = {
+        "experiment": out.name,
+        "mode": mode,
+        "subjects": subjects,
+        "features": {
+            "llv": "features/llv.msed",
+            "hlv": "features/hlv.msed",
+            "stimulus_ids": "features/stimulus_ids.json",
+        },
+        "roi_names": roi_names or [f"roi_{i}" for i in range(datasets[0].responses.shape[1])],
+    }
+    with open(out / "manifest.json", "w") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+    if truth is not None:
+        tdir = out / "ground_truth"
+        tdir.mkdir(exist_ok=True)
+        msed.write_tensor(tdir / "style_map.msed", truth["style_map"])
+        msed.write_tensor(tdir / "sem_codes.msed", truth["sem_codes"])
+        for sid, rec in truth["subjects"].items():
+            msed.write_tensor(tdir / f"{sid}_rot.msed", rec["rot"])
+            msed.write_tensor(tdir / f"{sid}_perm.msed", rec["perm"].astype(np.float64))
+    return out / "manifest.json"
+
+
+def load_experiment(manifest_path):
+    """(manifest, datasets, features); msed.ManifestError if a subject disagrees with the features."""
+    manifest = msed.load_manifest(manifest_path)
+    base = Path(manifest_path).parent
+    feat_ids = msed.read_ids(base / manifest["features"]["stimulus_ids"])
+    f_llv = msed.read_tensor(base / manifest["features"]["llv"])
+    f_hlv = msed.read_tensor(base / manifest["features"]["hlv"])
+    _, flabels = msed.read_labels_csv(base / "features" / "labels.csv")
+    features = StimulusFeatureSet([str(s) for s in feat_ids], f_llv, f_hlv, flabels)
+
+    datasets = []
+    for sub in manifest["subjects"]:
+        responses = msed.read_tensor(base / sub["responses"])
+        sids = [str(s) for s in msed.read_ids(base / sub["stimulus_ids"])]
+        _, labels = msed.read_labels_csv(base / sub["labels"])
+        for sid in sids:
+            if sid not in features.index:
+                raise msed.ManifestError(f"subject {sub['id']}: stimulus {sid} missing from features")
+        ds = SubjectDataset(sub["id"], responses, sids, labels)
+        _, _, feat_rows = features.rows(sids)
+        if not np.array_equal(labels, feat_rows):
+            raise msed.ManifestError(f"subject {sub['id']}: label rows disagree with features")
+        datasets.append(ds)
+    return manifest, datasets, features

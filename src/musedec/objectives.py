@@ -59,9 +59,7 @@ def add_bce_loss(g: Graph, y_hat, y, n_classes: int):
     """Mean per-class binary cross-entropy, probabilities clamped to (1e-7, 1-1e-7)."""
     lo, hi = PROB_CLAMP, 1.0 - PROB_CLAMP
     pos = g.elementwise_mul(y, g.log(y_hat, clip_lo=lo, clip_hi=hi))
-    one_minus_y = g.add(g.scale(y, -1.0), g.const(np.ones(1)))
-    one_minus_p = g.add(g.scale(y_hat, -1.0), g.const(np.ones(1)))
-    neg = g.elementwise_mul(one_minus_y, g.log(one_minus_p, clip_lo=lo, clip_hi=hi))
+    neg = g.elementwise_mul(g.one_minus(y), g.log(g.one_minus(y_hat), clip_lo=lo, clip_hi=hi))
     return g.scale(g.mean(g.add(pos, neg)), -1.0)
 
 

@@ -50,7 +50,6 @@ class TrainConfig:
     seed: int = 0
     weights: LossWeights = field(default_factory=LossWeights)
     method: str = "clip-mused"
-    grid: dict | None = None  # name -> list of candidate lambda values
     grad_clip: float | None = None
 
     def __post_init__(self):
@@ -64,6 +63,12 @@ class TrainConfig:
             raise TrainerError(
                 f"unknown method {self.method!r}; valid: {sorted(METHOD_VARIANT)}"
             )
+
+
+def parse_train_config(section: dict) -> TrainConfig:
+    """TrainConfig from its JSON form: a config's train section, or a checkpoint header's."""
+    section = dict(section)
+    return TrainConfig(weights=LossWeights(**section.pop("weights", {})), **section)
 
 
 # regimes from the two dataset-scale experiments
@@ -203,34 +208,37 @@ def _build_loss_graph(cfg, weights: LossWeights, subjects, batch, mapping):
 
 
 def _batch_bindings(batch: Batch, cfg: EncoderConfig, subjects, mapping: bool, rsm_warnings):
-    bindings = {
-        **model.input_bindings(cfg, batch.patches),
-        "labels": batch.labels,
-        "subject_idx": model.subject_positions(cfg, subjects, batch.subject_index),
-    }
+    """Graph inputs of one batch; labels and targets take the patches' dtype, so float32 stays float32."""
+    targets = {"labels": batch.labels}
     if cfg.variant == "clip-mused":
         if mapping:
-            bindings["f_llv"] = batch.f_llv
-            bindings["f_hlv"] = batch.f_hlv
+            targets.update(f_llv=batch.f_llv, f_hlv=batch.f_hlv)
         else:
-            bindings["m_llv"] = compute_stimulus_rsm(batch.f_llv, warn_counter=rsm_warnings)
-            bindings["m_hlv"] = compute_stimulus_rsm(batch.f_hlv, warn_counter=rsm_warnings)
-    return bindings
+            targets["m_llv"] = compute_stimulus_rsm(batch.f_llv, warn_counter=rsm_warnings)
+            targets["m_hlv"] = compute_stimulus_rsm(batch.f_hlv, warn_counter=rsm_warnings)
+    return {
+        **model.input_bindings(cfg, batch.patches),
+        "subject_idx": model.subject_positions(cfg, subjects, batch.subject_index),
+        **{k: v.astype(batch.patches.dtype, copy=False) for k, v in targets.items()},
+    }
 
 
 # ---------------------------------------------------------------------------
 # prediction
 
 
-def predict(params, cfg: EncoderConfig, data: TrainData, split: str, chunk: int = 256):
+PREDICT_CHUNK = 256  # rows per forward pass in predict
+
+
+def predict(params, cfg: EncoderConfig, data: TrainData, split: str):
     """Scores/labels over one split, pooled across subjects (row-aligned)."""
     scores, labels = [], []
     subjects = model.token_subjects(cfg, params)
     graph_cache = {}
     for ds in data.datasets:
         rows = data.splits[ds.subject_id][split]
-        for start in range(0, len(rows), chunk):
-            sel = rows[start : start + chunk]
+        for start in range(0, len(rows), PREDICT_CHUNK):
+            sel = rows[start : start + PREDICT_CHUNK]
             b = len(sel)
             if b not in graph_cache:
                 graph_cache[b] = model.build_forward_graph(cfg, subjects, b)
@@ -304,7 +312,8 @@ def train(
     rng.bit_generator.state = state.rng_state
 
     subjects = model.token_subjects(model_cfg, state.params)
-    graph_cache: dict = {}  # batch size -> loss graph
+    # make_batches drops the short tail, so every batch has batch_size rows
+    g = _build_loss_graph(model_cfg, cfg.weights, subjects, cfg.batch_size, mapping)
     rsm_warnings = [0]
 
     for epoch in range(state.epoch, cfg.max_epochs):
@@ -314,10 +323,6 @@ def train(
             )
             part_sums: dict = {}
             for batch in batches:
-                b = len(batch.subject_index)
-                if b not in graph_cache:
-                    graph_cache[b] = _build_loss_graph(model_cfg, cfg.weights, subjects, b, mapping)
-                g = graph_cache[b]
                 bindings = {**state.params, **_batch_bindings(batch, model_cfg, subjects, mapping, rsm_warnings)}
                 outputs, grads = diffcore.evaluate_with_gradient(g, bindings, "loss")
                 if cfg.grad_clip is not None:
@@ -441,8 +446,8 @@ def load_checkpoint(ckpt_dir) -> Checkpoint:
         }
 
     tc = dict(header["train_cfg"])
-    tc["weights"] = LossWeights(**tc["weights"])
-    train_cfg = TrainConfig(**tc)
+    tc.pop("grid", None)  # always None in headers that still carry it
+    train_cfg = parse_train_config(tc)
     mc = dict(header["model_cfg"])
     mc.pop("interleave_conv", None)  # always False in headers that still carry it
     if mc.get("conv"):
@@ -478,19 +483,20 @@ def load_checkpoint(ckpt_dir) -> Checkpoint:
 # grid search and comparison
 
 
-def grid_search(cfg: TrainConfig, model_cfg: EncoderConfig, data: TrainData):
-    """Train every lambda combination with the same seed; best validation mAP wins."""
-    if not cfg.grid:
+def grid_search(cfg: TrainConfig, model_cfg: EncoderConfig, data: TrainData, grid: dict):
+    """Train every combination of `grid` (LossWeights field -> candidate values)
+    with the same seed; best validation mAP wins."""
+    if not grid:
         raise TrainerError("grid_search needs non-empty grid lists")
-    names = sorted(cfg.grid.keys())
-    grids = [cfg.grid[n] for n in names]
+    names = sorted(grid.keys())
+    grids = [grid[n] for n in names]
     if any(len(g) == 0 for g in grids):
         raise TrainerError("grid lists must be non-empty")
     cells = []
     best = None
     for values in itertools.product(*grids):
         weights = replace(cfg.weights, **dict(zip(names, values)))
-        cell_cfg = replace(cfg, weights=weights, grid=None)
+        cell_cfg = replace(cfg, weights=weights)
         state, report = train(cell_cfg, model_cfg, data)
         cell = {
             "weights": dataclasses.asdict(weights),
@@ -509,16 +515,14 @@ def compare(
     model_cfg: EncoderConfig,
     data: TrainData,
     seeds: list,
-    split: str = "test",
     method_overrides: dict | None = None,
-    paired: bool = True,
-    alpha: float = 0.05,
 ):
-    """Train each method per seed; aggregate metrics and test significance
-    of clip-mused against every other method (Holm-corrected per metric)."""
+    """Train each method per seed; aggregate test-split metrics and test the
+    significance of clip-mused against every other method (paired t-tests,
+    Holm-corrected per metric at alpha 0.05)."""
     for m_name in methods:
         if m_name not in METHOD_VARIANT:
-            raise TrainerError(f"unknown method {m_name!r}")
+            raise TrainerError(f"unknown method {m_name!r}; valid: {sorted(METHOD_VARIANT)}")
     method_overrides = method_overrides or {}
     per_method: dict = {}
     for m_name in methods:
@@ -533,14 +537,14 @@ def compare(
                 for ds in data.datasets:
                     sub_data = data.restrict(ds.subject_id, train_limit=limit)
                     state, _ = train(run_cfg, mcfg, sub_data)
-                    res = evaluate_split(state.best_params, mcfg, sub_data, split)
+                    res = evaluate_split(state.best_params, mcfg, sub_data, "test")
                     subj_results.append(res.as_dict())
                 rows.append(
                     {k: float(np.mean([r[k] for r in subj_results])) for k in ("map", "auc", "hamming")}
                 )
             else:
                 state, _ = train(run_cfg, mcfg, data)
-                res = evaluate_split(state.best_params, mcfg, data, split)
+                res = evaluate_split(state.best_params, mcfg, data, "test")
                 rows.append(res.as_dict())
         per_method[m_name] = rows
 
@@ -558,9 +562,9 @@ def compare(
             raw = []
             for m_name in others:
                 theirs = [r[metric_name] for r in per_method[m_name]]
-                raw.append(metrics.t_test(ours, theirs, paired=paired).p_value)
+                raw.append(metrics.t_test(ours, theirs, paired=True).p_value)
             if raw:
-                adjusted, reject = metrics.holm_bonferroni(raw, alpha=alpha)
+                adjusted, reject = metrics.holm_bonferroni(raw)
                 significance[metric_name] = {
                     m_name: {"p_raw": raw[i], "p_adjusted": adjusted[i], "significant": reject[i]}
                     for i, m_name in enumerate(others)
@@ -568,8 +572,8 @@ def compare(
     return {
         "methods": methods,
         "seeds": list(seeds),
-        "split": split,
-        "paired": paired,
+        "split": "test",
+        "paired": True,
         "per_run": per_method,
         "summary": summary,
         "significance": significance,

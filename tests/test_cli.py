@@ -4,7 +4,7 @@ import filecmp
 import numpy as np
 import pytest
 
-from musedec import cli, diffcore
+from musedec import cli, diffcore, neurodata
 
 
 CONFIG = {
@@ -76,6 +76,11 @@ class TestGenSynth:
         assert len(datasets) == 2
         assert datasets[0].responses.shape == (60, 4, 6)
         assert features.labels.shape == (60, 4)
+
+
+def test_experiment_io_lives_in_neurodata():
+    assert cli.load_experiment is neurodata.load_experiment
+    assert cli.write_experiment is neurodata.write_experiment
 
 
 class TestTrainEval:
@@ -158,6 +163,45 @@ class TestTrainEval:
              "--out", str(tmp_path / "r2")]
         )
         assert code == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "section, key", [("train", "lr"), ("train.weights", "lambda_rsa"), ("model", "dmodel"), ("split", "folds")]
+    )
+    def test_unknown_config_key_is_usage_error(self, workspace, capsys, section, key):
+        tmp_path, manifest_path, _ = workspace
+        cfg = json.loads(json.dumps(CONFIG))
+        target = cfg["train"]["weights"] if section == "train.weights" else cfg[section]
+        target[key] = 64
+        bad = tmp_path / "typo.json"
+        bad.write_text(json.dumps(cfg))
+        code = cli.main(
+            ["train", "--config", str(bad), "--data", str(manifest_path), "--out", str(tmp_path / "typo")]
+        )
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert repr(key) in err and repr(section) in err
+        assert not (tmp_path / "typo").exists()
+
+    def test_config_not_json_is_usage_error(self, workspace, capsys):
+        tmp_path, manifest_path, _ = workspace
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"train": {"seed": 0,}}')
+        code = cli.main(["train", "--config", str(bad), "--data", str(manifest_path), "--out", str(tmp_path / "r4")])
+        assert code == cli.EXIT_USAGE
+        assert "not valid JSON" in capsys.readouterr().err
+
+    def test_inconsistent_experiment_is_data_error(self, workspace, capsys):
+        tmp_path, manifest_path, config_path = workspace
+        labels_csv = manifest_path.parent / "sub_01" / "labels.csv"
+        lines = labels_csv.read_text().splitlines()
+        row = lines[1].split(",")
+        row[1] = "1" if row[1] == "0" else "0"
+        labels_csv.write_text("\n".join([lines[0], ",".join(row), *lines[2:]]) + "\n")
+        code = cli.main(
+            ["train", "--config", str(config_path), "--data", str(manifest_path), "--out", str(tmp_path / "r3")]
+        )
+        assert code == cli.EXIT_DATA == 3
+        assert "sub_01: label rows disagree with features" in capsys.readouterr().err
 
     def test_no_subcommand_usage(self):
         assert cli.main([]) == cli.EXIT_USAGE

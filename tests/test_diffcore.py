@@ -115,6 +115,7 @@ PRIMITIVE_GRAPHS = {
     "matmul": lambda g: g.frobenius_sq(g.matmul(g.param("w"), g.param("v"))),
     "add": lambda g: g.frobenius_sq(g.add(g.param("w"), g.param("v"))),
     "scale": lambda g: g.frobenius_sq(g.scale(g.param("w"), -1.7)),
+    "one-minus": lambda g: g.frobenius_sq(g.elementwise_mul(g.one_minus(g.param("w")), g.param("v"))),
     "concat": lambda g: g.frobenius_sq(g.concat([g.param("w"), g.param("v")], axis=1)),
     "layer-norm": lambda g: g.frobenius_sq(g.sigmoid(g.layer_norm(g.param("w")))),
     "softmax-rows": lambda g: g.frobenius_sq(g.elementwise_mul(g.softmax_rows(g.param("w")), g.param("v"))),

@@ -1,18 +1,22 @@
+import json
+
 import numpy as np
 import pytest
 
-from musedec import neurodata, stimfeat
+from musedec import msed, neurodata, stimfeat
 from musedec.neurodata import (
     NeuroDataError,
     SplitSpec,
     SubjectDataset,
     gather_batch,
+    load_experiment,
     make_batches,
     patchify_rois,
     pca_fit,
     pca_reduce,
     split_dataset,
     synth_generate,
+    write_experiment,
     zero_pad,
 )
 
@@ -309,3 +313,70 @@ class TestSubjectDataset:
     def test_rejects_count_mismatch(self):
         with pytest.raises(NeuroDataError):
             SubjectDataset("s", np.zeros((4, 2, 3)), ["a"] * 3, np.zeros((4, 2)))
+
+
+class TestExperimentFiles:
+    @pytest.fixture()
+    def experiment(self, tmp_path):
+        features = _features(30)
+        datasets, truth = _datasets(features, n_subjects=2, n_per=20)
+        return write_experiment(tmp_path / "exp", datasets, features, "same-stimuli", truth=truth), datasets, features
+
+    def _edit_manifest(self, path, **fields):
+        manifest = json.loads(path.read_text())
+        manifest.update(fields)
+        for key in [k for k, v in fields.items() if v is None]:
+            del manifest[key]
+        path.write_text(json.dumps(manifest))
+
+    def test_round_trip(self, experiment):
+        path, datasets, features = experiment
+        manifest, loaded, loaded_features = load_experiment(path)
+        assert manifest["mode"] == "same-stimuli"
+        assert manifest["roi_names"] == ["roi_0", "roi_1", "roi_2", "roi_3"]
+        assert loaded_features.stimulus_ids == features.stimulus_ids
+        np.testing.assert_array_equal(loaded_features.f_hlv, features.f_hlv)
+        for ds, back in zip(datasets, loaded):
+            assert back.subject_id == ds.subject_id and back.stimulus_ids == ds.stimulus_ids
+            np.testing.assert_array_equal(back.responses, ds.responses)
+            np.testing.assert_array_equal(back.labels, ds.labels)
+        assert (path.parent / "ground_truth" / "sub_01_rot.msed").exists()
+
+    @pytest.mark.parametrize("field", ["experiment", "mode", "subjects", "features"])
+    def test_missing_manifest_field(self, experiment, field):
+        path = experiment[0]
+        self._edit_manifest(path, **{field: None})
+        with pytest.raises(msed.ManifestError, match=f"missing field '{field}'"):
+            load_experiment(path)
+
+    def test_unknown_mode(self, experiment):
+        path = experiment[0]
+        self._edit_manifest(path, mode="mixed-stimuli")
+        with pytest.raises(msed.ManifestError, match="unknown mode 'mixed-stimuli'"):
+            load_experiment(path)
+
+    @pytest.mark.parametrize(
+        "rel, message",
+        [("sub_01/responses.msed", "subject sub_01: missing file"), ("features/hlv.msed", "features: missing file")],
+    )
+    def test_missing_file(self, experiment, rel, message):
+        path = experiment[0]
+        (path.parent / rel).unlink()
+        with pytest.raises(msed.ManifestError, match=message):
+            load_experiment(path)
+
+    def test_subject_stimulus_absent_from_features(self, experiment):
+        path, datasets, _ = experiment
+        ids = list(datasets[0].stimulus_ids)
+        ids[3] = "not_a_stimulus"
+        msed.write_ids(path.parent / "sub_00" / "stimulus_ids.json", ids)
+        with pytest.raises(msed.ManifestError, match="sub_00: stimulus not_a_stimulus missing from features"):
+            load_experiment(path)
+
+    def test_subject_labels_disagree_with_features(self, experiment):
+        path, datasets, _ = experiment
+        labels = datasets[1].labels.copy()
+        labels[0, 0] = 1.0 - labels[0, 0]
+        msed.write_labels_csv(path.parent / "sub_01" / "labels.csv", datasets[1].stimulus_ids, labels)
+        with pytest.raises(msed.ManifestError, match="sub_01: label rows disagree with features"):
+            load_experiment(path)

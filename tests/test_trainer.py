@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -344,7 +346,45 @@ class TestTrainLoop:
         assert scores.shape == (4, 4) and np.isfinite(scores).all()
 
 
+@pytest.mark.parametrize("method", ["clip-mused", "mapping-based", "ss-vit", "ms-smodel", "ms-emb", "ss-mlp"])
+def test_float32_training_stays_float32(method):
+    """float32 params and responses stay float32 through training, Adam and predict."""
+    data = small_data()
+    data = TrainData(
+        [neurodata.SubjectDataset(d.subject_id, d.responses.astype(np.float32), d.stimulus_ids, d.labels)
+         for d in data.datasets],
+        data.features,
+        data.splits,
+    )
+    weights = LossWeights(lambda_perp=0.001, lambda_llv=0.1, lambda_hlv=0.001, lambda_map=0.0001)
+    cfg = small_cfg(method=method, max_epochs=1, weights=weights)
+    mcfg = small_model(variant=trainer.METHOD_VARIANT[method])
+    state = trainer._init_state(cfg, mcfg, data)
+    for group in (state.params, state.m, state.v, state.best_params):
+        for name in group:
+            group[name] = group[name].astype(np.float32)
+    state, _ = train(cfg, mcfg, data, state=state)
+    assert state.t > 0
+    for group in (state.params, state.m, state.v, state.best_params):
+        for name, value in group.items():
+            assert value.dtype == np.float32, (name, value.dtype)
+    scores, _ = predict(state.params, mcfg, data, "test")
+    assert scores.dtype == np.float32
+
+
 class TestCheckpoint:
+    def test_legacy_header_keys_are_dropped(self, tmp_path):
+        state, _ = train(small_cfg(max_epochs=1), small_model(), small_data())
+        save_checkpoint(tmp_path / "ck", state)
+        header_path = tmp_path / "ck" / "header.json"
+        header = json.loads(header_path.read_text())
+        header["train_cfg"]["grid"] = None
+        header["model_cfg"]["interleave_conv"] = False
+        header_path.write_text(json.dumps(header))
+        loaded = load_checkpoint(tmp_path / "ck")
+        assert loaded.train_cfg == state.train_cfg
+        assert loaded.model_cfg == state.model_cfg
+
     def test_round_trip(self, tmp_path):
         data = small_data()
         cfg, mcfg = small_cfg(), small_model()
@@ -390,11 +430,8 @@ class TestCheckpoint:
 class TestGridSearch:
     def test_cells_and_best(self):
         data = small_data()
-        cfg = small_cfg(
-            max_epochs=1,
-            grid={"lambda_llv": [0.0, 0.1], "lambda_hlv": [0.0, 0.001]},
-        )
-        result = grid_search(cfg, small_model(), data)
+        grid = {"lambda_llv": [0.0, 0.1], "lambda_hlv": [0.0, 0.001]}
+        result = grid_search(small_cfg(max_epochs=1), small_model(), data, grid)
         assert len(result["cells"]) == 4
         best_map = max(c["val_map"] for c in result["cells"])
         assert result["best_state"].best_val_map == best_map
@@ -407,9 +444,9 @@ class TestGridSearch:
     def test_empty_grid_rejected(self):
         data = small_data()
         with pytest.raises(TrainerError):
-            grid_search(small_cfg(grid=None), small_model(), data)
+            grid_search(small_cfg(), small_model(), data, None)
         with pytest.raises(TrainerError):
-            grid_search(small_cfg(grid={"lambda_llv": []}), small_model(), data)
+            grid_search(small_cfg(), small_model(), data, {"lambda_llv": []})
 
 
 class TestCompare:
