@@ -23,7 +23,7 @@ def _cap_threads():
 
 _cap_threads()
 
-from . import model, msed, neurodata, stimfeat, trainer  # noqa: E402
+from . import model, msed, neurodata, objectives, stimfeat, trainer  # noqa: E402
 from .model import EncoderConfig  # noqa: E402
 from .neurodata import SplitSpec, load_experiment, write_experiment  # noqa: E402
 from .objectives import LossWeights  # noqa: E402
@@ -162,8 +162,7 @@ def cmd_eval(args):
 def cmd_compare(args):
     cfg = _load_config(args.config)
     _, data = _load_data(args.data, cfg["split"])
-    methods = args.methods.split(",")
-    seeds = [int(s) for s in args.seeds.split(",")]
+    methods, seeds = args.methods.split(","), args.seeds
     train_cfg = trainer.parse_train_config(cfg["train"])
     model_cfg = _model_cfg(cfg["model"], data, "clip-mused")
     report = trainer.compare(methods, train_cfg, model_cfg, data, seeds)
@@ -218,6 +217,9 @@ def cmd_export_rsm(args):
         print(f"variant {mcfg.variant!r} has no subject token pair", file=sys.stderr)
         return EXIT_DATA
     subject_ids = model.token_subjects(mcfg, state.best_params)
+    if len(subject_ids) < 2:
+        print(f"token RSMs need at least two subjects, the checkpoint has {subject_ids}", file=sys.stderr)
+        return EXIT_DATA
     llv, hlv = model.token_rsm(state.best_params, subject_ids)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -232,6 +234,13 @@ def cmd_export_rsm(args):
 
 # ---------------------------------------------------------------------------
 # argument parsing
+
+
+def _seed_list(text):
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integer seeds, got {text!r}") from None
 
 
 def build_parser():
@@ -266,7 +275,7 @@ def build_parser():
     command("eval", cmd_eval, "evaluate a saved checkpoint", *run_args)
     c = command("compare", cmd_compare, "train and compare several methods", "--config", "--data", "--out")
     c.add_argument("--methods", required=True, help="comma-separated method names")
-    c.add_argument("--seeds", required=True, help="comma-separated integer seeds")
+    c.add_argument("--seeds", required=True, type=_seed_list, help="comma-separated integer seeds")
     command("export-attn", cmd_export_attn, "export token attention maps as CSV", *run_args)
     command("export-rsm", cmd_export_rsm, "export between-subject token RSMs as CSV", "--checkpoint", "--out")
     return p
@@ -283,7 +292,7 @@ def main(argv=None) -> int:
     except trainer.TrainingDiverged as exc:  # a TrainerError, so caught first
         print(f"training diverged: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (UsageError, trainer.TrainerError) as exc:
+    except (UsageError, trainer.TrainerError, model.ModelConfigError, objectives.ObjectiveError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (msed.MsedError, msed.ManifestError, neurodata.NeuroDataError, stimfeat.StimFeatError,

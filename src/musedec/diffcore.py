@@ -110,6 +110,10 @@ class Graph:
         """Extract row `index` along axis 1 of a (B, T, D) tensor -> (B, D)."""
         return self._push(Node("slice-row", (a,), {"index": int(index)}))
 
+    def lead_rows(self, a, n: int):
+        """The first `n` rows along axis 1 of a (B, T, D) tensor -> (B, n, D)."""
+        return self._push(Node("lead-rows", (a,), {"n": int(n)}))
+
     def layer_norm(self, a, eps: float = 1e-5):
         """Normalize the last axis to zero mean / unit variance (pre-affine)."""
         return self._push(Node("layer-norm", (a,), {"eps": float(eps)}))
@@ -122,11 +126,11 @@ class Graph:
         return self._push(Node("softmax-rows", (a,)))
 
     def attention_probs(self, q, k, heads: int):
-        """Per-head softmax(q k^T / sqrt(d/heads)) of (B, T, d) q and k -> (B, H, T, T)."""
+        """Per-head softmax(q k^T / sqrt(d/heads)) of (B, Tq, d) q, (B, T, d) k -> (B, H, Tq, T)."""
         return self._push(Node("attention-probs", (q, k), {"heads": int(heads)}))
 
     def attend(self, p, v):
-        """Heads of (B, H, T, T) weights applied to (B, T, d) v, merged -> (B, T, d)."""
+        """Heads of (B, H, Tq, T) weights applied to (B, T, d) v, merged -> (B, Tq, d)."""
         return self._push(Node("attend", (p, v)))
 
     def gelu(self, a):
@@ -340,6 +344,12 @@ def _slice_row_bwd(g, ins, out, saved, a):
     return (gx,)
 
 
+def _lead_rows_bwd(g, ins, out, saved, a):
+    gx = np.zeros_like(ins[0])
+    gx[:, : a["n"], :] = g
+    return (gx,)
+
+
 def _gelu_fwd(ins, a):
     x = ins[0]
     cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
@@ -424,6 +434,7 @@ _RULES = {
     "one-minus": (lambda ins, a: (1.0 - ins[0], None), lambda g, ins, out, s, a: (-g,)),
     "concat": (lambda ins, a: (np.concatenate(ins, axis=a["axis"]), None), _concat_bwd),
     "slice-row": (lambda ins, a: (ins[0][:, a["index"], :], None), _slice_row_bwd),
+    "lead-rows": (lambda ins, a: (ins[0][:, : a["n"], :], None), _lead_rows_bwd),
     "layer-norm": (
         lambda ins, a: _normalize(ins[0], a["eps"]),
         lambda g, ins, xhat, inv, a: (_normalize_adjoint(g, xhat, inv),),

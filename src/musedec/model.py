@@ -213,18 +213,25 @@ def _linear(g: Graph, x, w_name, b_name):
     return g.linear(x, g.param(w_name), g.param(b_name))
 
 
-def _mhsa(g: Graph, x, prefix: str, cfg: EncoderConfig):
-    q = _linear(g, x, f"{prefix}/Wq", f"{prefix}/bq")
+def _mhsa(g: Graph, x, prefix: str, cfg: EncoderConfig, rows=None):
+    """Self-attention over (B, T, d) x; with `rows`, only the first `rows` queries."""
+    q = _linear(g, x if rows is None else g.lead_rows(x, rows), f"{prefix}/Wq", f"{prefix}/bq")
     k = _linear(g, x, f"{prefix}/Wk", f"{prefix}/bk")
     v = _linear(g, x, f"{prefix}/Wv", f"{prefix}/bv")
-    attn = g.attention_probs(q, k, cfg.heads)  # (B, H, T, T)
+    attn = g.attention_probs(q, k, cfg.heads)  # (B, H, rows or T, T)
     out = _linear(g, g.attend(attn, v), f"{prefix}/Wo", f"{prefix}/bo")
     return out, attn
 
 
-def _encoder_block(g: Graph, z_prev, layer: int, cfg: EncoderConfig):
+def _encoder_block(g: Graph, z_prev, layer: int, cfg: EncoderConfig, rows=None):
+    """One block; with `rows`, its output holds only the first `rows` token rows.
+
+    Keys and values still come from every row of the block input.
+    """
     ln1 = _affine_ln(g, z_prev, f"layer{layer}/ln1/gamma", f"layer{layer}/ln1/beta")
-    attn_out, attn = _mhsa(g, ln1, f"layer{layer}/attn", cfg)
+    attn_out, attn = _mhsa(g, ln1, f"layer{layer}/attn", cfg, rows)
+    if rows is not None:
+        z_prev = g.lead_rows(z_prev, rows)
     z_mid = g.add(attn_out, z_prev)
     ln2 = _affine_ln(g, z_mid, f"layer{layer}/ln2/gamma", f"layer{layer}/ln2/beta")
     h1 = g.gelu(_linear(g, ln2, f"layer{layer}/mlp/W1", f"layer{layer}/mlp/b1"))
@@ -260,7 +267,8 @@ def build_forward_graph(
     token variants, 'subject_idx': each row's position in `subjects` (see
     `subject_positions`).  Outputs are 'y_hat' plus 'z_llv'/'z_hlv'
     (clip-mused) or 'z' (other variants), 'patches' with a conv front end,
-    and 'attn/<layer>' when `want_attention`.
+    and 'attn/<layer>' when `want_attention`.  Without `want_attention` the
+    last block runs only on the token rows the read-out uses.
     """
     g = Graph()
     d = cfg.d_model
@@ -292,8 +300,12 @@ def build_forward_graph(
             lead.append(subject_tokens("token/emb"))
 
     z = g.add(g.concat(lead + [embedded], axis=1), g.param("embed/E_pos"))
+    # the read-out below uses rows 0-1 (clip-mused) or row 0 of the last block,
+    # so that block runs on those rows only unless its attention map is wanted
+    read_rows = 2 if cfg.variant == "clip-mused" else 1
     for l in range(cfg.layers):
-        z, attn = _encoder_block(g, z, l, cfg)
+        last = l == cfg.layers - 1 and not want_attention
+        z, attn = _encoder_block(g, z, l, cfg, rows=read_rows if last else None)
         if want_attention:
             g.mark_output(f"attn/{l}", attn)
 

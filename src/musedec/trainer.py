@@ -299,7 +299,8 @@ def train(
 ):
     """Train one model; returns (final Checkpoint, RunReport).
 
-    Passing a loaded `state` resumes that checkpoint bitwise-identically.
+    Passing a loaded `state` resumes that checkpoint bitwise-identically;
+    a `stopped` one (early stopping met) runs no further epochs.
     """
     if METHOD_VARIANT[cfg.method] != model_cfg.variant:
         raise TrainerError(
@@ -316,7 +317,7 @@ def train(
     g = _build_loss_graph(model_cfg, cfg.weights, subjects, cfg.batch_size, mapping)
     rsm_warnings = [0]
 
-    for epoch in range(state.epoch, cfg.max_epochs):
+    for epoch in range(state.epoch, state.epoch if state.stopped else cfg.max_epochs):
         try:
             batches = neurodata.make_batches(
                 data.datasets, data.features, data.splits, cfg.batch_size, rng

@@ -4,7 +4,7 @@ import filecmp
 import numpy as np
 import pytest
 
-from musedec import cli, diffcore, neurodata
+from musedec import cli, diffcore, neurodata, trainer
 
 
 CONFIG = {
@@ -182,6 +182,23 @@ class TestTrainEval:
         assert repr(key) in err and repr(section) in err
         assert not (tmp_path / "typo").exists()
 
+    @pytest.mark.parametrize(
+        "section, values, message",
+        [
+            ("model", {"heads": 3, "d_model": 8}, "d_model must be divisible by heads"),
+            ("train.weights", {"lambda_llv": -0.1}, "loss weights must be non-negative"),
+        ],
+    )
+    def test_bad_config_value_is_usage_error(self, workspace, capsys, section, values, message):
+        tmp_path, manifest_path, _ = workspace
+        cfg = json.loads(json.dumps(CONFIG))
+        (cfg["train"]["weights"] if section == "train.weights" else cfg[section]).update(values)
+        bad = tmp_path / "bad_value.json"
+        bad.write_text(json.dumps(cfg))
+        code = cli.main(["train", "--config", str(bad), "--data", str(manifest_path), "--out", str(tmp_path / "r5")])
+        assert code == cli.EXIT_USAGE
+        assert message in capsys.readouterr().err
+
     def test_config_not_json_is_usage_error(self, workspace, capsys):
         tmp_path, manifest_path, _ = workspace
         bad = tmp_path / "bad.json"
@@ -234,6 +251,17 @@ class TestCompare:
              "--out", str(tmp_path / "cmp2")]
         )
         assert code == cli.EXIT_USAGE
+
+
+    def test_bad_seed_is_usage_error(self, workspace, capsys, monkeypatch):
+        tmp_path, manifest_path, config_path = workspace
+        monkeypatch.setattr(cli, "load_experiment", lambda path: pytest.fail("data loaded before the seeds were checked"))
+        code = cli.main(
+            ["compare", "--config", str(config_path), "--data", str(manifest_path),
+             "--methods", "clip-mused", "--seeds", "1,x", "--out", str(tmp_path / "cmp3")]
+        )
+        assert code == cli.EXIT_USAGE
+        assert "'1,x'" in capsys.readouterr().err
 
 
 class TestExports:
@@ -294,3 +322,13 @@ class TestExports:
             assert mat.shape == (len(subjects), len(subjects))
             np.testing.assert_allclose(np.diag(mat), 1.0, atol=1e-12)
             np.testing.assert_allclose(mat, mat.T, atol=1e-12)
+
+    def test_export_rsm_of_one_subject_is_data_error(self, trained, capsys):
+        tmp_path, _, _, ckpt = trained
+        state = trainer.load_checkpoint(ckpt)
+        for group in (state.params, state.best_params, state.m, state.v):
+            del group["token/llv/sub_01"], group["token/hlv/sub_01"]
+        trainer.save_checkpoint(tmp_path / "one", state)
+        code = cli.main(["export-rsm", "--checkpoint", str(tmp_path / "one"), "--out", str(tmp_path / "rsm1")])
+        assert code == cli.EXIT_DATA
+        assert "at least two subjects" in capsys.readouterr().err

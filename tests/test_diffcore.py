@@ -127,6 +127,7 @@ PRIMITIVE_GRAPHS = {
     "transpose": lambda g: g.frobenius_sq(g.matmul(g.param("w"), g.transpose(g.param("v"), (1, 0)))),
     "reshape": lambda g: g.frobenius_sq(g.reshape(g.gelu(g.param("w")), (2, 8))),
     "slice-row": lambda g: g.frobenius_sq(g.slice_row(g.reshape(g.param("w"), (2, 2, 2)), 1)),
+    "lead-rows": lambda g: g.frobenius_sq(g.gelu(g.lead_rows(g.reshape(g.param("w"), (2, 4, 2)), 3))),
 }
 
 
@@ -166,9 +167,18 @@ FUSED_GRAPHS = {
         lambda g: g.frobenius_sq(g.elementwise_mul(g.attention_probs(g.param("q"), g.param("k"), 2), g.param("m"))),
         {"q": (2, 3, 4), "k": (2, 3, 4), "m": (2, 2, 3, 3)},
     ),
+    # fewer query rows than keys: the pruned last encoder block
+    "attention-probs-fewer-queries": (
+        lambda g: g.frobenius_sq(g.elementwise_mul(g.attention_probs(g.param("q"), g.param("k"), 2), g.param("m"))),
+        {"q": (2, 2, 4), "k": (2, 5, 4), "m": (2, 2, 2, 5)},
+    ),
     "attend": (
         lambda g: g.frobenius_sq(g.gelu(g.attend(g.param("p"), g.param("v")))),
         {"p": (2, 2, 3, 3), "v": (2, 3, 4)},
+    ),
+    "attend-fewer-queries": (
+        lambda g: g.frobenius_sq(g.gelu(g.attend(g.param("p"), g.param("v")))),
+        {"p": (2, 2, 1, 5), "v": (2, 5, 4)},
     ),
     "matmul-nd-2d": (
         lambda g: g.frobenius_sq(g.gelu(g.matmul(g.param("x"), g.param("w")))),
@@ -185,6 +195,20 @@ def test_fused_adjoints_match_finite_differences(name):
     bindings = {pname: rng.normal(size=shape) for pname, shape in shapes.items()}
     report = grad_check(g, bindings, "out", h=1e-5, tol=1e-6)
     assert report.passed, (name, report.per_param)
+
+
+def test_fewer_queries_match_leading_rows_of_full_attention():
+    rng = np.random.default_rng(31)
+    q, k, v = (rng.normal(size=(2, 5, 4)) for _ in range(3))
+    g = Graph()
+    full = g.attention_probs(g.input("q"), g.input("k"), 2)
+    few = g.attention_probs(g.lead_rows(g.input("q"), 2), g.input("k"), 2)
+    g.mark_output("full", g.attend(full, g.input("v")))
+    g.mark_output("few", g.attend(few, g.input("v")))
+    g.mark_output("p", few)
+    out = evaluate(g, {"q": q, "k": k, "v": v})
+    assert out["p"].shape == (2, 2, 2, 5) and out["few"].shape == (2, 2, 4)
+    np.testing.assert_allclose(out["few"], out["full"][:, :2], rtol=0, atol=1e-15)
 
 
 def test_nonfinite_node_is_named_even_when_squashed():

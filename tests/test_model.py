@@ -362,6 +362,45 @@ def test_fused_block_matches_unfused_primitives(residual):
         np.testing.assert_allclose(fused_grads[name], ref_grads[name], rtol=0, atol=1e-12, err_msg=name)
 
 
+def _forward_loss_graph(cfg, subjects, batch, want_attention):
+    """Forward graph with a loss over every read-out output."""
+    g = build_forward_graph(cfg, subjects, batch, want_attention)
+    names = [n for n in g.outputs if not n.startswith("attn/")]
+    terms = [g.frobenius_sq(g.elementwise_mul(g.outputs[n], g.input(f"m/{n}"))) for n in names]
+    loss = terms[0]
+    for t in terms[1:]:
+        loss = g.add(loss, t)
+    g.mark_output("loss", loss)
+    return g, names
+
+
+@pytest.mark.parametrize("residual", ["paper", "conventional"])
+@pytest.mark.parametrize("variant", ["clip-mused", "ss-vit", "ms-smodel", "ms-emb"])
+def test_last_block_on_read_out_rows_matches_full_rows(variant, residual):
+    cfg = tiny_cfg(variant=variant, residual_variant=residual)
+    batch = 4
+    rng = np.random.default_rng(41)
+    params = {k: v + 0.1 * rng.normal(size=v.shape) for k, v in init_params(cfg, SUBJECTS, rng).items()}
+    subjects = token_subjects(cfg, params)
+    patches, idx = make_inputs(cfg, batch, seed=42)
+    pruned, names = _forward_loss_graph(cfg, subjects, batch, want_attention=False)
+    full, _ = _forward_loss_graph(cfg, subjects, batch, want_attention=True)
+    read_rows = 2 if variant == "clip-mused" else 1
+    assert [n.attrs["n"] for n in pruned.nodes if n.kind == "lead-rows"] == [read_rows, read_rows]
+    assert not any(n.kind == "lead-rows" for n in full.nodes)
+    bindings = {**params, "patches": patches, "subject_idx": subject_positions(cfg, subjects, idx)}
+    for n in names:
+        bindings[f"m/{n}"] = rng.normal(size=(batch, cfg.n_classes if n == "y_hat" else cfg.d_model))
+    (out_p, grads_p), (out_f, grads_f) = (
+        diffcore.evaluate_with_gradient(g, bindings, "loss") for g in (pruned, full)
+    )
+    for n in names + ["loss"]:
+        np.testing.assert_allclose(out_p[n], out_f[n], rtol=0, atol=1e-12, err_msg=n)
+    assert sorted(grads_p) == sorted(grads_f) == sorted(params)
+    for n in grads_f:
+        np.testing.assert_allclose(grads_p[n], grads_f[n], rtol=0, atol=1e-12, err_msg=n)
+
+
 class TestConvFrontEnd:
     def test_patch_geometry_12_cube(self):
         conv = ConvConfig((12, 12, 12), (16,), (6,), (3,))

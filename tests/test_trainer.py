@@ -415,6 +415,18 @@ class TestCheckpoint:
         assert resumed_state.t == full_state.t
         assert resumed_state.val_history == full_state.val_history
 
+    def test_resuming_a_stopped_run_does_not_train(self, tmp_path):
+        data = small_data()
+        cfg, mcfg = small_cfg(learning_rate=1e-12, max_epochs=50, patience=1), small_model()
+        stopped, _ = train(cfg, mcfg, data)
+        assert stopped.stopped and stopped.epoch < cfg.max_epochs
+        save_checkpoint(tmp_path / "ck", stopped)
+        resumed, report = train(cfg, mcfg, data, state=load_checkpoint(tmp_path / "ck"))
+        assert resumed.stopped
+        assert (resumed.t, resumed.epoch, report.epochs_run) == (stopped.t, stopped.epoch, stopped.epoch)
+        for k in stopped.params:
+            np.testing.assert_array_equal(resumed.params[k], stopped.params[k])
+
     def test_run_dir_artifacts(self, tmp_path):
         data = small_data()
         out = tmp_path / "run"
