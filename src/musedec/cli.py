@@ -86,6 +86,20 @@ def _load_data(manifest_path, split_cfg):
     return manifest, TrainData(datasets, features, neurodata.split_dataset(datasets, spec))
 
 
+def _load_run(args):
+    """(checkpoint, manifest, TrainData) of eval/export-attn; data of another patch shape is a data error."""
+    state = trainer.load_checkpoint(args.checkpoint)
+    cfg = _load_config(args.config)
+    manifest, data = _load_data(args.data, cfg["split"])
+    got = data.datasets[0].responses.shape[1:]
+    want = (state.model_cfg.patch_count, state.model_cfg.patch_dim)
+    if got != want:
+        raise neurodata.NeuroDataError(
+            f"data patches (M, d_in) = {got} do not match the checkpoint's (patch_count, patch_dim) = {want}"
+        )
+    return state, manifest, data
+
+
 def _model_cfg(section, data: TrainData, variant) -> EncoderConfig:
     _, m, d_in = data.datasets[0].responses.shape
     return EncoderConfig(
@@ -146,9 +160,7 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    state = trainer.load_checkpoint(args.checkpoint)
-    cfg = _load_config(args.config)
-    _, data = _load_data(args.data, cfg["split"])
+    state, _, data = _load_run(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     results = {s: trainer.evaluate_split(state.best_params, state.model_cfg, data, s) for s in ("val", "test")}
@@ -182,14 +194,12 @@ def cmd_compare(args):
 
 
 def cmd_export_attn(args):
-    state = trainer.load_checkpoint(args.checkpoint)
-    cfg = _load_config(args.config)
+    state, manifest, data = _load_run(args)
     mcfg = state.model_cfg
     tokens = model.TOKEN_POSITIONS.get(mcfg.variant)
     if not tokens:
         print(f"variant {mcfg.variant!r} has no exportable tokens", file=sys.stderr)
         return EXIT_DATA
-    manifest, data = _load_data(args.data, cfg["split"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     roi_names = manifest.get("roi_names") or [f"roi_{i}" for i in range(mcfg.patch_count)]

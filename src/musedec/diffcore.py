@@ -157,11 +157,6 @@ class Graph:
     def transpose(self, a, axes):
         return self._push(Node("transpose", (a,), {"axes": tuple(axes)}))
 
-    def conv3d(self, x, w, stride):
-        if isinstance(stride, int):
-            stride = (stride, stride, stride)
-        return self._push(Node("conv3d", (x, w), {"stride": tuple(stride)}))
-
     def reshape(self, a, shape):
         return self._push(Node("reshape", (a,), {"shape": tuple(shape)}))
 
@@ -257,14 +252,6 @@ def _cosine_sim_forward(z):
         c[:, zero] = 0.0
     np.fill_diagonal(c, 1.0)
     return c, u, safe, zero
-
-
-def _conv_windows(x_shape, w_shape, stride):
-    """Yield (kernel offset, strided slice of x) for a valid-padding conv."""
-    out = [(d - k) // s + 1 for d, k, s in zip(x_shape[1:4], w_shape[:3], stride)]
-    for offset in np.ndindex(*w_shape[:3]):
-        spatial = (slice(i, i + n * s, s) for i, n, s in zip(offset, out, stride))
-        yield offset, (slice(None), *spatial, slice(None))
 
 
 # ---------------------------------------------------------------------------
@@ -397,26 +384,6 @@ def _log_bwd(g, ins, out, saved, a):
     return (gx,)
 
 
-def _conv3d_fwd(ins, a):
-    # x: (B, D1, D2, D3, Cin), w: (k1, k2, k3, Cin, Cout), valid padding
-    x, w = ins
-    out = None
-    for offset, window in _conv_windows(x.shape, w.shape, a["stride"]):
-        term = x[window] @ w[offset]
-        out = term if out is None else out + term
-    return out, None
-
-
-def _conv3d_bwd(g, ins, out, saved, a):
-    x, w = ins
-    gx = np.zeros_like(x)
-    gw = np.zeros_like(w)
-    for offset, window in _conv_windows(x.shape, w.shape, a["stride"]):
-        gw[offset] = np.einsum("bxyzc,bxyzd->cd", x[window], g)
-        gx[window] += g @ w[offset].T
-    return gx, gw
-
-
 def _take_rows_bwd(g, ins, out, saved, a):
     index = ins[-1]
     # one adjoint per part; zip in _run_backward leaves the index input without one
@@ -466,7 +433,6 @@ _RULES = {
         lambda ins, a: (np.transpose(ins[0], a["axes"]), None),
         lambda g, ins, out, s, a: (np.transpose(g, np.argsort(a["axes"])),),
     ),
-    "conv3d": (_conv3d_fwd, _conv3d_bwd),
     "reshape": (lambda ins, a: (ins[0].reshape(a["shape"]), None), lambda g, ins, out, s, a: (g.reshape(ins[0].shape),)),
     "take-rows": (lambda ins, a: (np.stack(ins[:-1])[ins[-1]], None), _take_rows_bwd),
     "broadcast-to": (

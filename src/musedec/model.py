@@ -33,30 +33,6 @@ class UnknownSubject(Exception):
 
 
 @dataclass
-class ConvConfig:
-    """Strided 3D conv front-end turning volumes into patch sequences."""
-
-    input_shape: tuple  # (D1, D2, D3)
-    channels: tuple  # output channels per layer
-    kernels: tuple  # cubic kernel size per layer
-    strides: tuple  # stride per layer
-    in_channels: int = 1
-
-    def output_shape(self):
-        dims = list(self.input_shape)
-        for k, s in zip(self.kernels, self.strides):
-            for ax in range(3):
-                dims[ax] = (dims[ax] - k) // s + 1
-                if dims[ax] < 1:
-                    raise ModelConfigError("conv config yields zero spatial cells")
-        return tuple(dims), self.channels[-1]
-
-    def patch_geometry(self):
-        dims, cout = self.output_shape()
-        return int(np.prod(dims)), cout  # (M, d_in)
-
-
-@dataclass
 class EncoderConfig:
     layers: int
     heads: int
@@ -68,7 +44,6 @@ class EncoderConfig:
     variant: str = "clip-mused"
     mlp_ratio: int = 4
     head_hidden: int | None = None  # classifier hidden width, defaults to d_model
-    conv: ConvConfig | None = None
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -83,13 +58,6 @@ class EncoderConfig:
             self.head_hidden = self.d_model
         if self.head_hidden < 1:
             raise ModelConfigError("classifier hidden width must be >= 1")
-        if self.conv is not None:
-            m, d_in = self.conv.patch_geometry()
-            if (m, d_in) != (self.patch_count, self.patch_dim):
-                raise ModelConfigError(
-                    f"conv front-end yields (M={m}, d_in={d_in}), "
-                    f"config declares (M={self.patch_count}, d_in={self.patch_dim})"
-                )
 
     @property
     def n_lead_tokens(self):
@@ -125,12 +93,6 @@ def param_shapes(cfg: EncoderConfig, subject_ids: list) -> dict:
 
     shapes["embed/E"] = (cfg.patch_dim, d)
     shapes["embed/E_pos"] = (cfg.seq_len, d)
-    if cfg.conv is not None:
-        cin = cfg.conv.in_channels
-        for i, (cout, k) in enumerate(zip(cfg.conv.channels, cfg.conv.kernels)):
-            shapes[f"conv{i}/w"] = (k, k, k, cin, cout)
-            shapes[f"conv{i}/b"] = (cout,)
-            cin = cout
     for l in range(cfg.layers):
         p = f"layer{l}"
         shapes[f"{p}/ln1/gamma"] = (d,)
@@ -173,7 +135,7 @@ def init_params(cfg: EncoderConfig, subject_ids: list, rng: np.random.Generator)
     for name, shape in param_shapes(cfg, subject_ids).items():
         if name.endswith("/gamma"):
             params[name] = np.ones(shape)
-        elif name.endswith(("/beta", "b1", "b2", "bq", "bk", "bv", "bo", "/b")):
+        elif name.endswith(("/beta", "b1", "b2", "bq", "bk", "bv", "bo")):
             params[name] = np.zeros(shape)
         else:
             params[name] = rng.normal(0.0, INIT_STD, size=shape)
@@ -242,14 +204,6 @@ def _encoder_block(g: Graph, z_prev, layer: int, cfg: EncoderConfig, rows=None):
     return g.add(mlp_out, residual), attn
 
 
-def _conv_front_end(g: Graph, volumes, cfg: EncoderConfig, batch: int):
-    x = volumes
-    for i in range(len(cfg.conv.channels)):
-        x = g.conv3d(x, g.param(f"conv{i}/w"), cfg.conv.strides[i])
-        x = g.gelu(g.add(x, g.param(f"conv{i}/b")))
-    return g.reshape(x, (batch, cfg.patch_count, cfg.patch_dim))
-
-
 def _classifier(g: Graph, z, cfg: EncoderConfig):
     h = g.gelu(_linear(g, z, "head/W1", "head/b1"))
     return g.sigmoid(_linear(g, h, "head/W2", "head/b2"))
@@ -263,29 +217,24 @@ def build_forward_graph(
 ) -> Graph:
     """Forward graph for batches of `batch` rows of any mix of `subjects`.
 
-    Inputs are 'patches' (or 'volumes' with a conv front end) and, for the
-    token variants, 'subject_idx': each row's position in `subjects` (see
+    Inputs are 'patches' (B, M, d_in) and, for the token variants,
+    'subject_idx': each row's position in `subjects` (see
     `subject_positions`).  Outputs are 'y_hat' plus 'z_llv'/'z_hlv'
-    (clip-mused) or 'z' (other variants), 'patches' with a conv front end,
-    and 'attn/<layer>' when `want_attention`.  Without `want_attention` the
-    last block runs only on the token rows the read-out uses.
+    (clip-mused) or 'z' (other variants), and 'attn/<layer>' when
+    `want_attention`.  Without `want_attention` the last block runs only on
+    the token rows the read-out uses.
     """
     g = Graph()
     d = cfg.d_model
+    patches = g.input("patches")
 
     if cfg.variant == "ss-mlp":
-        patches = g.input("patches")
         flat = g.reshape(patches, (batch, cfg.patch_count * cfg.patch_dim))
         h = g.gelu(_linear(g, flat, "mlp/W1", "mlp/b1"))
         g.mark_output("y_hat", g.sigmoid(_linear(g, h, "mlp/W2", "mlp/b2")))
         g.mark_output("z", h)
         return g
 
-    if cfg.conv is not None:
-        patches = _conv_front_end(g, g.input("volumes"), cfg, batch)
-        g.mark_output("patches", patches)
-    else:
-        patches = g.input("patches")
     embedded = g.matmul(patches, g.param("embed/E"))  # (B, M, d)
 
     def subject_tokens(prefix):
@@ -344,28 +293,16 @@ def subject_positions(cfg: EncoderConfig, subjects: list, subject_index: list) -
     return np.array([pos[sid] for sid in subject_index], dtype=np.intp)
 
 
-def input_bindings(cfg: EncoderConfig, x: np.ndarray) -> dict:
-    """Bind batch `x` to the graph's data input.
-
-    That is 'patches' (B, M, d_in), or 'volumes' (B, D1, D2, D3, Cin) with a
-    conv front end, where a 4-D `x` gets its single channel axis added.
-    """
-    if cfg.conv is None or cfg.variant == "ss-mlp":
-        return {"patches": x}
-    return {"volumes": x[..., None] if x.ndim == 4 else x}
-
-
 def forward(params: dict, cfg: EncoderConfig, x: np.ndarray, subject_index: list, want_attention: bool = False) -> dict:
-    """Run the model on one batch; returns every marked output by name.
+    """Run the model on one batch of patches (B, M, d_in); returns every marked output by name.
 
-    `x` holds patches (B, M, d_in), or volumes (B, D1, D2, D3[, Cin]) when
-    `cfg.conv` is set.  With `want_attention`, 'attention' holds one
-    AttentionRecord per layer in place of the raw 'attn/<layer>' outputs.
+    With `want_attention`, 'attention' holds one AttentionRecord per layer in
+    place of the raw 'attn/<layer>' outputs.
     """
     subjects = token_subjects(cfg, params)
     idx = subject_positions(cfg, subjects, subject_index)
     g = build_forward_graph(cfg, subjects, x.shape[0], want_attention)
-    out = diffcore.evaluate(g, {**params, **input_bindings(cfg, x), "subject_idx": idx})
+    out = diffcore.evaluate(g, {**params, "patches": x, "subject_idx": idx})
     if want_attention:
         out["attention"] = [
             AttentionRecord(l, out.pop(f"attn/{l}"), cfg.n_lead_tokens)

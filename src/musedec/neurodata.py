@@ -2,8 +2,7 @@
 experiment directories (a manifest.json plus MSED files) on disk.
 
 Responses live as (n_samples, M, d_in) patch sequences per subject, with M
-and d_in identical across subjects of one experiment, or as (n_samples, D1,
-D2, D3) volumes for a model with a conv front end.  PCA projections are
+and d_in identical across subjects of one experiment.  PCA projections are
 always fit on training rows only.
 """
 
@@ -27,13 +26,13 @@ class NeuroDataError(Exception):
 @dataclass
 class SubjectDataset:
     subject_id: str
-    responses: np.ndarray  # (n_i, M, d_in) patches, or (n_i, D1, D2, D3) volumes
+    responses: np.ndarray  # (n_i, M, d_in) patches
     stimulus_ids: list
     labels: np.ndarray  # (n_i, C)
 
     def __post_init__(self):
-        if self.responses.ndim not in (3, 4):
-            raise NeuroDataError(f"responses must be 3-D patches or 4-D volumes, got shape {self.responses.shape}")
+        if self.responses.ndim != 3:
+            raise NeuroDataError(f"responses must be 3-D (n, M, d_in) patches, got shape {self.responses.shape}")
         n = self.responses.shape[0]
         if n < 1 or len(self.stimulus_ids) != n or self.labels.shape[0] != n:
             raise NeuroDataError("sample counts disagree within subject dataset")
@@ -45,7 +44,7 @@ class SubjectDataset:
 
 @dataclass
 class Batch:
-    patches: np.ndarray  # (B, M, d_in), or (B, D1, D2, D3) volumes
+    patches: np.ndarray  # (B, M, d_in)
     subject_index: list  # subject ids, length B
     labels: np.ndarray  # (B, C)
     f_llv: np.ndarray  # (B, d_l)
@@ -344,7 +343,11 @@ def write_experiment(out_dir, datasets, features: StimulusFeatureSet, mode: str,
 
 
 def load_experiment(manifest_path):
-    """(manifest, datasets, features); msed.ManifestError if a subject disagrees with the features."""
+    """(manifest, datasets, features).
+
+    msed.ManifestError if a subject disagrees with the features or with the
+    first subject's patch shape (M, d_in).
+    """
     manifest = msed.load_manifest(manifest_path)
     base = Path(manifest_path).parent
     feat_ids = msed.read_ids(base / manifest["features"]["stimulus_ids"])
@@ -362,6 +365,11 @@ def load_experiment(manifest_path):
             if sid not in features.index:
                 raise msed.ManifestError(f"subject {sub['id']}: stimulus {sid} missing from features")
         ds = SubjectDataset(sub["id"], responses, sids, labels)
+        if datasets and responses.shape[1:] != datasets[0].responses.shape[1:]:
+            raise msed.ManifestError(
+                f"subject {sub['id']}: patches (M, d_in) = {responses.shape[1:]} differ from "
+                f"subject {datasets[0].subject_id}'s {datasets[0].responses.shape[1:]}"
+            )
         _, _, feat_rows = features.rows(sids)
         if not np.array_equal(labels, feat_rows):
             raise msed.ManifestError(f"subject {sub['id']}: label rows disagree with features")

@@ -217,7 +217,7 @@ def _batch_bindings(batch: Batch, cfg: EncoderConfig, subjects, mapping: bool, r
             targets["m_llv"] = compute_stimulus_rsm(batch.f_llv, warn_counter=rsm_warnings)
             targets["m_hlv"] = compute_stimulus_rsm(batch.f_hlv, warn_counter=rsm_warnings)
     return {
-        **model.input_bindings(cfg, batch.patches),
+        "patches": batch.patches,
         "subject_idx": model.subject_positions(cfg, subjects, batch.subject_index),
         **{k: v.astype(batch.patches.dtype, copy=False) for k, v in targets.items()},
     }
@@ -243,7 +243,7 @@ def predict(params, cfg: EncoderConfig, data: TrainData, split: str):
             if b not in graph_cache:
                 graph_cache[b] = model.build_forward_graph(cfg, subjects, b)
             idx = model.subject_positions(cfg, subjects, [ds.subject_id] * b)
-            bindings = {**params, **model.input_bindings(cfg, ds.responses[sel]), "subject_idx": idx}
+            bindings = {**params, "patches": ds.responses[sel], "subject_idx": idx}
             out = diffcore.evaluate(graph_cache[b], bindings)
             scores.append(out["y_hat"])
             labels.append(ds.labels[sel])
@@ -451,11 +451,8 @@ def load_checkpoint(ckpt_dir) -> Checkpoint:
     train_cfg = parse_train_config(tc)
     mc = dict(header["model_cfg"])
     mc.pop("interleave_conv", None)  # always False in headers that still carry it
-    if mc.get("conv"):
-        conv = dict(mc["conv"])
-        for k in ("input_shape", "channels", "kernels", "strides"):
-            conv[k] = tuple(conv[k])
-        mc["conv"] = model.ConvConfig(**conv)
+    if mc.pop("conv", None) is not None:  # null in headers that still carry it
+        raise model.ModelConfigError("checkpoint uses the removed 3-D conv front end")
     model_cfg = EncoderConfig(**mc)
     rng_state = header["rng_state"]
     # JSON round-trips the PCG64 state ints as Python ints; restore exactly

@@ -4,7 +4,7 @@ import filecmp
 import numpy as np
 import pytest
 
-from musedec import cli, diffcore, neurodata, trainer
+from musedec import cli, diffcore, msed, neurodata, trainer
 
 
 CONFIG = {
@@ -220,6 +220,26 @@ class TestTrainEval:
         assert code == cli.EXIT_DATA == 3
         assert "sub_01: label rows disagree with features" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "subjects, reshape, message",
+        [
+            (["sub_01"], lambda r: r[:, :3], "sub_01: patches (M, d_in) = (3, 6)"),
+            (["sub_00", "sub_01"], lambda r: r.reshape(60, 2, 2, 6), "(60, 2, 2, 6)"),
+        ],
+        ids=["subjects-disagree", "volumes"],
+    )
+    def test_response_shape_is_data_error(self, workspace, capsys, subjects, reshape, message):
+        tmp_path, manifest_path, config_path = workspace
+        for sub in subjects:
+            responses_path = manifest_path.parent / sub / "responses.msed"
+            msed.write_tensor(responses_path, reshape(msed.read_tensor(responses_path)))
+        code = cli.main(
+            ["train", "--config", str(config_path), "--data", str(manifest_path), "--out", str(tmp_path / "r5")]
+        )
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and message in err
+
     def test_no_subcommand_usage(self):
         assert cli.main([]) == cli.EXIT_USAGE
 
@@ -309,6 +329,21 @@ class TestExports:
         )
         assert code == cli.EXIT_DATA
         assert "sub_02" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "export-attn"])
+    def test_patch_shape_unlike_checkpoint_is_data_error(self, trained, command, capsys):
+        tmp_path, _, config_path, ckpt = trained
+        args = list(GEN_ARGS)
+        args[args.index("--patches") + 1] = "5"  # the checkpoint was trained on 4 patches
+        other = tmp_path / "other"
+        assert cli.main(args + ["--out", str(other)]) == cli.EXIT_OK
+        code = cli.main(
+            [command, "--checkpoint", str(ckpt), "--config", str(config_path),
+             "--data", str(other / "manifest.json"), "--out", str(tmp_path / command)]
+        )
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "(5, 6)" in err and "(4, 6)" in err
 
     def test_export_rsm_properties(self, trained):
         tmp_path, _, _, ckpt = trained

@@ -220,19 +220,6 @@ def test_nonfinite_node_is_named_even_when_squashed():
     assert info.value.node_id == big
 
 
-def test_conv3d_adjoint_matches_finite_differences():
-    rng = np.random.default_rng(11)
-    g = Graph()
-    y = g.conv3d(g.param("x"), g.param("w"), stride=2)
-    g.mark_output("out", g.frobenius_sq(g.gelu(y)))
-    bindings = {
-        "x": rng.normal(size=(2, 5, 5, 5, 2)),
-        "w": rng.normal(size=(2, 2, 2, 2, 3)),
-    }
-    report = grad_check(g, bindings, "out", h=1e-5, tol=1e-6)
-    assert report.passed, report.per_param
-
-
 def _take_rows_graph(n_parts):
     g = Graph()
     rows = g.take_rows([g.param(f"p{s}") for s in range(n_parts)], g.input("idx"))
@@ -262,23 +249,27 @@ def test_take_rows_adjoint_repeated_and_absent_indices():
         assert np.array_equal(grads[absent], np.zeros(3)), absent
 
 
-def test_broadcast_to_adjoint_matches_finite_differences():
-    rng = np.random.default_rng(22)
+def _broadcast_to_graph():
     g = Graph()
     tiled = g.broadcast_to(g.param("t"), (4, 1, 3))
     g.mark_output("out", g.frobenius_sq(g.gelu(g.elementwise_mul(tiled, g.input("w")))))
+    return g
+
+
+def test_broadcast_to_adjoint_matches_finite_differences():
+    rng = np.random.default_rng(22)
+    g = _broadcast_to_graph()
     bindings = {"t": rng.normal(size=3), "w": rng.normal(size=(4, 1, 3))}
     report = grad_check(g, bindings, "out", h=1e-5, tol=1e-6)
     assert report.passed, report.per_param
 
 
-def test_conv3d_identity_kernel():
-    g = Graph()
-    g.mark_output("y", g.conv3d(g.input("x"), g.input("w"), stride=1))
-    x = np.random.default_rng(0).normal(size=(1, 3, 3, 3, 1))
-    w = np.ones((1, 1, 1, 1, 1))
-    y = evaluate(g, {"x": x, "w": w})["y"]
-    np.testing.assert_allclose(y, x)
+def test_every_rule_kind_is_gradient_checked():
+    graphs = [scalar_graph(build) for build in PRIMITIVE_GRAPHS.values()]
+    graphs += [scalar_graph(build) for build, _ in FUSED_GRAPHS.values()]
+    graphs += [_take_rows_graph(3), _broadcast_to_graph()]
+    checked = {node.kind for g in graphs for node in g.nodes}
+    assert set(diffcore._RULES) <= checked, sorted(set(diffcore._RULES) - checked)
 
 
 class TestCosineSimilarityMatrix:

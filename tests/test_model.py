@@ -5,7 +5,6 @@ from scipy.special import erf
 from musedec import diffcore, model
 from musedec.model import (
     AttentionRecord,
-    ConvConfig,
     EncoderConfig,
     ModelConfigError,
     UnknownSubject,
@@ -130,11 +129,6 @@ class TestConfig:
         assert tiny_cfg(variant="ss-vit").n_lead_tokens == 1
         assert tiny_cfg(variant="ms-smodel").n_lead_tokens == 1
         assert tiny_cfg(variant="ss-mlp").n_lead_tokens == 0
-
-    def test_conv_geometry_mismatch(self):
-        conv = ConvConfig((12, 12, 12), (16,), (6,), (3,))
-        with pytest.raises(ModelConfigError):
-            tiny_cfg(patch_count=5, patch_dim=16, conv=conv)
 
 
 class TestParamCounts:
@@ -399,52 +393,6 @@ def test_last_block_on_read_out_rows_matches_full_rows(variant, residual):
     assert sorted(grads_p) == sorted(grads_f) == sorted(params)
     for n in grads_f:
         np.testing.assert_allclose(grads_p[n], grads_f[n], rtol=0, atol=1e-12, err_msg=n)
-
-
-class TestConvFrontEnd:
-    def test_patch_geometry_12_cube(self):
-        conv = ConvConfig((12, 12, 12), (16,), (6,), (3,))
-        (dims, cout) = conv.output_shape()
-        assert dims == (3, 3, 3) and cout == 16
-        assert conv.patch_geometry() == (27, 16)
-
-    def test_two_layer_geometry(self):
-        conv = ConvConfig((15, 15, 15), (4, 8), (4, 2), (2, 2))
-        dims, cout = conv.output_shape()
-        # 15 -> (15-4)//2+1 = 6 -> (6-2)//2+1 = 3
-        assert dims == (3, 3, 3) and cout == 8
-
-    def test_degenerate_geometry_raises(self):
-        with pytest.raises(ModelConfigError):
-            ConvConfig((4, 4, 4), (2,), (6,), (1,)).output_shape()
-
-    def test_volume_patchify_matches_manual_conv(self):
-        rng = np.random.default_rng(16)
-        conv = ConvConfig((5, 5, 5), (2,), (3,), (2,))
-        cfg = tiny_cfg(patch_count=8, patch_dim=2, d_model=4, heads=2, layers=1, conv=conv)
-        params = init_params(cfg, SUBJECTS, np.random.default_rng(0))
-        params["conv0/w"] = rng.normal(size=(3, 3, 3, 1, 2))
-        params["conv0/b"] = rng.normal(size=(2,))
-        vols = rng.normal(size=(2, 5, 5, 5))
-        patches = forward(params, cfg, vols, SUBJECTS[:2])["patches"]
-        assert patches.shape == (2, 8, 2)
-        # brute-force a single output cell
-        w, b = params["conv0/w"], params["conv0/b"]
-        cell = np.zeros(2)
-        for c in range(2):
-            cell[c] = (vols[0, 0:3, 0:3, 2:5, None] * w[:, :, :, :, c]).sum() + b[c]
-        expect = _np_gelu(cell)
-        # cell (0,0,1) in the 2x2x2 grid flattens to patch index 1
-        np.testing.assert_allclose(patches[0, 1], expect, atol=1e-10)
-
-    def test_conv_model_end_to_end_shapes(self):
-        conv = ConvConfig((5, 5, 5), (2,), (3,), (2,))
-        cfg = tiny_cfg(patch_count=8, patch_dim=2, d_model=4, heads=2, layers=1, conv=conv)
-        params = init_params(cfg, SUBJECTS, np.random.default_rng(17))
-        vols = np.random.default_rng(18).normal(size=(3, 5, 5, 5, 1))
-        out = forward(params, cfg, vols, SUBJECTS)
-        assert out["y_hat"].shape == (3, cfg.n_classes)
-        assert out["z_llv"].shape == (3, cfg.d_model)
 
 
 class TestAttention:

@@ -380,3 +380,9 @@ class TestExperimentFiles:
         msed.write_labels_csv(path.parent / "sub_01" / "labels.csv", datasets[1].stimulus_ids, labels)
         with pytest.raises(msed.ManifestError, match="sub_01: label rows disagree with features"):
             load_experiment(path)
+
+    def test_subject_patch_shape_disagrees(self, experiment):
+        path, datasets, _ = experiment
+        msed.write_tensor(path.parent / "sub_01" / "responses.msed", datasets[1].responses[:, :3])
+        with pytest.raises(msed.ManifestError, match=r"sub_01: patches \(M, d_in\) = \(3, 6\) differ from subject sub_00's \(4, 6\)"):
+            load_experiment(path)

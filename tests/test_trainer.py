@@ -331,20 +331,6 @@ class TestTrainLoop:
         with pytest.raises(trainer.TrainingDiverged, match=r"epoch 0: node \d+ \(gelu\)"):
             train(small_cfg(max_epochs=1), small_model(), small_data())
 
-    def test_conv_front_end_trains_and_predicts(self):
-        conv = model.ConvConfig((5, 5, 5), (2,), (3,), (2,))
-        mcfg = small_model(variant="ss-vit", patch_count=8, patch_dim=2, conv=conv)
-        features = stimfeat.synth_features(24, 4, 8, 12, seed=0)
-        volumes = np.random.default_rng(32).normal(size=(24, 5, 5, 5))
-        ds = neurodata.SubjectDataset("sub_00", volumes, list(features.stimulus_ids), features.labels.copy())
-        splits = neurodata.split_dataset([ds], SplitSpec("same-stimuli", counts=(16, 4, 4), seed=0))
-        data = TrainData([ds], features, splits)
-        state, report = train(small_cfg(method="ss-vit", max_epochs=1, batch_size=8), mcfg, data)
-        assert state.t == 2 and report.epochs_run == 1
-        assert np.any(state.params["conv0/w"] != trainer._init_state(state.train_cfg, mcfg, data).params["conv0/w"])
-        scores, _ = predict(state.best_params, mcfg, data, "test")
-        assert scores.shape == (4, 4) and np.isfinite(scores).all()
-
 
 @pytest.mark.parametrize("method", ["clip-mused", "mapping-based", "ss-vit", "ms-smodel", "ms-emb", "ss-mlp"])
 def test_float32_training_stays_float32(method):
@@ -380,10 +366,15 @@ class TestCheckpoint:
         header = json.loads(header_path.read_text())
         header["train_cfg"]["grid"] = None
         header["model_cfg"]["interleave_conv"] = False
+        header["model_cfg"]["conv"] = None
         header_path.write_text(json.dumps(header))
         loaded = load_checkpoint(tmp_path / "ck")
         assert loaded.train_cfg == state.train_cfg
         assert loaded.model_cfg == state.model_cfg
+        header["model_cfg"]["conv"] = {"input_shape": [5, 5, 5], "channels": [2], "kernels": [3], "strides": [2]}
+        header_path.write_text(json.dumps(header))
+        with pytest.raises(model.ModelConfigError, match="removed 3-D conv front end"):
+            load_checkpoint(tmp_path / "ck")
 
     def test_round_trip(self, tmp_path):
         data = small_data()
