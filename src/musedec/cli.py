@@ -23,7 +23,7 @@ def _cap_threads():
 
 _cap_threads()
 
-from . import model, msed, neurodata, objectives, stimfeat, trainer  # noqa: E402
+from . import metrics, model, msed, neurodata, objectives, stimfeat, trainer  # noqa: E402
 from .model import EncoderConfig  # noqa: E402
 from .neurodata import SplitSpec, load_experiment, write_experiment  # noqa: E402
 from .objectives import LossWeights  # noqa: E402
@@ -46,7 +46,6 @@ class UsageError(Exception):
 MODEL_DEFAULTS = {
     "layers": 2, "heads": 4, "d_model": 32, "residual_variant": "paper", "mlp_ratio": 4, "head_hidden": None,
 }
-SPLIT_KEYS = ("mode", "counts", "fractions", "seed")
 
 
 def _load_config(path):
@@ -63,7 +62,7 @@ def _load_config(path):
         ("train", cfg["train"], [f.name for f in dataclasses.fields(TrainConfig)]),
         ("train.weights", cfg["train"].get("weights", {}), [f.name for f in dataclasses.fields(LossWeights)]),
         ("model", cfg["model"], MODEL_DEFAULTS),
-        ("split", cfg["split"], SPLIT_KEYS),
+        ("split", cfg["split"], [f.name for f in dataclasses.fields(SplitSpec)]),
     ):
         unknown = sorted(set(section) - set(valid))
         if unknown:
@@ -77,12 +76,7 @@ def _load_config(path):
 def _load_data(manifest_path, split_cfg):
     """(manifest, TrainData) of an experiment split by the config's split section."""
     manifest, datasets, features = load_experiment(manifest_path)
-    spec = SplitSpec(
-        mode=split_cfg.get("mode", manifest["mode"]),
-        counts=tuple(split_cfg["counts"]) if "counts" in split_cfg else None,
-        fractions=tuple(split_cfg["fractions"]) if "fractions" in split_cfg else None,
-        seed=split_cfg.get("seed", 0),
-    )
+    spec = SplitSpec(**{"mode": manifest["mode"], **split_cfg})
     return manifest, TrainData(datasets, features, neurodata.split_dataset(datasets, spec))
 
 
@@ -126,6 +120,9 @@ def _write_metrics_csv(out: Path, rows):
 def cmd_gen_synth(args):
     if args.snr <= 0:
         raise UsageError("--snr must be positive")
+    for flag in ("subjects", "samples", "classes", "patches", "patch_dim", "d_llv", "d_hlv"):
+        if getattr(args, flag) < 1:
+            raise UsageError(f"--{flag.replace('_', '-')} must be >= 1")
     features = stimfeat.synth_features(
         args.samples, args.classes, args.d_llv, args.d_hlv, seed=args.seed
     )
@@ -306,7 +303,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (msed.MsedError, msed.ManifestError, neurodata.NeuroDataError, stimfeat.StimFeatError,
-            model.UnknownSubject, FileNotFoundError) as exc:
+            metrics.MetricsError, model.UnknownSubject, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -57,12 +57,16 @@ class TrainConfig:
             raise TrainerError("learning rate must be positive")
         if self.batch_size < 2:
             raise TrainerError("batch size must be >= 2")
+        if self.max_epochs < 1:
+            raise TrainerError("max_epochs must be >= 1")
         if self.patience < 1:
             raise TrainerError("patience must be >= 1")
         if self.method not in METHOD_VARIANT:
             raise TrainerError(
                 f"unknown method {self.method!r}; valid: {sorted(METHOD_VARIANT)}"
             )
+        if self.grad_clip is not None and not self.grad_clip > 0:  # `not >` also rejects NaN
+            raise TrainerError("grad_clip must be positive or null")
 
 
 def parse_train_config(section: dict) -> TrainConfig:
@@ -403,34 +407,24 @@ def _safe_name(name: str) -> str:
     return name.replace("/", "__")
 
 
+TENSOR_GROUPS = ("params", "m", "v", "best_params")  # Checkpoint fields saved as <group>/<name>.msed
+# keys of removed options that older headers still carry: grid was always null, interleave_conv always false
+_RETIRED = {"train_cfg": ("grid",), "model_cfg": ("interleave_conv", "conv")}
+
+
 def save_checkpoint(ckpt_dir, state: Checkpoint):
+    """Each tensor group as one MSED file per parameter; every other field, plus `param_names`, in header.json."""
     ckpt_dir = Path(ckpt_dir)
-    ckpt_dir.mkdir(parents=True, exist_ok=True)
-    for group, tensors in (
-        ("params", state.params),
-        ("best_params", state.best_params),
-        ("m", state.m),
-        ("v", state.v),
-    ):
-        gdir = ckpt_dir / group
-        gdir.mkdir(exist_ok=True)
-        for name, arr in tensors.items():
-            msed.write_tensor(gdir / f"{_safe_name(name)}.msed", arr)
-    header = {
-        "t": state.t,
-        "epoch": state.epoch,
-        "best_epoch": state.best_epoch,
-        "best_val_map": state.best_val_map,
-        "epochs_since_improve": state.epochs_since_improve,
-        "rng_state": state.rng_state,
-        "stopped": state.stopped,
-        "param_names": list(state.params.keys()),
-        "train_cfg": dataclasses.asdict(state.train_cfg),
-        "model_cfg": dataclasses.asdict(state.model_cfg),
-        "loss_history": state.loss_history,
-        "val_history": state.val_history,
-        "events": state.events,
-    }
+    header = {"param_names": list(state.params)}
+    for f in dataclasses.fields(state):
+        value = getattr(state, f.name)
+        if f.name in TENSOR_GROUPS:
+            gdir = ckpt_dir / f.name
+            gdir.mkdir(parents=True, exist_ok=True)
+            for name, arr in value.items():
+                msed.write_tensor(gdir / f"{_safe_name(name)}.msed", arr)
+        else:
+            header[f.name] = dataclasses.asdict(value) if dataclasses.is_dataclass(value) else value
     with open(ckpt_dir / "header.json", "w") as fh:
         json.dump(header, fh, indent=2, default=str)
 
@@ -439,42 +433,19 @@ def load_checkpoint(ckpt_dir) -> Checkpoint:
     ckpt_dir = Path(ckpt_dir)
     with open(ckpt_dir / "header.json") as fh:
         header = json.load(fh)
-    names = header["param_names"]
-
-    def load_group(group):
-        return {
-            name: msed.read_tensor(ckpt_dir / group / f"{_safe_name(name)}.msed") for name in names
-        }
-
-    tc = dict(header["train_cfg"])
-    tc.pop("grid", None)  # always None in headers that still carry it
-    train_cfg = parse_train_config(tc)
-    mc = dict(header["model_cfg"])
-    mc.pop("interleave_conv", None)  # always False in headers that still carry it
-    if mc.pop("conv", None) is not None:  # null in headers that still carry it
+    names = header.pop("param_names")
+    for group in TENSOR_GROUPS:
+        header[group] = {name: msed.read_tensor(ckpt_dir / group / f"{_safe_name(name)}.msed") for name in names}
+    if header["model_cfg"].get("conv") is not None:  # null in headers that still carry it
         raise model.ModelConfigError("checkpoint uses the removed 3-D conv front end")
-    model_cfg = EncoderConfig(**mc)
-    rng_state = header["rng_state"]
+    for section, keys in _RETIRED.items():
+        for key in keys:
+            header[section].pop(key, None)
+    header["train_cfg"] = parse_train_config(header["train_cfg"])
+    header["model_cfg"] = EncoderConfig(**header["model_cfg"])
     # JSON round-trips the PCG64 state ints as Python ints; restore exactly
-    rng_state["state"] = {k: int(v) for k, v in rng_state["state"].items()}
-    return Checkpoint(
-        params=load_group("params"),
-        m=load_group("m"),
-        v=load_group("v"),
-        t=header["t"],
-        epoch=header["epoch"],
-        best_epoch=header["best_epoch"],
-        best_val_map=header["best_val_map"],
-        best_params=load_group("best_params"),
-        epochs_since_improve=header["epochs_since_improve"],
-        rng_state=rng_state,
-        train_cfg=train_cfg,
-        model_cfg=model_cfg,
-        loss_history=header["loss_history"],
-        val_history=header["val_history"],
-        events=header["events"],
-        stopped=header["stopped"],
-    )
+    header["rng_state"]["state"] = {k: int(v) for k, v in header["rng_state"]["state"].items()}
+    return Checkpoint(**header)
 
 
 # ---------------------------------------------------------------------------
@@ -521,6 +492,8 @@ def compare(
     for m_name in methods:
         if m_name not in METHOD_VARIANT:
             raise TrainerError(f"unknown method {m_name!r}; valid: {sorted(METHOD_VARIANT)}")
+    if "clip-mused" in methods and len(set(methods)) > 1 and len(seeds) < 2:
+        raise TrainerError("comparing clip-mused with another method needs at least two seeds for its t-tests")
     method_overrides = method_overrides or {}
     per_method: dict = {}
     for m_name in methods:

@@ -65,9 +65,17 @@ class TestGenSynth:
         ):
             assert filecmp.cmp(a / rel, b / rel, shallow=False), rel
 
-    def test_bad_snr_is_usage_error(self, tmp_path):
-        args = [a if a != "5" else "0" for a in GEN_ARGS]
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--snr", "0"), ("--subjects", "0"), ("--samples", "0"), ("--classes", "0"), ("--patches", "0"),
+         ("--patch-dim", "0"), ("--d-llv", "0"), ("--d-hlv", "-1")],
+    )
+    def test_bad_gen_synth_value_is_usage_error(self, tmp_path, capsys, flag, value):
+        args = list(GEN_ARGS)
+        args[args.index(flag) + 1] = value
         assert cli.main(args + ["--out", str(tmp_path / "x")]) == cli.EXIT_USAGE
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_manifest_loadable(self, workspace):
         _, manifest_path, _ = workspace
@@ -187,6 +195,8 @@ class TestTrainEval:
         [
             ("model", {"heads": 3, "d_model": 8}, "d_model must be divisible by heads"),
             ("train.weights", {"lambda_llv": -0.1}, "loss weights must be non-negative"),
+            ("train", {"max_epochs": 0}, "max_epochs must be >= 1"),
+            ("train", {"grad_clip": -1.0}, "grad_clip must be positive"),
         ],
     )
     def test_bad_config_value_is_usage_error(self, workspace, capsys, section, values, message):
@@ -240,6 +250,16 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and message in err
 
+    def test_degenerate_val_split_is_data_error(self, workspace, capsys):
+        tmp_path, manifest_path, _ = workspace
+        cfg = json.loads(json.dumps(CONFIG))
+        cfg["split"]["counts"] = [40, 1, 10]  # one val row: every class is degenerate for AUC
+        bad = tmp_path / "one_val.json"
+        bad.write_text(json.dumps(cfg))
+        code = cli.main(["train", "--config", str(bad), "--data", str(manifest_path), "--out", str(tmp_path / "r6")])
+        assert code == cli.EXIT_DATA
+        assert capsys.readouterr().err.startswith("data error: every class is degenerate for AUC")
+
     def test_no_subcommand_usage(self):
         assert cli.main([]) == cli.EXIT_USAGE
 
@@ -272,6 +292,16 @@ class TestCompare:
         )
         assert code == cli.EXIT_USAGE
 
+    def test_one_seed_against_clip_mused_is_usage_error(self, workspace, capsys, monkeypatch):
+        tmp_path, manifest_path, config_path = workspace
+        monkeypatch.setattr(trainer, "train", lambda *a, **k: pytest.fail("trained before the seeds were checked"))
+        code = cli.main(
+            ["compare", "--config", str(config_path), "--data", str(manifest_path),
+             "--methods", "clip-mused,ms-smodel", "--seeds", "1", "--out", str(tmp_path / "cmp4")]
+        )
+        assert code == cli.EXIT_USAGE
+        assert "at least two seeds" in capsys.readouterr().err
+        assert not (tmp_path / "cmp4").exists()
 
     def test_bad_seed_is_usage_error(self, workspace, capsys, monkeypatch):
         tmp_path, manifest_path, config_path = workspace

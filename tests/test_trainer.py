@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -197,6 +198,15 @@ class TestConfigValidation:
         with pytest.raises(TrainerError):
             TrainConfig(method="gradient-boosting")
 
+    def test_bad_max_epochs(self):
+        with pytest.raises(TrainerError, match="max_epochs"):
+            TrainConfig(max_epochs=0)
+
+    @pytest.mark.parametrize("grad_clip", [-1.0, 0.0, float("nan")])
+    def test_bad_grad_clip(self, grad_clip):
+        with pytest.raises(TrainerError, match="grad_clip"):
+            TrainConfig(grad_clip=grad_clip)
+
     def test_presets(self):
         assert trainer.HCP_PRESET.batch_size == 64
         assert trainer.HCP_PRESET.learning_rate == 0.001
@@ -376,6 +386,48 @@ class TestCheckpoint:
         with pytest.raises(model.ModelConfigError, match="removed 3-D conv front end"):
             load_checkpoint(tmp_path / "ck")
 
+    def test_every_field_round_trips(self, tmp_path):
+        """Each Checkpoint field, set away from its default, loads back equal; tensors bit for bit."""
+        data = small_data()
+        cfg = small_cfg(method="mapping-based", grad_clip=0.5, max_epochs=3, patience=2, seed=4)
+        mcfg = small_model(layers=2, residual_variant="conventional", head_hidden=5)
+        state = trainer._init_state(cfg, mcfg, data)
+        rng = np.random.default_rng(11)
+        state = dataclasses.replace(
+            state,
+            params={k: rng.normal(size=v.shape).astype(np.float32) for k, v in state.params.items()},
+            m={k: rng.normal(size=v.shape) for k, v in state.m.items()},
+            v={k: rng.random(v.shape) for k, v in state.v.items()},
+            best_params={k: rng.normal(size=v.shape) for k, v in state.best_params.items()},
+            t=7,
+            epoch=3,
+            best_epoch=1,
+            best_val_map=0.625,
+            epochs_since_improve=2,
+            rng_state=rng.bit_generator.state,
+            loss_history=[{"epoch": 0, "loss": 1.5, "loss_c": 0.75}],
+            val_history=[{"epoch": 0, "map": 0.5, "auc": 0.25, "hamming": 0.125}],
+            events=[{"epoch": 0, "step": 2, "event": "nonfinite-grad-skip"}],
+            stopped=True,
+        )
+        fields = dataclasses.fields(Checkpoint)
+        for f in fields:
+            if f.default is not dataclasses.MISSING:
+                assert getattr(state, f.name) != f.default, f"set {f.name} away from its default"
+            elif f.default_factory is not dataclasses.MISSING:
+                assert getattr(state, f.name) != f.default_factory(), f"set {f.name} away from its default"
+        save_checkpoint(tmp_path / "ck", state)
+        loaded = load_checkpoint(tmp_path / "ck")
+        for f in fields:
+            want, got = getattr(state, f.name), getattr(loaded, f.name)
+            if f.name in trainer.TENSOR_GROUPS:
+                assert list(got) == list(want), f.name
+                for k in want:
+                    assert (got[k].dtype, got[k].shape) == (want[k].dtype, want[k].shape), (f.name, k)
+                    assert got[k].tobytes() == want[k].tobytes(), (f.name, k)
+            else:
+                assert got == want, f.name
+
     def test_round_trip(self, tmp_path):
         data = small_data()
         cfg, mcfg = small_cfg(), small_model()
@@ -480,6 +532,16 @@ class TestCompare:
         data = small_data()
         with pytest.raises(TrainerError):
             compare(["clip-mused", "xgboost"], small_cfg(), small_model(), data, seeds=[0, 1])
+
+    def test_one_seed_against_clip_mused_trains_nothing(self, monkeypatch):
+        monkeypatch.setattr(trainer, "train", lambda *a, **k: pytest.fail("trained before the seeds were checked"))
+        with pytest.raises(TrainerError, match="at least two seeds"):
+            compare(["clip-mused", "ms-smodel"], small_cfg(), small_model(), small_data(), seeds=[0])
+
+    def test_one_seed_without_clip_mused_has_no_significance(self):
+        result = compare(["ms-smodel", "ms-emb"], small_cfg(max_epochs=1), small_model(), small_data(), seeds=[0])
+        assert result["significance"] == {}
+        assert [len(rows) for rows in result["per_run"].values()] == [1, 1]
 
     def test_restrict_limits_train_rows(self):
         data = small_data()
