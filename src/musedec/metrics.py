@@ -10,7 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtr
+
+
+_NO_POSITIVE = "no class has a positive example"
+_ALL_DEGENERATE = "every class is degenerate for AUC"
 
 
 class MetricsError(Exception):
@@ -30,15 +34,55 @@ class EvalResult:
         return {"map": self.map, "auc": self.auc, "hamming": self.hamming}
 
 
-def _average_precision(scores: np.ndarray, labels: np.ndarray) -> float:
+def _class_ap_auc(scores: np.ndarray, labels: np.ndarray):
+    """(AP, AUC) of one class from one stable descending sort.
+
+    AP is None without a positive, AUC also without a negative.  AUC is the
+    Mann-Whitney U through midranks, so ties get half credit.
+    """
+    n = len(scores)
     # descending scores, ties broken by stable original index
     order = np.argsort(-scores, kind="stable")
     hits = labels[order] > 0
     n_pos = int(hits.sum())
+    if n_pos == 0:
+        return None, None
     cum_hits = np.cumsum(hits)
-    ranks = np.arange(1, len(scores) + 1)
-    precision_at_hit = cum_hits[hits] / ranks[hits]
-    return float(precision_at_hit.sum() / n_pos)
+    ranks = np.arange(1, n + 1)
+    ap = float((cum_hits[hits] / ranks[hits]).sum() / n_pos)
+    if n_pos == n:
+        return ap, None
+    # a run of equal scores at descending positions [a, b) holds the
+    # ascending ranks n-b+1 .. n-a, whose mean is n - (a+b-1)/2
+    ranked = scores[order]
+    if np.isnan(ranked[-1]):  # NaN sorts last; a NaN score leaves the ranks undefined
+        return ap, float("nan")
+    starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+    ends = np.r_[starts[1:], n]
+    midranks = np.repeat(n - (starts + ends - 1) / 2.0, ends - starts)
+    u = midranks[hits].sum() - n_pos * (n_pos + 1) / 2.0
+    return ap, float(u / (n_pos * (n - n_pos)))
+
+
+def _per_class(scores: np.ndarray, labels: np.ndarray):
+    """(per-class AP list, per-class AUC list), None where undefined."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    if scores.shape != labels.shape or scores.ndim != 2:
+        raise MetricsError(f"shape mismatch {scores.shape} vs {labels.shape}")
+    per_ap, per_auc = [], []
+    for c in range(scores.shape[1]):
+        ap, auc = _class_ap_auc(scores[:, c], labels[:, c])
+        per_ap.append(ap)
+        per_auc.append(auc)
+    return per_ap, per_auc
+
+
+def _macro(per_class: list, empty: str):
+    included = [v for v in per_class if v is not None]
+    if not included:
+        raise MetricsError(empty)
+    return float(np.mean(included)), per_class
 
 
 def mean_average_precision(scores: np.ndarray, labels: np.ndarray):
@@ -46,31 +90,7 @@ def mean_average_precision(scores: np.ndarray, labels: np.ndarray):
 
     Returns (map, per_class list with None for excluded classes).
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    if scores.shape != labels.shape or scores.ndim != 2:
-        raise MetricsError(f"shape mismatch {scores.shape} vs {labels.shape}")
-    per_class = []
-    included = []
-    for c in range(scores.shape[1]):
-        if labels[:, c].sum() == 0:
-            per_class.append(None)
-            continue
-        ap = _average_precision(scores[:, c], labels[:, c])
-        per_class.append(ap)
-        included.append(ap)
-    if not included:
-        raise MetricsError("no class has a positive example")
-    return float(np.mean(included)), per_class
-
-
-def _class_auc(scores: np.ndarray, labels: np.ndarray) -> float:
-    # Mann-Whitney U through midranks: ties get half credit
-    pos = labels > 0
-    n_pos, n_neg = int(pos.sum()), int((~pos).sum())
-    ranks = stats.rankdata(scores, method="average")
-    u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
-    return float(u / (n_pos * n_neg))
+    return _macro(_per_class(scores, labels)[0], _NO_POSITIVE)
 
 
 def macro_auc(scores: np.ndarray, labels: np.ndarray):
@@ -78,20 +98,7 @@ def macro_auc(scores: np.ndarray, labels: np.ndarray):
 
     Returns (auc, per_class list with None for degenerate classes).
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    per_class, included = [], []
-    for c in range(scores.shape[1]):
-        n_pos = int((labels[:, c] > 0).sum())
-        if n_pos == 0 or n_pos == scores.shape[0]:
-            per_class.append(None)
-            continue
-        auc = _class_auc(scores[:, c], labels[:, c])
-        per_class.append(auc)
-        included.append(auc)
-    if not included:
-        raise MetricsError("every class is degenerate for AUC")
-    return float(np.mean(included)), per_class
+    return _macro(_per_class(scores, labels)[1], _ALL_DEGENERATE)
 
 
 def hamming_distance(scores: np.ndarray, labels: np.ndarray, threshold: float = 0.5) -> float:
@@ -103,8 +110,9 @@ def hamming_distance(scores: np.ndarray, labels: np.ndarray, threshold: float = 
 
 
 def evaluate_scores(scores: np.ndarray, labels: np.ndarray, threshold: float = 0.5) -> EvalResult:
-    m, per_ap = mean_average_precision(scores, labels)
-    a, per_auc = macro_auc(scores, labels)
+    per_ap, per_auc = _per_class(scores, labels)
+    m, _ = _macro(per_ap, _NO_POSITIVE)
+    a, _ = _macro(per_auc, _ALL_DEGENERATE)
     excluded = sum(1 for v in per_ap if v is None)
     return EvalResult(
         map=m,
@@ -134,18 +142,18 @@ def t_test(runs_a, runs_b, paired: bool = False) -> TTestResult:
         raise MetricsError("paired test needs equal-length runs")
     if paired:
         diffs = a - b
-        if diffs.std(ddof=1) == 0.0:
-            if diffs.mean() == 0.0:
-                return TTestResult(1.0, 0.0, True, degenerate=True)
-            return TTestResult(0.0, np.inf if diffs.mean() > 0 else -np.inf, True, degenerate=True)
-        res = stats.ttest_rel(a, b)
-        return TTestResult(float(res.pvalue), float(res.statistic), True)
-    if a.std(ddof=1) == 0.0 and b.std(ddof=1) == 0.0:
-        if a.mean() == b.mean():
-            return TTestResult(1.0, 0.0, False, degenerate=True)
-        return TTestResult(0.0, np.inf if a.mean() > b.mean() else -np.inf, False, degenerate=True)
-    res = stats.ttest_ind(a, b, equal_var=False)
-    return TTestResult(float(res.pvalue), float(res.statistic), False)
+        gap, se2, df = diffs.mean(), diffs.var(ddof=1) / len(diffs), len(diffs) - 1
+    else:
+        var_a, var_b = a.var(ddof=1) / len(a), b.var(ddof=1) / len(b)
+        gap, se2 = a.mean() - b.mean(), var_a + var_b
+    if se2 == 0.0:
+        if gap == 0.0:
+            return TTestResult(1.0, 0.0, paired, degenerate=True)
+        return TTestResult(0.0, np.inf if gap > 0 else -np.inf, paired, degenerate=True)
+    if not paired:  # Welch-Satterthwaite degrees of freedom
+        df = se2**2 / (var_a**2 / (len(a) - 1) + var_b**2 / (len(b) - 1))
+    t = gap / np.sqrt(se2)
+    return TTestResult(float(2.0 * stdtr(df, -abs(t))), float(t), paired)
 
 
 def holm_bonferroni(p_values, alpha: float = 0.05):

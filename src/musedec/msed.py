@@ -8,6 +8,8 @@ row-major payload.  Anything else is rejected.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -50,24 +52,29 @@ def write_tensor(path, array: np.ndarray) -> None:
 
 def read_tensor(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 7 or blob[:4] != MAGIC:
-        raise BadMagic(f"{path}: not an MSED file")
-    version, dtype_code, ndim = struct.unpack("<BBB", blob[4:7])
-    if version != VERSION:
-        raise MsedError(f"{path}: unsupported version {version}")
-    if dtype_code not in DTYPE_CODES:
-        raise MsedError(f"{path}: unknown dtype code {dtype_code}")
-    offset = 7 + 4 * ndim
-    if len(blob) < offset:
-        raise DimMismatch(f"{path}: truncated header")
-    shape = struct.unpack(f"<{ndim}I", blob[7:offset])
-    dtype = DTYPE_CODES[dtype_code]
-    expected = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-    payload = blob[offset:]
-    if len(payload) != expected:
-        raise DimMismatch(f"{path}: payload is {len(payload)} bytes, expected {expected}")
-    return np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
+        head = fh.read(7)
+        if len(head) < 7 or head[:4] != MAGIC:
+            raise BadMagic(f"{path}: not an MSED file")
+        version, dtype_code, ndim = struct.unpack("<BBB", head[4:7])
+        if version != VERSION:
+            raise MsedError(f"{path}: unsupported version {version}")
+        if dtype_code not in DTYPE_CODES:
+            raise MsedError(f"{path}: unknown dtype code {dtype_code}")
+        dims = fh.read(4 * ndim)
+        if len(dims) < 4 * ndim:
+            raise DimMismatch(f"{path}: truncated header")
+        shape = struct.unpack(f"<{ndim}I", dims)
+        dtype = DTYPE_CODES[dtype_code]
+        expected = math.prod(shape) * dtype.itemsize
+        # size the payload before allocating, so a corrupt header cannot ask for a huge array
+        payload = os.fstat(fh.fileno()).st_size - fh.tell()
+        if payload != expected:
+            raise DimMismatch(f"{path}: payload is {payload} bytes, expected {expected}")
+        out = np.empty(shape, dtype=dtype)
+        got = fh.readinto(out.reshape(-1).view(np.uint8))
+    if got != expected:
+        raise DimMismatch(f"{path}: payload is {got} bytes, expected {expected}")
+    return out
 
 
 def write_ids(path, ids: list) -> None:
@@ -93,18 +100,34 @@ def write_labels_csv(path, stimulus_ids, labels: np.ndarray) -> None:
 
 
 def read_labels_csv(path):
+    """(stimulus ids, float64 label rows) of a `stimulus_id,class_0,...` CSV.
+
+    Cells are integers; blank lines are skipped.  ManifestError, naming the
+    file, for a bad header, a row whose cell count differs from the header's,
+    or a cell that is not an integer.
+    """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        if header[0] != "stimulus_id":
+        if header[0] != "stimulus_id" or len(header) < 2:
             raise ManifestError(f"{path}: bad labels header")
-        ids, rows = [], []
+        ids, body = [], []
         for line in fh:
-            parts = line.strip().split(",")
-            if not parts or parts == [""]:
-                continue
-            ids.append(parts[0])
-            rows.append([int(v) for v in parts[1:]])
-    return ids, np.array(rows, dtype=np.float64)
+            line = line.strip()
+            if line:
+                sid, _, cells = line.partition(",")
+                ids.append(sid)
+                body.append(cells)
+    n_classes = len(header) - 1
+    rows = np.empty((0, n_classes), dtype=np.int64)
+    if any(body):  # loadtxt warns on input with no cells at all
+        try:
+            rows = np.loadtxt(body, delimiter=",", dtype=np.int64, ndmin=2, comments=None)
+        except ValueError as exc:
+            raise ManifestError(f"{path}: label cells: {exc}") from None
+    # loadtxt skips a row with no label cells, and takes any column count shared by every row
+    if rows.shape != (len(ids), n_classes):
+        raise ManifestError(f"{path}: {len(ids)} rows of {n_classes} label cells expected, got {rows.shape}")
+    return ids, rows.astype(np.float64)
 
 
 def load_manifest(path) -> dict:

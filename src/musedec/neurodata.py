@@ -342,28 +342,37 @@ def write_experiment(out_dir, datasets, features: StimulusFeatureSet, mode: str,
     return out / "manifest.json"
 
 
+def _read_labels(path, stimulus_ids, owner):
+    """Label rows of a labels CSV whose id column is `stimulus_ids`, in order."""
+    csv_ids, labels = msed.read_labels_csv(path)
+    if csv_ids != stimulus_ids:
+        raise msed.ManifestError(f"{owner}: ids in {path.name} are not those of its stimulus_ids.json, in order")
+    return labels
+
+
 def load_experiment(manifest_path):
     """(manifest, datasets, features).
 
-    msed.ManifestError if a subject disagrees with the features or with the
-    first subject's patch shape (M, d_in).
+    msed.ManifestError if a labels CSV lists other ids than its stimulus-id
+    list, or a subject disagrees with the features or with the first
+    subject's patch shape (M, d_in).
     """
     manifest = msed.load_manifest(manifest_path)
     base = Path(manifest_path).parent
-    feat_ids = msed.read_ids(base / manifest["features"]["stimulus_ids"])
+    feat_ids = [str(s) for s in msed.read_ids(base / manifest["features"]["stimulus_ids"])]
     f_llv = msed.read_tensor(base / manifest["features"]["llv"])
     f_hlv = msed.read_tensor(base / manifest["features"]["hlv"])
-    _, flabels = msed.read_labels_csv(base / "features" / "labels.csv")
-    features = StimulusFeatureSet([str(s) for s in feat_ids], f_llv, f_hlv, flabels)
+    flabels = _read_labels(base / "features" / "labels.csv", feat_ids, "features")
+    features = StimulusFeatureSet(feat_ids, f_llv, f_hlv, flabels)
 
     datasets = []
     for sub in manifest["subjects"]:
         responses = msed.read_tensor(base / sub["responses"])
         sids = [str(s) for s in msed.read_ids(base / sub["stimulus_ids"])]
-        _, labels = msed.read_labels_csv(base / sub["labels"])
         for sid in sids:
             if sid not in features.index:
                 raise msed.ManifestError(f"subject {sub['id']}: stimulus {sid} missing from features")
+        labels = _read_labels(base / sub["labels"], sids, f"subject {sub['id']}")
         ds = SubjectDataset(sub["id"], responses, sids, labels)
         if datasets and responses.shape[1:] != datasets[0].responses.shape[1:]:
             raise msed.ManifestError(

@@ -492,7 +492,10 @@ def compare(
     for m_name in methods:
         if m_name not in METHOD_VARIANT:
             raise TrainerError(f"unknown method {m_name!r}; valid: {sorted(METHOD_VARIANT)}")
-    if "clip-mused" in methods and len(set(methods)) > 1 and len(seeds) < 2:
+    for name, values in (("method", methods), ("seed", seeds)):
+        if len(set(values)) != len(values):
+            raise TrainerError(f"repeated {name} in {list(values)}: each {name} may appear once")
+    if "clip-mused" in methods and len(methods) > 1 and len(seeds) < 2:
         raise TrainerError("comparing clip-mused with another method needs at least two seeds for its t-tests")
     method_overrides = method_overrides or {}
     per_method: dict = {}

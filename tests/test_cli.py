@@ -1,5 +1,8 @@
 import json
 import filecmp
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -231,6 +234,21 @@ class TestTrainEval:
         assert "sub_01: label rows disagree with features" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "edit", [lambda row: row[:-1] + ["x"], lambda row: row[:-1]], ids=["letter-cell", "missing-last-cell"]
+    )
+    def test_malformed_labels_csv_is_data_error(self, workspace, capsys, edit):
+        tmp_path, manifest_path, config_path = workspace
+        labels_csv = manifest_path.parent / "sub_01" / "labels.csv"
+        lines = labels_csv.read_text().splitlines()
+        lines[2] = ",".join(edit(lines[2].split(",")))
+        labels_csv.write_text("\n".join(lines) + "\n")
+        code = cli.main(
+            ["train", "--config", str(config_path), "--data", str(manifest_path), "--out", str(tmp_path / "r6")]
+        )
+        assert code == cli.EXIT_DATA == 3
+        assert "sub_01/labels.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "subjects, reshape, message",
         [
             (["sub_01"], lambda r: r[:, :3], "sub_01: patches (M, d_in) = (3, 6)"),
@@ -302,6 +320,20 @@ class TestCompare:
         assert code == cli.EXIT_USAGE
         assert "at least two seeds" in capsys.readouterr().err
         assert not (tmp_path / "cmp4").exists()
+
+    @pytest.mark.parametrize(
+        "methods, seeds", [("clip-mused,ss-mlp", "0,0"), ("clip-mused,ms-smodel,ms-smodel", "0,1")], ids=["seed", "method"]
+    )
+    def test_repeated_method_or_seed_is_usage_error(self, workspace, capsys, monkeypatch, methods, seeds):
+        tmp_path, manifest_path, config_path = workspace
+        monkeypatch.setattr(trainer, "train", lambda *a, **k: pytest.fail("trained before the repeats were checked"))
+        code = cli.main(
+            ["compare", "--config", str(config_path), "--data", str(manifest_path),
+             "--methods", methods, "--seeds", seeds, "--out", str(tmp_path / "cmp5")]
+        )
+        assert code == cli.EXIT_USAGE
+        assert "repeated" in capsys.readouterr().err
+        assert not (tmp_path / "cmp5").exists()
 
     def test_bad_seed_is_usage_error(self, workspace, capsys, monkeypatch):
         tmp_path, manifest_path, config_path = workspace
@@ -397,3 +429,14 @@ class TestExports:
         code = cli.main(["export-rsm", "--checkpoint", str(tmp_path / "one"), "--out", str(tmp_path / "rsm1")])
         assert code == cli.EXIT_DATA
         assert "at least two subjects" in capsys.readouterr().err
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about 40 MiB and 0.4 s at import; metrics needs only scipy.special
+    src = str(Path(cli.__file__).parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import musedec.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

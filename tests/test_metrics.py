@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -124,6 +125,27 @@ class TestMacroAuc:
             assert got == pytest.approx(want, rel=1e-12)
         assert a == pytest.approx(np.mean(expect), rel=1e-12)
 
+    @pytest.mark.parametrize("n, levels", [(40, 4), (500, 7), (3000, 50)])
+    def test_tied_scores_against_rankdata(self, n, levels):
+        # the Mann-Whitney U through scipy's midranks, as an independent oracle
+        from scipy.stats import rankdata
+
+        rng = np.random.default_rng(n)
+        scores = rng.integers(0, levels, size=(n, 5)) / levels
+        labels = (rng.random((n, 5)) < 0.3).astype(float)
+        _, per = macro_auc(scores, labels)
+        for c in range(5):
+            pos = labels[:, c] > 0
+            n_pos, n_neg = int(pos.sum()), int((~pos).sum())
+            u = rankdata(scores[:, c], method="average")[pos].sum() - n_pos * (n_pos + 1) / 2.0
+            assert per[c] == u / (n_pos * n_neg)
+
+    def test_nan_score_gives_nan_auc(self):
+        scores = np.array([[0.1, 0.1], [np.nan, 0.9], [0.3, 0.3], [0.2, 0.2]])
+        labels = np.array([[1, 1], [0, 0], [0, 0], [1, 1]])
+        a, per = macro_auc(scores, labels)
+        assert np.isnan(a) and np.isnan(per[0]) and per[1] == 0.0
+
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(2)
         scores = rng.uniform(size=(25, 3))
@@ -214,6 +236,31 @@ class TestTTest:
         tail = np.trapezoid(density, x)
         assert res.p_value == pytest.approx(2.0 * tail, rel=1e-5)
         assert res.paired and not res.degenerate
+
+    @pytest.mark.parametrize("n_a, n_b", [(2, 2), (3, 3), (5, 5), (10, 10), (4, 7), (12, 3)])
+    def test_against_scipy_stats(self, n_a, n_b):
+        from scipy import stats
+
+        rng = np.random.default_rng(10 * n_a + n_b)
+        a, b = rng.normal(0.8, 0.03, n_a), rng.normal(0.78, 0.05, n_b)
+        welch, oracle = t_test(a, b), stats.ttest_ind(a, b, equal_var=False)
+        assert welch.p_value == pytest.approx(oracle.pvalue, rel=1e-12, abs=1e-15)
+        assert welch.statistic == pytest.approx(oracle.statistic, rel=1e-12)
+        if n_a == n_b:
+            paired, oracle = t_test(a, b, paired=True), stats.ttest_rel(a, b)
+            assert paired.p_value == pytest.approx(oracle.pvalue, rel=1e-12, abs=1e-15)
+            assert paired.statistic == pytest.approx(oracle.statistic, rel=1e-12)
+
+    def test_welch_one_constant_group(self):
+        from scipy import stats
+
+        a, b = np.array([0.5, 0.5, 0.5]), np.array([0.4, 0.45, 0.42, 0.41])
+        res = t_test(a, b)
+        assert not res.degenerate
+        with warnings.catch_warnings():  # scipy warns that group a is constant
+            warnings.simplefilter("ignore", RuntimeWarning)
+            oracle = stats.ttest_ind(a, b, equal_var=False)
+        assert res.p_value == pytest.approx(oracle.pvalue, rel=1e-12)
 
     def test_welch_symmetry(self):
         rng = np.random.default_rng(4)

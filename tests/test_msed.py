@@ -33,6 +33,33 @@ def test_truncated_payload(tmp_path):
         msed.read_tensor(path)
 
 
+@pytest.mark.parametrize("edit", [lambda b: b[:-1], lambda b: b + b"\x00"], ids=["one-byte-short", "one-byte-long"])
+def test_payload_off_by_one_byte(tmp_path, edit):
+    path = tmp_path / "t.msed"
+    msed.write_tensor(path, np.ones((3, 2), dtype=np.float32))
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(msed.DimMismatch, match="payload is"):
+        msed.read_tensor(path)
+
+
+def test_truncated_header(tmp_path):
+    path = tmp_path / "t.msed"
+    msed.write_tensor(path, np.ones((3, 2)))
+    path.write_bytes(path.read_bytes()[:9])
+    with pytest.raises(msed.DimMismatch, match="truncated header"):
+        msed.read_tensor(path)
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (2, 0, 3)])
+def test_empty_and_scalar_tensors(tmp_path, shape):
+    path = tmp_path / "t.msed"
+    arr = np.full(shape, 2.5)
+    msed.write_tensor(path, arr)
+    back = msed.read_tensor(path)
+    assert back.shape == shape and back.dtype == np.float64
+    np.testing.assert_array_equal(back, arr)
+
+
 def test_unknown_dtype_code(tmp_path):
     path = tmp_path / "t.msed"
     msed.write_tensor(path, np.ones(2))
@@ -50,13 +77,102 @@ def test_duplicate_ids_rejected(tmp_path):
         msed.read_ids(path)
 
 
+def _row_by_row_labels_csv(path):
+    """The earlier per-row parser, kept as the oracle for the inputs it accepted."""
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+        assert header[0] == "stimulus_id"
+        ids, rows = [], []
+        for line in fh:
+            parts = line.strip().split(",")
+            if not parts or parts == [""]:
+                continue
+            ids.append(parts[0])
+            rows.append([int(v) for v in parts[1:]])
+    return ids, np.array(rows, dtype=np.float64)
+
+
+def _assert_same_parse(path):
+    ids, rows = msed.read_labels_csv(path)
+    want_ids, want_rows = _row_by_row_labels_csv(path)
+    assert ids == want_ids
+    assert rows.dtype == want_rows.dtype == np.float64 and rows.shape == want_rows.shape
+    assert rows.tobytes() == want_rows.tobytes()
+    return ids, rows
+
+
 def test_labels_csv_round_trip(tmp_path):
     labels = np.array([[1, 0, 1], [0, 1, 0]], dtype=np.float64)
     path = tmp_path / "labels.csv"
     msed.write_labels_csv(path, ["s0", "s1"], labels)
-    ids, back = msed.read_labels_csv(path)
+    ids, back = _assert_same_parse(path)
     assert ids == ["s0", "s1"]
     np.testing.assert_array_equal(back, labels)
+
+
+def test_labels_csv_large_round_trip(tmp_path):
+    rng = np.random.default_rng(7)
+    labels = (rng.random((300, 40)) < 0.2).astype(np.float64)
+    path = tmp_path / "labels.csv"
+    msed.write_labels_csv(path, [f"stim_{i}" for i in range(300)], labels)
+    _, back = _assert_same_parse(path)
+    np.testing.assert_array_equal(back, labels)
+
+
+@pytest.mark.parametrize(
+    "body, rows",
+    [
+        ("a,+1,0\nb,0,+1\n", [[1, 0], [0, 1]]),
+        ("a, 1,0\nb,0 , 1\n", [[1, 0], [0, 1]]),
+        ("a,1,0\n\n   \nb,0,1\n\n", [[1, 0], [0, 1]]),
+        ("a,1,0\r\nb,0,1\r\n", [[1, 0], [0, 1]]),
+        ("a,-1,2\nb,0,0", [[-1, 2], [0, 0]]),
+        ("a,1,0\n", [[1, 0]]),
+    ],
+    ids=["plus-sign", "spaces", "blank-lines", "crlf", "no-final-newline", "one-row"],
+)
+def test_labels_csv_odd_inputs_parse_as_before(tmp_path, body, rows):
+    path = tmp_path / "labels.csv"
+    path.write_bytes(("stimulus_id,class_0,class_1\n" + body).encode())
+    _, back = _assert_same_parse(path)
+    np.testing.assert_array_equal(back, rows)
+
+
+def test_labels_csv_without_rows(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text("stimulus_id,class_0,class_1\n\n")
+    ids, rows = msed.read_labels_csv(path)
+    assert ids == [] and rows.shape == (0, 2) and rows.dtype == np.float64
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "stimulus_id,class_0,class_1\na,1,x\n",
+        "stimulus_id,class_0,class_1\na,1,0\nb,1\n",
+        "stimulus_id,class_0,class_1\na,1,1.0\n",
+        "stimulus_id,class_0,class_1\na,1,\n",
+        "stimulus_id,class_0,class_1\na,,1\n",
+        "stimulus_id,class_0,class_1\na,1,0\nb,1,0,1\n",
+        "stimulus_id,class_0,class_1\na,1,0,1\nb,1,0,1\n",
+        "stimulus_id,class_0,class_1\na,1,0\nb\n",
+        "stimulus_id,class_0,class_1\na\n",
+        "stimulus_id,class_0,class_1\na,1,0#1\n",
+        "stimulus_id,class_0\na,99999999999999999999\n",
+        "sid,class_0\na,1\n",
+        "stimulus_id\na\n",
+    ],
+    ids=[
+        "letter", "missing-last-cell", "float", "empty-last-cell", "empty-cell", "extra-column",
+        "extra-column-every-row", "id-only-row", "only-id-only-rows", "comment-char", "int64-overflow",
+        "bad-header", "no-classes",
+    ],
+)
+def test_malformed_labels_csv_is_manifest_error(tmp_path, text):
+    path = tmp_path / "labels.csv"
+    path.write_text(text)
+    with pytest.raises(msed.ManifestError, match="labels.csv"):
+        msed.read_labels_csv(path)
 
 
 def test_fuzz_round_trip_corpus(tmp_path):

@@ -381,6 +381,17 @@ class TestExperimentFiles:
         with pytest.raises(msed.ManifestError, match="sub_01: label rows disagree with features"):
             load_experiment(path)
 
+    @pytest.mark.parametrize("owner, rel", [("subject sub_01", "sub_01"), ("features", "features")], ids=["subject", "features"])
+    def test_labels_csv_ids_swapped(self, experiment, owner, rel):
+        # the label rows stay in place; only two ids of the id column trade places
+        path = experiment[0]
+        labels_csv = path.parent / rel / "labels.csv"
+        header, first, second, *rest = labels_csv.read_text().splitlines()
+        (id_a, cells_a), (id_b, cells_b) = first.split(",", 1), second.split(",", 1)
+        labels_csv.write_text("\n".join([header, f"{id_b},{cells_a}", f"{id_a},{cells_b}", *rest]) + "\n")
+        with pytest.raises(msed.ManifestError, match=f"{owner}: ids in labels.csv are not those of its stimulus_ids.json"):
+            load_experiment(path)
+
     def test_subject_patch_shape_disagrees(self, experiment):
         path, datasets, _ = experiment
         msed.write_tensor(path.parent / "sub_01" / "responses.msed", datasets[1].responses[:, :3])

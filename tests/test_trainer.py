@@ -538,6 +538,17 @@ class TestCompare:
         with pytest.raises(TrainerError, match="at least two seeds"):
             compare(["clip-mused", "ms-smodel"], small_cfg(), small_model(), small_data(), seeds=[0])
 
+    @pytest.mark.parametrize(
+        "methods, seeds, repeated",
+        [(["clip-mused", "ss-mlp"], [0, 0], "seed"), (["clip-mused", "ms-smodel", "ms-smodel"], [0, 1], "method")],
+        ids=["seed", "method"],
+    )
+    def test_repeated_method_or_seed_trains_nothing(self, monkeypatch, methods, seeds, repeated):
+        # identical runs would pair into zero differences: p_raw 0.0 and a false "significant"
+        monkeypatch.setattr(trainer, "train", lambda *a, **k: pytest.fail("trained before the repeats were checked"))
+        with pytest.raises(TrainerError, match=f"repeated {repeated}"):
+            compare(methods, small_cfg(), small_model(), small_data(), seeds=seeds)
+
     def test_one_seed_without_clip_mused_has_no_significance(self):
         result = compare(["ms-smodel", "ms-emb"], small_cfg(max_epochs=1), small_model(), small_data(), seeds=[0])
         assert result["significance"] == {}
