@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -23,7 +24,7 @@ def _cap_threads():
 
 _cap_threads()
 
-from . import metrics, model, msed, neurodata, objectives, stimfeat, trainer  # noqa: E402
+from . import diffcore, metrics, model, msed, neurodata, objectives, stimfeat, trainer  # noqa: E402
 from .model import EncoderConfig  # noqa: E402
 from .neurodata import SplitSpec, load_experiment, write_experiment  # noqa: E402
 from .objectives import LossWeights  # noqa: E402
@@ -43,9 +44,11 @@ class UsageError(Exception):
 # config and data
 
 
-MODEL_DEFAULTS = {
-    "layers": 2, "heads": 4, "d_model": 32, "residual_variant": "paper", "mlp_ratio": 4, "head_hidden": None,
-}
+MODEL_DEFAULTS = {"layers": 2, "heads": 4, "d_model": 32}
+# the model section may set every EncoderConfig field but those the data and the method fix
+MODEL_KEYS = [
+    f.name for f in dataclasses.fields(EncoderConfig) if f.name not in ("patch_dim", "patch_count", "n_classes", "variant")
+]
 
 
 def _load_config(path):
@@ -61,7 +64,7 @@ def _load_config(path):
     for where, section, valid in (
         ("train", cfg["train"], [f.name for f in dataclasses.fields(TrainConfig)]),
         ("train.weights", cfg["train"].get("weights", {}), [f.name for f in dataclasses.fields(LossWeights)]),
-        ("model", cfg["model"], MODEL_DEFAULTS),
+        ("model", cfg["model"], MODEL_KEYS),
         ("split", cfg["split"], [f.name for f in dataclasses.fields(SplitSpec)]),
     ):
         unknown = sorted(set(section) - set(valid))
@@ -118,8 +121,10 @@ def _write_metrics_csv(out: Path, rows):
 
 
 def cmd_gen_synth(args):
-    if args.snr <= 0:
+    if not args.snr > 0:  # `not >` also rejects NaN
         raise UsageError("--snr must be positive")
+    if not math.isfinite(args.scramble):
+        raise UsageError("--scramble must be finite")
     for flag in ("subjects", "samples", "classes", "patches", "patch_dim", "d_llv", "d_hlv"):
         if getattr(args, flag) < 1:
             raise UsageError(f"--{flag.replace('_', '-')} must be >= 1")
@@ -298,6 +303,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except trainer.TrainingDiverged as exc:  # a TrainerError, so caught first
         print(f"training diverged: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except diffcore.NonFiniteOutput as exc:  # a forward outside training, e.g. of NaN params
+        print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (UsageError, trainer.TrainerError, model.ModelConfigError, objectives.ObjectiveError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

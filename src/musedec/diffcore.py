@@ -2,9 +2,10 @@
 
 A :class:`Graph` is a static, topologically ordered list of primitive nodes
 referencing named parameters and inputs.  ``evaluate`` runs the forward pass,
-``gradient`` the reverse pass, and ``grad_check`` compares analytic gradients
-against central finite differences.  All arithmetic is plain numpy; float64 is
-the default and float32 is accepted with identical semantics.
+``evaluate_with_gradient`` the forward and reverse passes, and ``grad_check``
+compares analytic gradients against central finite differences.  All
+arithmetic is plain numpy; float64 is the default and float32 is accepted with
+identical semantics.
 """
 
 from __future__ import annotations
@@ -99,10 +100,6 @@ class Graph:
     def scale(self, a, c: float):
         return self._push(Node("scale", (a,), {"c": float(c)}))
 
-    def one_minus(self, a):
-        """1 - a, with a Python-float 1 so a float32 input stays float32."""
-        return self._push(Node("one-minus", (a,)))
-
     def concat(self, parts, axis: int):
         return self._push(Node("concat", tuple(parts), {"axis": int(axis)}))
 
@@ -142,14 +139,15 @@ class Graph:
     def mean(self, a):
         return self._push(Node("mean", (a,)))
 
+    def bce_with_logits(self, logits, y):
+        """Mean binary cross-entropy of sigmoid(logits) against labels y -> (1,); y takes no gradient."""
+        return self._push(Node("bce-with-logits", (logits, y)))
+
     def frobenius_sq(self, a):
         return self._push(Node("frobenius-sq", (a,)))
 
     def cosine_sim_matrix(self, a):
         return self._push(Node("cosine-sim-matrix", (a,)))
-
-    def log(self, a, clip_lo: float | None = None, clip_hi: float | None = None):
-        return self._push(Node("log", (a,), {"lo": clip_lo, "hi": clip_hi}))
 
     def elementwise_mul(self, a, b):
         return self._push(Node("elementwise-mul", (a, b)))
@@ -365,23 +363,17 @@ def _cosine_sim_bwd(g, ins, out, saved, a):
     return (gz,)
 
 
-def _log_fwd(ins, a):
-    x = ins[0]
-    if a.get("lo") is not None or a.get("hi") is not None:
-        x = np.clip(x, a.get("lo"), a.get("hi"))
-    return np.log(x), None
+def _bce_with_logits_fwd(ins, a):
+    x, y = ins
+    # softplus(x) - x*y, written so that exp never overflows
+    cells = np.maximum(x, 0.0) - x * y + np.log1p(np.exp(-np.abs(x)))
+    return np.array([cells.mean()], dtype=x.dtype), None
 
 
-def _log_bwd(g, ins, out, saved, a):
-    x = ins[0]
-    lo, hi = a.get("lo"), a.get("hi")
-    xc = np.clip(x, lo, hi) if (lo is not None or hi is not None) else x
-    gx = g / xc
-    if lo is not None:
-        gx = np.where(x < lo, 0.0, gx)
-    if hi is not None:
-        gx = np.where(x > hi, 0.0, gx)
-    return (gx,)
+def _bce_with_logits_bwd(g, ins, out, saved, a):
+    x, y = ins
+    # one adjoint: zip in _run_backward leaves the labels without one
+    return ((_sigmoid_forward(x) - y) * (g[0] / x.size),)
 
 
 def _take_rows_bwd(g, ins, out, saved, a):
@@ -398,7 +390,6 @@ _RULES = {
         lambda g, ins, out, s, a: (_unbroadcast(g, ins[0].shape), _unbroadcast(g, ins[1].shape)),
     ),
     "scale": (lambda ins, a: (ins[0] * a["c"], None), lambda g, ins, out, s, a: (g * a["c"],)),
-    "one-minus": (lambda ins, a: (1.0 - ins[0], None), lambda g, ins, out, s, a: (-g,)),
     "concat": (lambda ins, a: (np.concatenate(ins, axis=a["axis"]), None), _concat_bwd),
     "slice-row": (lambda ins, a: (ins[0][:, a["index"], :], None), _slice_row_bwd),
     "lead-rows": (lambda ins, a: (ins[0][:, : a["n"], :], None), _lead_rows_bwd),
@@ -424,7 +415,7 @@ _RULES = {
         lambda g, ins, out, s, a: (2.0 * g[0] * ins[0],),
     ),
     "cosine-sim-matrix": (_cosine_sim_fwd, _cosine_sim_bwd),
-    "log": (_log_fwd, _log_bwd),
+    "bce-with-logits": (_bce_with_logits_fwd, _bce_with_logits_bwd),
     "elementwise-mul": (
         lambda ins, a: (ins[0] * ins[1], None),
         lambda g, ins, out, s, a: (_unbroadcast(g * ins[1], ins[0].shape), _unbroadcast(g * ins[0], ins[1].shape)),
@@ -511,14 +502,8 @@ def _run_backward(graph: Graph, vals: list, saved: list, scalar_id: int) -> dict
     return out
 
 
-def gradient(graph: Graph, bindings: dict, scalar_output: str) -> dict:
-    """Partial derivatives of the named scalar output w.r.t. every parameter."""
-    vals, saved = _run_forward(graph, bindings)
-    return _run_backward(graph, vals, saved, graph.outputs[scalar_output])
-
-
 def evaluate_with_gradient(graph: Graph, bindings: dict, scalar_output: str):
-    """One forward pass shared by evaluation and the reverse sweep."""
+    """(every marked output, the partials of the named scalar output w.r.t. every parameter) from one forward pass."""
     vals, saved = _run_forward(graph, bindings)
     outputs = {name: vals[nid] for name, nid in graph.outputs.items()}
     grads = _run_backward(graph, vals, saved, graph.outputs[scalar_output])
@@ -541,7 +526,7 @@ def grad_check(graph: Graph, bindings: dict, scalar_output: str, h: float = 1e-5
     """
     if not (0.0 < h <= 1e-3):
         raise DiffcoreError(f"h must be in (0, 1e-3], got {h}")
-    analytic = gradient(graph, bindings, scalar_output)
+    analytic = evaluate_with_gradient(graph, bindings, scalar_output)[1]
     per_param = {}
     for name in graph.params:
         base = np.asarray(bindings[name], dtype=np.float64)

@@ -204,9 +204,13 @@ def _encoder_block(g: Graph, z_prev, layer: int, cfg: EncoderConfig, rows=None):
     return g.add(mlp_out, residual), attn
 
 
-def _classifier(g: Graph, z, cfg: EncoderConfig):
-    h = g.gelu(_linear(g, z, "head/W1", "head/b1"))
-    return g.sigmoid(_linear(g, h, "head/W2", "head/b2"))
+def _classifier(g: Graph, x, prefix: str):
+    """Two-layer GELU head under `prefix`; marks 'logits' and 'y_hat' = sigmoid(logits), returns the hidden layer."""
+    h = g.gelu(_linear(g, x, f"{prefix}/W1", f"{prefix}/b1"))
+    logits = _linear(g, h, f"{prefix}/W2", f"{prefix}/b2")
+    g.mark_output("logits", logits)
+    g.mark_output("y_hat", g.sigmoid(logits))
+    return h
 
 
 def build_forward_graph(
@@ -219,10 +223,10 @@ def build_forward_graph(
 
     Inputs are 'patches' (B, M, d_in) and, for the token variants,
     'subject_idx': each row's position in `subjects` (see
-    `subject_positions`).  Outputs are 'y_hat' plus 'z_llv'/'z_hlv'
-    (clip-mused) or 'z' (other variants), and 'attn/<layer>' when
-    `want_attention`.  Without `want_attention` the last block runs only on
-    the token rows the read-out uses.
+    `subject_positions`).  Outputs are 'logits', 'y_hat' (their sigmoid)
+    plus 'z_llv'/'z_hlv' (clip-mused) or 'z' (other variants), and
+    'attn/<layer>' when `want_attention`.  Without `want_attention` the last
+    block runs only on the token rows the read-out uses.
     """
     g = Graph()
     d = cfg.d_model
@@ -230,9 +234,7 @@ def build_forward_graph(
 
     if cfg.variant == "ss-mlp":
         flat = g.reshape(patches, (batch, cfg.patch_count * cfg.patch_dim))
-        h = g.gelu(_linear(g, flat, "mlp/W1", "mlp/b1"))
-        g.mark_output("y_hat", g.sigmoid(_linear(g, h, "mlp/W2", "mlp/b2")))
-        g.mark_output("z", h)
+        g.mark_output("z", _classifier(g, flat, "mlp"))
         return g
 
     embedded = g.matmul(patches, g.param("embed/E"))  # (B, M, d)
@@ -263,11 +265,11 @@ def build_forward_graph(
         z_hlv = _affine_ln(g, g.slice_row(z, 1), "final_ln/gamma", "final_ln/beta")
         g.mark_output("z_llv", z_llv)
         g.mark_output("z_hlv", z_hlv)
-        g.mark_output("y_hat", _classifier(g, g.concat([z_llv, z_hlv], axis=1), cfg))
+        _classifier(g, g.concat([z_llv, z_hlv], axis=1), "head")
     else:
         z_out = _affine_ln(g, g.slice_row(z, 0), "final_ln/gamma", "final_ln/beta")
         g.mark_output("z", z_out)
-        g.mark_output("y_hat", _classifier(g, z_out, cfg))
+        _classifier(g, z_out, "head")
     return g
 
 

@@ -19,6 +19,7 @@ MAGIC = b"MSED"
 VERSION = 1
 DTYPE_CODES = {1: np.dtype("<f4"), 2: np.dtype("<f8")}
 DTYPE_BYTES = {np.dtype("float32"): 1, np.dtype("float64"): 2}
+FEATURE_LABELS = "features/labels.csv"  # an experiment's stimulus labels; manifests do not name this file
 
 
 class MsedError(Exception):
@@ -144,7 +145,7 @@ def load_manifest(path) -> dict:
         for k in ("responses", "stimulus_ids", "labels"):
             if not (base / sub[k]).exists():
                 raise ManifestError(f"subject {sub['id']}: missing file {sub[k]}")
-    for k in ("llv", "hlv", "stimulus_ids"):
-        if not (base / manifest["features"][k]).exists():
-            raise ManifestError(f"features: missing file {manifest['features'][k]}")
+    for rel in [manifest["features"][k] for k in ("llv", "hlv", "stimulus_ids")] + [FEATURE_LABELS]:
+        if not (base / rel).exists():
+            raise ManifestError(f"features: missing file {rel}")
     return manifest

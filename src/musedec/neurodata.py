@@ -36,6 +36,8 @@ class SubjectDataset:
         n = self.responses.shape[0]
         if n < 1 or len(self.stimulus_ids) != n or self.labels.shape[0] != n:
             raise NeuroDataError("sample counts disagree within subject dataset")
+        if not np.isfinite(self.responses).all():
+            raise NeuroDataError(f"subject {self.subject_id}: responses hold non-finite values")
 
     @property
     def n_samples(self):
@@ -254,7 +256,7 @@ def synth_generate(
     strength is `subject_scramble` (0 = identity, 1 = full random rotation).
     Returns (datasets, ground_truth).
     """
-    if snr <= 0:
+    if not snr > 0:  # `not >` also rejects NaN
         raise NeuroDataError("snr must be positive")
     rng = np.random.default_rng(seed)
     n_s, n_classes = features.labels.shape
@@ -301,7 +303,7 @@ def write_experiment(out_dir, datasets, features: StimulusFeatureSet, mode: str,
     msed.write_tensor(out / "features" / "llv.msed", features.f_llv)
     msed.write_tensor(out / "features" / "hlv.msed", features.f_hlv)
     msed.write_ids(out / "features" / "stimulus_ids.json", features.stimulus_ids)
-    msed.write_labels_csv(out / "features" / "labels.csv", features.stimulus_ids, features.labels)
+    msed.write_labels_csv(out / msed.FEATURE_LABELS, features.stimulus_ids, features.labels)
 
     subjects = []
     for ds in datasets:
@@ -362,7 +364,7 @@ def load_experiment(manifest_path):
     feat_ids = [str(s) for s in msed.read_ids(base / manifest["features"]["stimulus_ids"])]
     f_llv = msed.read_tensor(base / manifest["features"]["llv"])
     f_hlv = msed.read_tensor(base / manifest["features"]["hlv"])
-    flabels = _read_labels(base / "features" / "labels.csv", feat_ids, "features")
+    flabels = _read_labels(base / msed.FEATURE_LABELS, feat_ids, "features")
     features = StimulusFeatureSet(feat_ids, f_llv, f_hlv, flabels)
 
     datasets = []

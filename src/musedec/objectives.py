@@ -55,12 +55,9 @@ def add_orthogonality_loss(g: Graph, z_llv, z_hlv, batch: int):
     return g.scale(g.frobenius_sq(prod), 1.0 / batch**2)
 
 
-def add_bce_loss(g: Graph, y_hat, y, n_classes: int):
-    """Mean per-class binary cross-entropy, probabilities clamped to (1e-7, 1-1e-7)."""
-    lo, hi = PROB_CLAMP, 1.0 - PROB_CLAMP
-    pos = g.elementwise_mul(y, g.log(y_hat, clip_lo=lo, clip_hi=hi))
-    neg = g.elementwise_mul(g.one_minus(y), g.log(g.one_minus(y_hat), clip_lo=lo, clip_hi=hi))
-    return g.scale(g.mean(g.add(pos, neg)), -1.0)
+def add_bce_loss(g: Graph, logits, y):
+    """Mean per-class binary cross-entropy of sigmoid(logits), one node."""
+    return g.bce_with_logits(logits, y)
 
 
 def add_mapping_loss(g: Graph, z_llv, z_hlv, f_llv, f_hlv, batch: int):
@@ -106,10 +103,11 @@ def orthogonality_loss(z_llv: np.ndarray, z_hlv: np.ndarray) -> float:
 
 
 def bce_loss(y_hat: np.ndarray, y: np.ndarray) -> float:
+    """Mean BCE of probabilities clamped to [1e-7, 1 - 1e-7], evaluated on their logits."""
+    p = np.clip(y_hat, PROB_CLAMP, 1.0 - PROB_CLAMP)
     g = Graph()
-    out = add_bce_loss(g, g.input("p"), g.input("y"), y.shape[1])
-    g.mark_output("loss", out)
-    return float(diffcore.evaluate(g, {"p": y_hat, "y": y})["loss"][0])
+    g.mark_output("loss", add_bce_loss(g, g.input("logits"), g.input("y")))
+    return float(diffcore.evaluate(g, {"logits": np.log(p) - np.log1p(-p), "y": y})["loss"][0])
 
 
 def mapping_loss(z_llv, z_hlv, f_llv, f_hlv, map_params: dict) -> float:

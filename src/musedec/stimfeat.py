@@ -34,6 +34,9 @@ class StimulusFeatureSet:
             raise StimFeatError("row counts disagree across feature set fields")
         if not np.isin(self.labels, (0.0, 1.0)).all():
             raise StimFeatError("labels must be binary")
+        for name in ("f_llv", "f_hlv"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise StimFeatError(f"{name} holds non-finite values")
         self.index = {sid: i for i, sid in enumerate(self.stimulus_ids)}
 
     def rows(self, stimulus_ids):

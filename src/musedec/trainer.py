@@ -190,8 +190,7 @@ def _clip_grads(grads, max_norm):
 
 def _build_loss_graph(cfg, weights: LossWeights, subjects, batch, mapping):
     g = model.build_forward_graph(cfg, subjects, batch)
-    y = g.input("labels")
-    parts = {"loss_c": objectives.add_bce_loss(g, g.outputs["y_hat"], y, cfg.n_classes)}
+    parts = {"loss_c": objectives.add_bce_loss(g, g.outputs["logits"], g.input("labels"))}
     if cfg.variant == "clip-mused":
         z_llv, z_hlv = g.outputs["z_llv"], g.outputs["z_hlv"]
         parts["loss_perp"] = objectives.add_orthogonality_loss(g, z_llv, z_hlv, batch)

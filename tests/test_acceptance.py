@@ -76,7 +76,7 @@ def test_criterion_2_subject_token_isolation():
     weights = LossWeights(lambda_perp=0.001, lambda_llv=0.1, lambda_hlv=0.1)
     g = trainer._build_loss_graph(cfg, weights, ["subA", "subB"], 3, mapping=False)
     feats = stimfeat.synth_features(3, 3, 6, 6, seed=3)
-    grads = diffcore.gradient(
+    _, grads = diffcore.evaluate_with_gradient(
         g,
         {
             **params,

@@ -33,6 +33,7 @@ GEN_ARGS = [
     "--d-llv", "8",
     "--d-hlv", "12",
     "--snr", "5",
+    "--scramble", "1.0",
     "--seed", "0",
 ]
 
@@ -71,7 +72,8 @@ class TestGenSynth:
     @pytest.mark.parametrize(
         "flag, value",
         [("--snr", "0"), ("--subjects", "0"), ("--samples", "0"), ("--classes", "0"), ("--patches", "0"),
-         ("--patch-dim", "0"), ("--d-llv", "0"), ("--d-hlv", "-1")],
+         ("--patch-dim", "0"), ("--d-llv", "0"), ("--d-hlv", "-1"), ("--snr", "nan"), ("--scramble", "nan"),
+         ("--scramble", "inf")],
     )
     def test_bad_gen_synth_value_is_usage_error(self, tmp_path, capsys, flag, value):
         args = list(GEN_ARGS)
@@ -406,6 +408,30 @@ class TestExports:
         assert code == cli.EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "(5, 6)" in err and "(4, 6)" in err
+
+    @pytest.mark.parametrize("command", ["train", "eval", "export-attn"])
+    def test_non_finite_responses_are_data_error(self, trained, command, capsys):
+        tmp_path, manifest_path, config_path, ckpt = trained
+        responses_path = manifest_path.parent / "sub_00" / "responses.msed"
+        r = msed.read_tensor(responses_path)
+        r[:, 1, 2] = np.nan
+        msed.write_tensor(responses_path, r)
+        args = [command, "--config", str(config_path), "--data", str(manifest_path), "--out", str(tmp_path / "nan")]
+        code = cli.main(args + ([] if command == "train" else ["--checkpoint", str(ckpt)]))
+        assert code == cli.EXIT_DATA
+        assert capsys.readouterr().err == "data error: subject sub_00: responses hold non-finite values\n"
+
+    def test_non_finite_params_are_numeric_error(self, trained, capsys):
+        tmp_path, manifest_path, config_path, ckpt = trained
+        state = trainer.load_checkpoint(ckpt)
+        state.best_params["embed/E"][0, 0] = np.nan
+        trainer.save_checkpoint(tmp_path / "nan_ckpt", state)
+        code = cli.main(
+            ["eval", "--checkpoint", str(tmp_path / "nan_ckpt"), "--config", str(config_path),
+             "--data", str(manifest_path), "--out", str(tmp_path / "nan_eval")]
+        )
+        assert code == cli.EXIT_NUMERIC
+        assert capsys.readouterr().err.startswith("numeric failure: node 2 (matmul) produced non-finite values")
 
     def test_export_rsm_properties(self, trained):
         tmp_path, _, _, ckpt = trained

@@ -229,6 +229,15 @@ class TestForwardOracle:
         np.testing.assert_allclose(z, h, atol=1e-10)
         np.testing.assert_allclose(y, y_ref, atol=1e-10)
 
+    @pytest.mark.parametrize("variant", model.VARIANTS)
+    def test_y_hat_is_sigmoid_of_logits(self, variant):
+        cfg = tiny_cfg(variant=variant)
+        params = init_params(cfg, SUBJECTS, np.random.default_rng(10))
+        patches, idx = make_inputs(cfg, 4, seed=11)
+        out = forward(params, cfg, patches, idx)
+        assert out["logits"].shape == (4, cfg.n_classes)
+        np.testing.assert_allclose(out["y_hat"], 1.0 / (1.0 + np.exp(-out["logits"])), rtol=1e-14, atol=0)
+
     def test_outputs_in_unit_interval(self):
         cfg = tiny_cfg()
         params = init_params(cfg, SUBJECTS, np.random.default_rng(9))
@@ -287,7 +296,7 @@ class TestSubjectIsolation:
         g.mark_output("scalar", g.mean(g.outputs["y_hat"]))
         patches, _ = make_inputs(cfg, 2, seed=13)
         bindings = {**params, "patches": patches, "subject_idx": subject_positions(cfg, subjects, idx)}
-        grads = diffcore.gradient(g, bindings, "scalar")
+        grads = diffcore.evaluate_with_gradient(g, bindings, "scalar")[1]
         assert np.abs(grads["token/llv/sub_00"]).max() > 0
         assert np.abs(grads["token/hlv/sub_01"]).max() > 0
         assert "token/llv/sub_02" not in grads or np.abs(grads["token/llv/sub_02"]).max() == 0
@@ -384,7 +393,7 @@ def test_last_block_on_read_out_rows_matches_full_rows(variant, residual):
     assert not any(n.kind == "lead-rows" for n in full.nodes)
     bindings = {**params, "patches": patches, "subject_idx": subject_positions(cfg, subjects, idx)}
     for n in names:
-        bindings[f"m/{n}"] = rng.normal(size=(batch, cfg.n_classes if n == "y_hat" else cfg.d_model))
+        bindings[f"m/{n}"] = rng.normal(size=(batch, cfg.n_classes if n in ("logits", "y_hat") else cfg.d_model))
     (out_p, grads_p), (out_f, grads_f) = (
         diffcore.evaluate_with_gradient(g, bindings, "loss") for g in (pruned, full)
     )

@@ -293,8 +293,9 @@ class TestSynthGenerate:
 
     def test_nonpositive_snr(self):
         features = _features(20)
-        with pytest.raises(NeuroDataError):
-            synth_generate(1, 10, 2, 3, features, snr=0.0, seed=0)
+        for snr in (0.0, np.nan):
+            with pytest.raises(NeuroDataError):
+                synth_generate(1, 10, 2, 3, features, snr=snr, seed=0)
 
     def test_labels_match_features(self):
         features = _features(50)
@@ -313,6 +314,13 @@ class TestSubjectDataset:
     def test_rejects_count_mismatch(self):
         with pytest.raises(NeuroDataError):
             SubjectDataset("s", np.zeros((4, 2, 3)), ["a"] * 3, np.zeros((4, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_responses(self, bad):
+        responses = np.zeros((4, 2, 3))
+        responses[2, 1, 0] = bad
+        with pytest.raises(NeuroDataError, match="subject s: responses hold non-finite values"):
+            SubjectDataset("s", responses, ["a"] * 4, np.zeros((4, 2)))
 
 
 class TestExperimentFiles:
@@ -357,7 +365,11 @@ class TestExperimentFiles:
 
     @pytest.mark.parametrize(
         "rel, message",
-        [("sub_01/responses.msed", "subject sub_01: missing file"), ("features/hlv.msed", "features: missing file")],
+        [
+            ("sub_01/responses.msed", "subject sub_01: missing file"),
+            ("features/hlv.msed", "features: missing file"),
+            ("features/labels.csv", "features: missing file features/labels.csv"),
+        ],
     )
     def test_missing_file(self, experiment, rel, message):
         path = experiment[0]

@@ -144,10 +144,51 @@ class TestBceLoss:
         rng = np.random.default_rng(8)
         y = rng.integers(0, 2, size=(4, 3)).astype(float)
         g = Graph()
-        p = g.sigmoid(g.param("logits"))
-        g.mark_output("loss", add_bce_loss(g, p, g.const(y), 3))
+        g.mark_output("loss", add_bce_loss(g, g.param("logits"), g.const(y)))
         report = diffcore.grad_check(g, {"logits": rng.normal(size=(4, 3))}, "loss", tol=1e-4)
         assert report.passed, report.max_rel_err
+
+    @staticmethod
+    def _loss_and_grad(logits, y):
+        g = Graph()
+        g.mark_output("loss", add_bce_loss(g, g.param("logits"), g.input("y")))
+        out, grads = diffcore.evaluate_with_gradient(g, {"logits": logits, "y": y}, "loss")
+        return out["loss"], grads["logits"]
+
+    def test_one_node(self):
+        g = Graph()
+        logits, y = g.input("logits"), g.input("y")
+        n = len(g.nodes)
+        add_bce_loss(g, logits, y)
+        assert [node.kind for node in g.nodes[n:]] == ["bce-with-logits"]
+
+    def test_matches_probability_form_within_twelve(self):
+        # the sigmoid-then-log form is exact here: no probability is within 1e-7 of 0 or 1
+        rng = np.random.default_rng(11)
+        x = np.concatenate([np.linspace(-12.0, 12.0, 49), rng.uniform(-12.0, 12.0, 71)]).reshape(8, 15)
+        y = rng.integers(0, 2, size=x.shape).astype(float)
+        p = 1.0 / (1.0 + np.exp(-x))
+        loss, grad = self._loss_and_grad(x, y)
+        assert loss[0] == pytest.approx(-(y * np.log(p) + (1 - y) * np.log(1 - p)).mean(), rel=1e-12)
+        np.testing.assert_allclose(grad, (p - y) / x.size, rtol=0, atol=1e-12)
+
+    def test_gradient_does_not_vanish_when_saturated(self):
+        x = np.array([[-20.0, -40.0, 20.0, 40.0]])
+        y = np.array([[1.0, 1.0, 0.0, 0.0]])
+        loss, grad = self._loss_and_grad(x, y)
+        assert loss[0] == pytest.approx(np.abs(x).mean(), rel=1e-8)
+        np.testing.assert_allclose(grad, (1.0 / (1.0 + np.exp(-x)) - y) / x.size, rtol=1e-14, atol=0)
+        assert (grad != 0).all()
+
+    def test_float32_stays_float32(self):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(4, 3)).astype(np.float32)
+        y = rng.integers(0, 2, size=(4, 3)).astype(np.float32)
+        loss, grad = self._loss_and_grad(x, y)
+        assert loss.dtype == grad.dtype == np.float32
+        ref_loss, ref_grad = self._loss_and_grad(x.astype(np.float64), y.astype(np.float64))
+        assert loss[0] == pytest.approx(ref_loss[0], rel=1e-6)
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-5, atol=1e-8)
 
 
 class TestMappingLoss:

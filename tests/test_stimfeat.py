@@ -6,6 +6,7 @@ from musedec import msed, stimfeat
 from musedec.stimfeat import (
     RawModalFeatures,
     StimFeatError,
+    StimulusFeatureSet,
     fuse_multimodal,
     select_caption,
     synth_features,
@@ -159,3 +160,12 @@ class TestSynthFeatures:
         fs = synth_features(40, 4, 8, 12, seed=1)
         np.testing.assert_allclose(np.linalg.norm(fs.f_hlv, axis=1), 1.0, atol=1e-12)
         np.testing.assert_allclose(np.linalg.norm(fs.f_llv, axis=1), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("field", ["f_llv", "f_hlv"])
+def test_feature_set_rejects_non_finite_features(field):
+    fs = synth_features(10, 3, 4, 5, seed=2)
+    arrays = {"f_llv": fs.f_llv.copy(), "f_hlv": fs.f_hlv.copy()}
+    arrays[field][3, 1] = np.nan
+    with pytest.raises(StimFeatError, match=f"{field} holds non-finite values"):
+        StimulusFeatureSet(fs.stimulus_ids, arrays["f_llv"], arrays["f_hlv"], fs.labels)
