@@ -123,8 +123,8 @@ def _write_metrics_csv(out: Path, rows):
 def cmd_gen_synth(args):
     if not args.snr > 0:  # `not >` also rejects NaN
         raise UsageError("--snr must be positive")
-    if not math.isfinite(args.scramble):
-        raise UsageError("--scramble must be finite")
+    if not 0 <= args.scramble < math.inf:  # also rejects NaN
+        raise UsageError("--scramble must be finite and >= 0")
     for flag in ("subjects", "samples", "classes", "patches", "patch_dim", "d_llv", "d_hlv"):
         if getattr(args, flag) < 1:
             raise UsageError(f"--{flag.replace('_', '-')} must be >= 1")

@@ -140,12 +140,23 @@ def load_manifest(path) -> dict:
             raise ManifestError(f"manifest missing field {key!r}")
     if manifest["mode"] not in ("same-stimuli", "disjoint-stimuli"):
         raise ManifestError(f"unknown mode {manifest['mode']!r}")
+    if not manifest["subjects"]:
+        raise ManifestError("manifest lists no subjects")
     base = path.parent
-    for sub in manifest["subjects"]:
-        for k in ("responses", "stimulus_ids", "labels"):
-            if not (base / sub[k]).exists():
-                raise ManifestError(f"subject {sub['id']}: missing file {sub[k]}")
-    for rel in [manifest["features"][k] for k in ("llv", "hlv", "stimulus_ids")] + [FEATURE_LABELS]:
-        if not (base / rel).exists():
-            raise ManifestError(f"features: missing file {rel}")
+    for i, sub in enumerate(manifest["subjects"]):
+        if "id" not in sub:
+            raise ManifestError(f"subject #{i}: manifest entry missing field 'id'")
+        _check_files(base, sub, ("responses", "stimulus_ids"), f"subject {sub['id']}")
+    _check_files(base, manifest["features"], ("llv", "hlv", "stimulus_ids"), "features")
+    if not (base / FEATURE_LABELS).exists():
+        raise ManifestError(f"features: missing file {FEATURE_LABELS}")
     return manifest
+
+
+def _check_files(base, entry, fields, owner):
+    """ManifestError unless `entry` has every field of `fields` and each names an existing file."""
+    for k in fields:
+        if k not in entry:
+            raise ManifestError(f"{owner}: manifest entry missing field {k!r}")
+        if not (base / entry[k]).exists():
+            raise ManifestError(f"{owner}: missing file {entry[k]}")

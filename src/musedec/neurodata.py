@@ -27,14 +27,13 @@ class NeuroDataError(Exception):
 class SubjectDataset:
     subject_id: str
     responses: np.ndarray  # (n_i, M, d_in) patches
-    stimulus_ids: list
-    labels: np.ndarray  # (n_i, C)
+    stimulus_ids: list  # label rows are the feature set's rows of these ids
 
     def __post_init__(self):
         if self.responses.ndim != 3:
             raise NeuroDataError(f"responses must be 3-D (n, M, d_in) patches, got shape {self.responses.shape}")
         n = self.responses.shape[0]
-        if n < 1 or len(self.stimulus_ids) != n or self.labels.shape[0] != n:
+        if n < 1 or len(self.stimulus_ids) != n:
             raise NeuroDataError("sample counts disagree within subject dataset")
         if not np.isfinite(self.responses).all():
             raise NeuroDataError(f"subject {self.subject_id}: responses hold non-finite values")
@@ -137,7 +136,9 @@ def _resolve_counts(spec: SplitSpec, total: int) -> tuple:
         counts = tuple(int(c) for c in spec.counts)
     else:
         counts = tuple(int(round(f * total)) for f in spec.fractions)
-    if sum(counts) > total or min(counts) < 0:
+    if min(counts) < 1:
+        raise NeuroDataError(f"split {counts} leaves a part empty; train, val and test each need a row")
+    if sum(counts) > total:
         raise NeuroDataError(f"infeasible split {counts} for {total} samples")
     return counts
 
@@ -205,17 +206,13 @@ def split_dataset(datasets: list, spec: SplitSpec) -> dict:
 
 def gather_batch(datasets_by_id, features: StimulusFeatureSet, members) -> Batch:
     """Assemble an aligned batch from (subject_id, row) pairs."""
-    patches, subject_index, labels, stim_ids = [], [], [], []
+    patches, subject_index, stim_ids = [], [], []
     for sid, row in members:
         ds = datasets_by_id[sid]
         patches.append(ds.responses[row])
         subject_index.append(sid)
-        labels.append(ds.labels[row])
         stim_ids.append(ds.stimulus_ids[row])
-    f_llv, f_hlv, feat_labels = features.rows(stim_ids)
-    labels = np.stack(labels)
-    if not np.array_equal(labels, feat_labels):
-        raise NeuroDataError("batch label rows disagree with feature-set labels")
+    f_llv, f_hlv, labels = features.rows(stim_ids)
     return Batch(np.stack(patches), subject_index, labels, f_llv, f_hlv, stim_ids)
 
 
@@ -258,6 +255,8 @@ def synth_generate(
     """
     if not snr > 0:  # `not >` also rejects NaN
         raise NeuroDataError("snr must be positive")
+    if not subject_scramble >= 0:
+        raise NeuroDataError("subject_scramble must be >= 0")
     rng = np.random.default_rng(seed)
     n_s, n_classes = features.labels.shape
     d_total = n_patches * patch_dim
@@ -285,14 +284,7 @@ def synth_generate(
         resp = resp + noise_std * rng.normal(size=resp.shape)
         sid = f"sub_{n:02d}"
         truth["subjects"][sid] = {"perm": perm, "rot": rot, "rows": rows}
-        datasets.append(
-            SubjectDataset(
-                sid,
-                resp,
-                [features.stimulus_ids[i] for i in rows],
-                features.labels[rows].copy(),
-            )
-        )
+        datasets.append(SubjectDataset(sid, resp, [features.stimulus_ids[i] for i in rows]))
     return datasets, truth
 
 
@@ -311,13 +303,11 @@ def write_experiment(out_dir, datasets, features: StimulusFeatureSet, mode: str,
         sdir.mkdir(exist_ok=True)
         msed.write_tensor(sdir / "responses.msed", ds.responses)
         msed.write_ids(sdir / "stimulus_ids.json", ds.stimulus_ids)
-        msed.write_labels_csv(sdir / "labels.csv", ds.stimulus_ids, ds.labels)
         subjects.append(
             {
                 "id": ds.subject_id,
                 "responses": f"{ds.subject_id}/responses.msed",
                 "stimulus_ids": f"{ds.subject_id}/stimulus_ids.json",
-                "labels": f"{ds.subject_id}/labels.csv",
             }
         )
     manifest = {
@@ -344,28 +334,23 @@ def write_experiment(out_dir, datasets, features: StimulusFeatureSet, mode: str,
     return out / "manifest.json"
 
 
-def _read_labels(path, stimulus_ids, owner):
-    """Label rows of a labels CSV whose id column is `stimulus_ids`, in order."""
-    csv_ids, labels = msed.read_labels_csv(path)
-    if csv_ids != stimulus_ids:
-        raise msed.ManifestError(f"{owner}: ids in {path.name} are not those of its stimulus_ids.json, in order")
-    return labels
-
-
 def load_experiment(manifest_path):
     """(manifest, datasets, features).
 
-    msed.ManifestError if a labels CSV lists other ids than its stimulus-id
-    list, or a subject disagrees with the features or with the first
-    subject's patch shape (M, d_in).
+    Labels are read from features/labels.csv only.  msed.ManifestError if
+    that CSV lists other ids than features/stimulus_ids.json, or a subject
+    names a stimulus the features lack or differs from the first subject's
+    patch shape (M, d_in).
     """
     manifest = msed.load_manifest(manifest_path)
     base = Path(manifest_path).parent
     feat_ids = [str(s) for s in msed.read_ids(base / manifest["features"]["stimulus_ids"])]
     f_llv = msed.read_tensor(base / manifest["features"]["llv"])
     f_hlv = msed.read_tensor(base / manifest["features"]["hlv"])
-    flabels = _read_labels(base / msed.FEATURE_LABELS, feat_ids, "features")
-    features = StimulusFeatureSet(feat_ids, f_llv, f_hlv, flabels)
+    csv_ids, labels = msed.read_labels_csv(base / msed.FEATURE_LABELS)
+    if csv_ids != feat_ids:
+        raise msed.ManifestError("features: ids in labels.csv are not those of its stimulus_ids.json, in order")
+    features = StimulusFeatureSet(feat_ids, f_llv, f_hlv, labels)
 
     datasets = []
     for sub in manifest["subjects"]:
@@ -374,15 +359,11 @@ def load_experiment(manifest_path):
         for sid in sids:
             if sid not in features.index:
                 raise msed.ManifestError(f"subject {sub['id']}: stimulus {sid} missing from features")
-        labels = _read_labels(base / sub["labels"], sids, f"subject {sub['id']}")
-        ds = SubjectDataset(sub["id"], responses, sids, labels)
+        ds = SubjectDataset(sub["id"], responses, sids)
         if datasets and responses.shape[1:] != datasets[0].responses.shape[1:]:
             raise msed.ManifestError(
                 f"subject {sub['id']}: patches (M, d_in) = {responses.shape[1:]} differ from "
                 f"subject {datasets[0].subject_id}'s {datasets[0].responses.shape[1:]}"
             )
-        _, _, feat_rows = features.rows(sids)
-        if not np.array_equal(labels, feat_rows):
-            raise msed.ManifestError(f"subject {sub['id']}: label rows disagree with features")
         datasets.append(ds)
     return manifest, datasets, features

@@ -234,7 +234,7 @@ PREDICT_CHUNK = 256  # rows per forward pass in predict
 
 
 def predict(params, cfg: EncoderConfig, data: TrainData, split: str):
-    """Scores/labels over one split, pooled across subjects (row-aligned)."""
+    """Scores/labels over one split, pooled across subjects (row-aligned); labels come from the feature set."""
     scores, labels = [], []
     subjects = model.token_subjects(cfg, params)
     graph_cache = {}
@@ -249,7 +249,7 @@ def predict(params, cfg: EncoderConfig, data: TrainData, split: str):
             bindings = {**params, "patches": ds.responses[sel], "subject_idx": idx}
             out = diffcore.evaluate(graph_cache[b], bindings)
             scores.append(out["y_hat"])
-            labels.append(ds.labels[sel])
+            labels.append(data.features.rows([ds.stimulus_ids[r] for r in sel])[2])
     return np.concatenate(scores), np.concatenate(labels)
 
 

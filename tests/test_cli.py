@@ -73,7 +73,7 @@ class TestGenSynth:
         "flag, value",
         [("--snr", "0"), ("--subjects", "0"), ("--samples", "0"), ("--classes", "0"), ("--patches", "0"),
          ("--patch-dim", "0"), ("--d-llv", "0"), ("--d-hlv", "-1"), ("--snr", "nan"), ("--scramble", "nan"),
-         ("--scramble", "inf")],
+         ("--scramble", "inf"), ("--scramble", "-1")],
     )
     def test_bad_gen_synth_value_is_usage_error(self, tmp_path, capsys, flag, value):
         args = list(GEN_ARGS)
@@ -222,25 +222,12 @@ class TestTrainEval:
         assert code == cli.EXIT_USAGE
         assert "not valid JSON" in capsys.readouterr().err
 
-    def test_inconsistent_experiment_is_data_error(self, workspace, capsys):
-        tmp_path, manifest_path, config_path = workspace
-        labels_csv = manifest_path.parent / "sub_01" / "labels.csv"
-        lines = labels_csv.read_text().splitlines()
-        row = lines[1].split(",")
-        row[1] = "1" if row[1] == "0" else "0"
-        labels_csv.write_text("\n".join([lines[0], ",".join(row), *lines[2:]]) + "\n")
-        code = cli.main(
-            ["train", "--config", str(config_path), "--data", str(manifest_path), "--out", str(tmp_path / "r3")]
-        )
-        assert code == cli.EXIT_DATA == 3
-        assert "sub_01: label rows disagree with features" in capsys.readouterr().err
-
     @pytest.mark.parametrize(
         "edit", [lambda row: row[:-1] + ["x"], lambda row: row[:-1]], ids=["letter-cell", "missing-last-cell"]
     )
     def test_malformed_labels_csv_is_data_error(self, workspace, capsys, edit):
         tmp_path, manifest_path, config_path = workspace
-        labels_csv = manifest_path.parent / "sub_01" / "labels.csv"
+        labels_csv = manifest_path.parent / "features" / "labels.csv"
         lines = labels_csv.read_text().splitlines()
         lines[2] = ",".join(edit(lines[2].split(",")))
         labels_csv.write_text("\n".join(lines) + "\n")
@@ -248,7 +235,7 @@ class TestTrainEval:
             ["train", "--config", str(config_path), "--data", str(manifest_path), "--out", str(tmp_path / "r6")]
         )
         assert code == cli.EXIT_DATA == 3
-        assert "sub_01/labels.csv" in capsys.readouterr().err
+        assert "features/labels.csv" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "subjects, reshape, message",
@@ -420,6 +407,19 @@ class TestExports:
         code = cli.main(args + ([] if command == "train" else ["--checkpoint", str(ckpt)]))
         assert code == cli.EXIT_DATA
         assert capsys.readouterr().err == "data error: subject sub_00: responses hold non-finite values\n"
+
+    @pytest.mark.parametrize("command, counts", [("train", [40, 0, 10]), ("eval", [40, 10, 0])])
+    def test_empty_split_part_is_data_error(self, trained, command, counts, capsys):
+        tmp_path, manifest_path, _, ckpt = trained
+        cfg = json.loads(json.dumps(CONFIG))
+        cfg["split"]["counts"] = counts
+        bad = tmp_path / "empty_part.json"
+        bad.write_text(json.dumps(cfg))
+        args = [command, "--config", str(bad), "--data", str(manifest_path), "--out", str(tmp_path / "empty")]
+        code = cli.main(args + ([] if command == "train" else ["--checkpoint", str(ckpt)]))
+        assert code == cli.EXIT_DATA
+        assert "leaves a part empty" in capsys.readouterr().err
+        assert not (tmp_path / "empty").exists()
 
     def test_non_finite_params_are_numeric_error(self, trained, capsys):
         tmp_path, manifest_path, config_path, ckpt = trained

@@ -192,6 +192,18 @@ class TestSplits:
         with pytest.raises(NeuroDataError):
             SplitSpec("sideways")
 
+    @pytest.mark.parametrize(
+        "counts, fractions",
+        [((0, 10, 10), None), ((40, 0, 10), None), ((40, 10, 0), None), (None, (0.9, 0.099, 0.001))],
+        ids=["no-train", "no-val", "no-test", "test-fraction-rounds-to-0"],
+    )
+    def test_empty_part_rejected(self, counts, fractions):
+        features = _features(60)
+        datasets, _ = _datasets(features, n_per=60)
+        for mode in ("same-stimuli", "disjoint-stimuli"):
+            with pytest.raises(NeuroDataError, match="leaves a part empty"):
+                split_dataset(datasets, SplitSpec(mode, counts=counts, fractions=fractions))
+
     def test_counts_xor_fractions(self):
         with pytest.raises(NeuroDataError):
             SplitSpec("same-stimuli")
@@ -207,8 +219,8 @@ class TestBatches:
         ds = datasets[1]
         batch = gather_batch(by_id, features, [(ds.subject_id, 0), (ds.subject_id, 3)])
         np.testing.assert_array_equal(batch.patches[0], ds.responses[0])
-        np.testing.assert_array_equal(batch.labels[1], ds.labels[3])
         row = features.index[ds.stimulus_ids[3]]
+        np.testing.assert_array_equal(batch.labels[1], features.labels[row])
         np.testing.assert_array_equal(batch.f_hlv[1], features.f_hlv[row])
 
     def test_make_batches_covers_pool_once(self):
@@ -277,6 +289,8 @@ class TestSynthGenerate:
             undone = undone[:, inv_perm, :]
             expect = u[rec["rows"]].reshape(30, 4, 6)
             np.testing.assert_allclose(undone, expect, atol=1e-10)
+            # labels are looked up by stimulus id, so the ids must name the latent's rows
+            assert ds.stimulus_ids == [features.stimulus_ids[i] for i in rec["rows"]]
 
     def test_snr_controls_noise_scale(self):
         features = _features(50)
@@ -297,30 +311,28 @@ class TestSynthGenerate:
             with pytest.raises(NeuroDataError):
                 synth_generate(1, 10, 2, 3, features, snr=snr, seed=0)
 
-    def test_labels_match_features(self):
-        features = _features(50)
-        datasets, truth = _datasets(features, n_per=30)
-        for ds in datasets:
-            rows = truth["subjects"][ds.subject_id]["rows"]
-            np.testing.assert_array_equal(ds.labels, features.labels[rows])
-            assert ds.stimulus_ids == [features.stimulus_ids[i] for i in rows]
+    def test_negative_scramble(self):
+        features = _features(20)
+        for scramble in (-1.0, np.nan):
+            with pytest.raises(NeuroDataError, match="subject_scramble must be >= 0"):
+                synth_generate(1, 10, 2, 3, features, snr=5.0, seed=0, subject_scramble=scramble)
 
 
 class TestSubjectDataset:
     def test_rejects_bad_ndim(self):
         with pytest.raises(NeuroDataError):
-            SubjectDataset("s", np.zeros((4, 5)), ["a"] * 4, np.zeros((4, 2)))
+            SubjectDataset("s", np.zeros((4, 5)), ["a"] * 4)
 
     def test_rejects_count_mismatch(self):
         with pytest.raises(NeuroDataError):
-            SubjectDataset("s", np.zeros((4, 2, 3)), ["a"] * 3, np.zeros((4, 2)))
+            SubjectDataset("s", np.zeros((4, 2, 3)), ["a"] * 3)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_responses(self, bad):
         responses = np.zeros((4, 2, 3))
         responses[2, 1, 0] = bad
         with pytest.raises(NeuroDataError, match="subject s: responses hold non-finite values"):
-            SubjectDataset("s", responses, ["a"] * 4, np.zeros((4, 2)))
+            SubjectDataset("s", responses, ["a"] * 4)
 
 
 class TestExperimentFiles:
@@ -344,11 +356,61 @@ class TestExperimentFiles:
         assert manifest["roi_names"] == ["roi_0", "roi_1", "roi_2", "roi_3"]
         assert loaded_features.stimulus_ids == features.stimulus_ids
         np.testing.assert_array_equal(loaded_features.f_hlv, features.f_hlv)
+        np.testing.assert_array_equal(loaded_features.labels, features.labels)
         for ds, back in zip(datasets, loaded):
             assert back.subject_id == ds.subject_id and back.stimulus_ids == ds.stimulus_ids
             np.testing.assert_array_equal(back.responses, ds.responses)
-            np.testing.assert_array_equal(back.labels, ds.labels)
         assert (path.parent / "ground_truth" / "sub_01_rot.msed").exists()
+
+    def test_labels_written_once(self, experiment):
+        path = experiment[0]
+        assert sorted(p.relative_to(path.parent).as_posix() for p in path.parent.rglob("labels.csv")) == [
+            "features/labels.csv"
+        ]
+        manifest = json.loads(path.read_text())
+        assert all("labels" not in sub for sub in manifest["subjects"])
+        assert "labels" not in manifest["features"]
+
+    def test_subject_labels_of_older_experiments_are_ignored(self, experiment):
+        # experiments written before labels lived only in the features carried a
+        # per-subject labels.csv and manifest key; make that copy disagree
+        path, datasets, features = experiment
+        manifest = json.loads(path.read_text())
+        for sub, ds in zip(manifest["subjects"], datasets):
+            sub["labels"] = f"{ds.subject_id}/labels.csv"
+            _, _, labels = features.rows(ds.stimulus_ids)
+            msed.write_labels_csv(path.parent / sub["labels"], ds.stimulus_ids, 1.0 - labels)
+        path.write_text(json.dumps(manifest))
+        _, loaded, loaded_features = load_experiment(path)
+        np.testing.assert_array_equal(loaded_features.labels, features.labels)
+        batch = gather_batch({ds.subject_id: ds for ds in loaded}, loaded_features, [("sub_01", 0), ("sub_00", 5)])
+        want = [features.index[loaded[1].stimulus_ids[0]], features.index[loaded[0].stimulus_ids[5]]]
+        np.testing.assert_array_equal(batch.labels, features.labels[want])
+
+    @pytest.mark.parametrize(
+        "section, field, message",
+        [
+            ("subject", "id", "subject #1: manifest entry missing field 'id'"),
+            ("subject", "responses", "subject sub_01: manifest entry missing field 'responses'"),
+            ("subject", "stimulus_ids", "subject sub_01: manifest entry missing field 'stimulus_ids'"),
+            ("features", "llv", "features: manifest entry missing field 'llv'"),
+            ("features", "hlv", "features: manifest entry missing field 'hlv'"),
+            ("features", "stimulus_ids", "features: manifest entry missing field 'stimulus_ids'"),
+            ("subjects", None, "manifest lists no subjects"),
+        ],
+        ids=["subject-id", "subject-responses", "subject-stimulus_ids", "features-llv", "features-hlv",
+             "features-stimulus_ids", "no-subjects"],
+    )
+    def test_malformed_manifest(self, experiment, section, field, message):
+        path = experiment[0]
+        manifest = json.loads(path.read_text())
+        if section == "subjects":
+            manifest["subjects"] = []
+        else:
+            del (manifest["subjects"][1] if section == "subject" else manifest["features"])[field]
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(msed.ManifestError, match=message):
+            load_experiment(path)
 
     @pytest.mark.parametrize("field", ["experiment", "mode", "subjects", "features"])
     def test_missing_manifest_field(self, experiment, field):
@@ -385,15 +447,7 @@ class TestExperimentFiles:
         with pytest.raises(msed.ManifestError, match="sub_00: stimulus not_a_stimulus missing from features"):
             load_experiment(path)
 
-    def test_subject_labels_disagree_with_features(self, experiment):
-        path, datasets, _ = experiment
-        labels = datasets[1].labels.copy()
-        labels[0, 0] = 1.0 - labels[0, 0]
-        msed.write_labels_csv(path.parent / "sub_01" / "labels.csv", datasets[1].stimulus_ids, labels)
-        with pytest.raises(msed.ManifestError, match="sub_01: label rows disagree with features"):
-            load_experiment(path)
-
-    @pytest.mark.parametrize("owner, rel", [("subject sub_01", "sub_01"), ("features", "features")], ids=["subject", "features"])
+    @pytest.mark.parametrize("owner, rel", [("features", "features")], ids=["features"])
     def test_labels_csv_ids_swapped(self, experiment, owner, rel):
         # the label rows stay in place; only two ids of the id column trade places
         path = experiment[0]

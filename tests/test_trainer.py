@@ -282,8 +282,10 @@ class TestTrainLoop:
         scores, labels = predict(state.best_params, small_model(), data, "test")
         n_test = sum(len(data.splits[ds.subject_id]["test"]) for ds in data.datasets)
         assert scores.shape == (n_test, 4)
+        feats = data.features
         expect_labels = np.concatenate(
-            [ds.labels[data.splits[ds.subject_id]["test"]] for ds in data.datasets]
+            [feats.labels[[feats.index[ds.stimulus_ids[r]] for r in data.splits[ds.subject_id]["test"]]]
+             for ds in data.datasets]
         )
         np.testing.assert_array_equal(labels, expect_labels)
 
@@ -347,7 +349,7 @@ def test_float32_training_stays_float32(method):
     """float32 params and responses stay float32 through training, Adam and predict."""
     data = small_data()
     data = TrainData(
-        [neurodata.SubjectDataset(d.subject_id, d.responses.astype(np.float32), d.stimulus_ids, d.labels)
+        [neurodata.SubjectDataset(d.subject_id, d.responses.astype(np.float32), d.stimulus_ids)
          for d in data.datasets],
         data.features,
         data.splits,
