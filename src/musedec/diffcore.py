@@ -3,9 +3,11 @@
 A :class:`Graph` is a static, topologically ordered list of primitive nodes
 referencing named parameters and inputs.  ``evaluate`` runs the forward pass,
 ``evaluate_with_gradient`` the forward and reverse passes, and ``grad_check``
-compares analytic gradients against central finite differences.  All
-arithmetic is plain numpy; float64 is the default and float32 is accepted with
-identical semantics.
+compares analytic gradients against central finite differences.  The
+primitive set holds exactly the kinds the model and loss graphs build; the
+sigmoid that turns logits into scores is the plain array function
+:func:`sigmoid`, outside any graph.  All arithmetic is plain numpy; float64 is
+the default and float32 is accepted with identical semantics.
 """
 
 from __future__ import annotations
@@ -78,10 +80,6 @@ class Graph:
             self.inputs[name] = self._push(Node("input", (), {"name": name}))
         return self.inputs[name]
 
-    def const(self, value) -> int:
-        value = np.asarray(value, dtype=np.float64)
-        return self._push(Node("const", (), {"value": value}))
-
     def mark_output(self, name: str, node_id: int):
         self.outputs[name] = node_id
 
@@ -111,16 +109,9 @@ class Graph:
         """The first `n` rows along axis 1 of a (B, T, D) tensor -> (B, n, D)."""
         return self._push(Node("lead-rows", (a,), {"n": int(n)}))
 
-    def layer_norm(self, a, eps: float = 1e-5):
-        """Normalize the last axis to zero mean / unit variance (pre-affine)."""
-        return self._push(Node("layer-norm", (a,), {"eps": float(eps)}))
-
     def affine_layer_norm(self, a, gamma, beta, eps: float = 1e-5):
         """layer_norm(a) * gamma + beta."""
         return self._push(Node("affine-layer-norm", (a, gamma, beta), {"eps": float(eps)}))
-
-    def softmax_rows(self, a):
-        return self._push(Node("softmax-rows", (a,)))
 
     def attention_probs(self, q, k, heads: int):
         """Per-head softmax(q k^T / sqrt(d/heads)) of (B, Tq, d) q, (B, T, d) k -> (B, H, Tq, T)."""
@@ -133,12 +124,6 @@ class Graph:
     def gelu(self, a):
         return self._push(Node("gelu", (a,)))
 
-    def sigmoid(self, a):
-        return self._push(Node("sigmoid", (a,)))
-
-    def mean(self, a):
-        return self._push(Node("mean", (a,)))
-
     def bce_with_logits(self, logits, y):
         """Mean binary cross-entropy of sigmoid(logits) against labels y -> (1,); y takes no gradient."""
         return self._push(Node("bce-with-logits", (logits, y)))
@@ -148,9 +133,6 @@ class Graph:
 
     def cosine_sim_matrix(self, a):
         return self._push(Node("cosine-sim-matrix", (a,)))
-
-    def elementwise_mul(self, a, b):
-        return self._push(Node("elementwise-mul", (a, b)))
 
     def transpose(self, a, axes):
         return self._push(Node("transpose", (a,), {"axes": tuple(axes)}))
@@ -174,7 +156,7 @@ class Graph:
 
 
 # ---------------------------------------------------------------------------
-# shared math: each fused rule and its unfused counterpart use these helpers
+# shared math
 
 
 def _unbroadcast(g, shape):
@@ -230,7 +212,8 @@ def _head_scale(q, heads):
     return 1.0 / math.sqrt(q.shape[-1] // heads)
 
 
-def _sigmoid_forward(x):
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function of an array, without overflow in `exp`; keeps the dtype."""
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -373,7 +356,7 @@ def _bce_with_logits_fwd(ins, a):
 def _bce_with_logits_bwd(g, ins, out, saved, a):
     x, y = ins
     # one adjoint: zip in _run_backward leaves the labels without one
-    return ((_sigmoid_forward(x) - y) * (g[0] / x.size),)
+    return ((sigmoid(x) - y) * (g[0] / x.size),)
 
 
 def _take_rows_bwd(g, ins, out, saved, a):
@@ -393,33 +376,16 @@ _RULES = {
     "concat": (lambda ins, a: (np.concatenate(ins, axis=a["axis"]), None), _concat_bwd),
     "slice-row": (lambda ins, a: (ins[0][:, a["index"], :], None), _slice_row_bwd),
     "lead-rows": (lambda ins, a: (ins[0][:, : a["n"], :], None), _lead_rows_bwd),
-    "layer-norm": (
-        lambda ins, a: _normalize(ins[0], a["eps"]),
-        lambda g, ins, xhat, inv, a: (_normalize_adjoint(g, xhat, inv),),
-    ),
     "affine-layer-norm": (_affine_ln_fwd, _affine_ln_bwd),
-    "softmax-rows": (
-        lambda ins, a: (_softmax(ins[0]), None),
-        lambda g, ins, out, s, a: (_softmax_adjoint(g, out),),
-    ),
     "attention-probs": (_attention_probs_fwd, _attention_probs_bwd),
     "attend": (_attend_fwd, _attend_bwd),
     "gelu": (_gelu_fwd, _gelu_bwd),
-    "sigmoid": (lambda ins, a: (_sigmoid_forward(ins[0]), None), lambda g, ins, out, s, a: (g * out * (1.0 - out),)),
-    "mean": (
-        lambda ins, a: (np.array([ins[0].mean()], dtype=ins[0].dtype), None),
-        lambda g, ins, out, s, a: (np.full_like(ins[0], g[0] / ins[0].size),),
-    ),
     "frobenius-sq": (
         lambda ins, a: (np.array([float((ins[0] * ins[0]).sum())], dtype=ins[0].dtype), None),
         lambda g, ins, out, s, a: (2.0 * g[0] * ins[0],),
     ),
     "cosine-sim-matrix": (_cosine_sim_fwd, _cosine_sim_bwd),
     "bce-with-logits": (_bce_with_logits_fwd, _bce_with_logits_bwd),
-    "elementwise-mul": (
-        lambda ins, a: (ins[0] * ins[1], None),
-        lambda g, ins, out, s, a: (_unbroadcast(g * ins[1], ins[0].shape), _unbroadcast(g * ins[0], ins[1].shape)),
-    ),
     "transpose": (
         lambda ins, a: (np.transpose(ins[0], a["axes"]), None),
         lambda g, ins, out, s, a: (np.transpose(g, np.argsort(a["axes"])),),
@@ -431,7 +397,7 @@ _RULES = {
         lambda g, ins, out, s, a: (_unbroadcast(g, ins[0].shape),),
     ),
 }
-_LEAVES = ("param", "input", "const")
+_LEAVES = ("param", "input")
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +405,6 @@ _LEAVES = ("param", "input", "const")
 
 
 def _leaf_value(node: Node, bindings: dict):
-    if node.kind == "const":
-        return node.attrs["value"]
     name = node.attrs["name"]
     if name not in bindings:
         raise UnboundParameter(f"{node.kind} {name!r} is not bound")
@@ -463,8 +427,8 @@ def _run_forward(graph: Graph, bindings: dict):
             out, saved[i] = rule[0]([vals[j] for j in node.inputs], node.attrs)
         except (ValueError, IndexError) as exc:
             raise ShapeMismatch(i, kind, str(exc)) from exc
-        # per node, so the first non-finite node is named even when a later
-        # node (a sigmoid of inf, say) squashes it back to finite values
+        # per node, so the first non-finite node is named even when a later node
+        # (a lead-rows that drops the overflowing row, say) makes it finite again
         if not np.isfinite(out).all():
             raise NonFiniteOutput(i, kind)
         vals[i] = out

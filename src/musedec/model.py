@@ -205,11 +205,10 @@ def _encoder_block(g: Graph, z_prev, layer: int, cfg: EncoderConfig, rows=None):
 
 
 def _classifier(g: Graph, x, prefix: str):
-    """Two-layer GELU head under `prefix`; marks 'logits' and 'y_hat' = sigmoid(logits), returns the hidden layer."""
+    """Two-layer GELU head under `prefix`; marks 'logits', returns the hidden layer."""
     h = g.gelu(_linear(g, x, f"{prefix}/W1", f"{prefix}/b1"))
     logits = _linear(g, h, f"{prefix}/W2", f"{prefix}/b2")
     g.mark_output("logits", logits)
-    g.mark_output("y_hat", g.sigmoid(logits))
     return h
 
 
@@ -223,8 +222,8 @@ def build_forward_graph(
 
     Inputs are 'patches' (B, M, d_in) and, for the token variants,
     'subject_idx': each row's position in `subjects` (see
-    `subject_positions`).  Outputs are 'logits', 'y_hat' (their sigmoid)
-    plus 'z_llv'/'z_hlv' (clip-mused) or 'z' (other variants), and
+    `subject_positions`).  Outputs are 'logits' plus 'z_llv'/'z_hlv'
+    (clip-mused) or 'z' (other variants), and
     'attn/<layer>' when `want_attention`.  Without `want_attention` the last
     block runs only on the token rows the read-out uses.
     """

@@ -146,6 +146,8 @@ def load_manifest(path) -> dict:
     for i, sub in enumerate(manifest["subjects"]):
         if "id" not in sub:
             raise ManifestError(f"subject #{i}: manifest entry missing field 'id'")
+        if any(other["id"] == sub["id"] for other in manifest["subjects"][:i]):
+            raise ManifestError(f"subject {sub['id']}: id listed more than once")
         _check_files(base, sub, ("responses", "stimulus_ids"), f"subject {sub['id']}")
     _check_files(base, manifest["features"], ("llv", "hlv", "stimulus_ids"), "features")
     if not (base / FEATURE_LABELS).exists():

@@ -1,9 +1,9 @@
-"""Multi-subject neural datasets: reduction, splits, batching, synthesis, and
-experiment directories (a manifest.json plus MSED files) on disk.
+"""Multi-subject neural datasets: splits, batching, synthesis, and experiment
+directories (a manifest.json plus MSED files) on disk.
 
 Responses live as (n_samples, M, d_in) patch sequences per subject, with M
-and d_in identical across subjects of one experiment.  PCA projections are
-always fit on training rows only.
+and d_in identical across subjects of one experiment.  Reducing ROIs to
+patches (PCA fit on training rows, say) happens before the data reach here.
 """
 
 from __future__ import annotations
@@ -65,70 +65,6 @@ class SplitSpec:
             raise NeuroDataError(f"unknown split mode {self.mode!r}")
         if (self.counts is None) == (self.fractions is None):
             raise NeuroDataError("exactly one of counts/fractions must be given")
-
-
-@dataclass
-class PcaProjection:
-    mean: np.ndarray  # (d_roi,)
-    components: np.ndarray  # (d_roi, target_dim)
-    rank_deficient: bool
-
-    def apply(self, block: np.ndarray) -> np.ndarray:
-        return (block - self.mean) @ self.components
-
-
-def pca_fit(train_rows: np.ndarray, target_dim: int) -> PcaProjection:
-    n, d = train_rows.shape
-    if target_dim > min(n, d):
-        raise NeuroDataError(f"target_dim {target_dim} exceeds min(n, d) = {min(n, d)}")
-    mean = train_rows.mean(axis=0)
-    centered = train_rows - mean
-    _, s, vt = np.linalg.svd(centered, full_matrices=False)
-    nonzero = int((s > s.max() * 1e-12).sum()) if s.size and s.max() > 0 else 0
-    components = vt[:target_dim].T.copy()
-    rank_deficient = nonzero < target_dim
-    if rank_deficient:
-        components[:, nonzero:] = 0.0
-    return PcaProjection(mean, components, rank_deficient)
-
-
-def pca_reduce(roi_blocks, target_dim: int, train_rows: np.ndarray):
-    """Reduce each (subject, ROI) block to target_dim with train-fit PCA.
-
-    `roi_blocks` is a list (per subject) of lists (per ROI) of (n_i, d_roi)
-    arrays; `train_rows` gives the row indices used for fitting.  Returns the
-    reduced blocks in the same nesting plus the fitted projections.
-    """
-    reduced, projections = [], []
-    for blocks in roi_blocks:
-        sub_red, sub_proj = [], []
-        for block in blocks:
-            proj = pca_fit(block[train_rows], target_dim)
-            sub_red.append(proj.apply(block))
-            sub_proj.append(proj)
-        reduced.append(sub_red)
-        projections.append(sub_proj)
-    return reduced, projections
-
-
-def zero_pad(block: np.ndarray, target_dim: int) -> np.ndarray:
-    n, d = block.shape
-    if d > target_dim:
-        raise NeuroDataError(f"cannot pad width {d} down to {target_dim}")
-    out = np.zeros((n, target_dim), dtype=block.dtype)
-    out[:, :d] = block
-    return out
-
-
-def patchify_rois(reduced_blocks) -> np.ndarray:
-    """Stack one subject's ROI blocks into an (n_i, M, d_in) patch sequence."""
-    widths = {b.shape[1] for b in reduced_blocks}
-    if len(widths) != 1:
-        raise NeuroDataError(f"inconsistent ROI widths {sorted(widths)}")
-    counts = {b.shape[0] for b in reduced_blocks}
-    if len(counts) != 1:
-        raise NeuroDataError("inconsistent ROI sample counts")
-    return np.stack(reduced_blocks, axis=1)
 
 
 def _resolve_counts(spec: SplitSpec, total: int) -> tuple:
@@ -288,7 +224,7 @@ def synth_generate(
     return datasets, truth
 
 
-def write_experiment(out_dir, datasets, features: StimulusFeatureSet, mode: str, roi_names=None, truth=None):
+def write_experiment(out_dir, datasets, features: StimulusFeatureSet, mode: str, truth=None):
     """Write an experiment directory (plus `synth_generate`'s `truth`, if given); returns the manifest path."""
     out = Path(out_dir)
     (out / "features").mkdir(parents=True, exist_ok=True)
@@ -319,7 +255,7 @@ def write_experiment(out_dir, datasets, features: StimulusFeatureSet, mode: str,
             "hlv": "features/hlv.msed",
             "stimulus_ids": "features/stimulus_ids.json",
         },
-        "roi_names": roi_names or [f"roi_{i}" for i in range(datasets[0].responses.shape[1])],
+        "roi_names": [f"roi_{i}" for i in range(datasets[0].responses.shape[1])],
     }
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -338,9 +274,9 @@ def load_experiment(manifest_path):
     """(manifest, datasets, features).
 
     Labels are read from features/labels.csv only.  msed.ManifestError if
-    that CSV lists other ids than features/stimulus_ids.json, or a subject
+    that CSV lists other ids than features/stimulus_ids.json, a subject
     names a stimulus the features lack or differs from the first subject's
-    patch shape (M, d_in).
+    patch shape (M, d_in), or `roi_names`, when given, is not M strings.
     """
     manifest = msed.load_manifest(manifest_path)
     base = Path(manifest_path).parent
@@ -366,4 +302,9 @@ def load_experiment(manifest_path):
                 f"subject {datasets[0].subject_id}'s {datasets[0].responses.shape[1:]}"
             )
         datasets.append(ds)
+    roi_names, m = manifest.get("roi_names"), datasets[0].responses.shape[1]
+    if roi_names is not None and not (
+        isinstance(roi_names, list) and len(roi_names) == m and all(isinstance(r, str) for r in roi_names)
+    ):
+        raise msed.ManifestError(f"roi_names must be a list of {m} strings, one per patch; got {roi_names!r}")
     return manifest, datasets, features

@@ -32,12 +32,6 @@ class LossWeights:
             raise ObjectiveError("loss weights must be non-negative")
 
 
-# presets mirroring the two experimental regimes
-HCP_WEIGHTS = LossWeights(lambda_perp=0.001, lambda_llv=0.1, lambda_hlv=0.001)
-NSD_WEIGHTS = LossWeights(lambda_perp=0.001, lambda_llv=0.0001, lambda_hlv=0.001)
-MAPPING_WEIGHT_DEFAULT = 0.0001
-
-
 # -- graph builders ---------------------------------------------------------
 
 

@@ -1,18 +1,17 @@
-"""Stimulus feature ingestion, multimodal fusion, and synthetic generation.
+"""Stimulus feature sets, their similarity matrices, and synthetic generation.
 
-Low-level and fused high-level feature vectors per stimulus drive the target
+Low-level and high-level feature vectors per stimulus drive the target
 similarity matrices used during representation learning.  Features arrive as
-MSED tensor files; no feature extractor runs here.
+MSED tensor files, already extracted and fused (CLIP image and text features,
+say); no feature extractor or fusion runs here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import msed
 from .diffcore import cosine_similarity_matrix
 
 
@@ -44,66 +43,11 @@ class StimulusFeatureSet:
         return self.f_llv[idx], self.f_hlv[idx], self.labels[idx]
 
 
-@dataclass
-class RawModalFeatures:
-    image_feats: np.ndarray
-    text_feats: np.ndarray
-    caption_sims: np.ndarray | None = None
-    stimulus_ids: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.image_feats.shape != self.text_feats.shape:
-            raise StimFeatError("image and text feature shapes differ")
-        if self.caption_sims is not None:
-            if self.caption_sims.shape[0] != self.image_feats.shape[0]:
-                raise StimFeatError("caption_sims row count mismatch")
-            if self.caption_sims.shape[1] < 1:
-                raise StimFeatError("caption_sims needs k >= 1 columns")
-
-
-def load_raw_modal(feature_dir) -> RawModalFeatures:
-    """Read pre-fusion modality features (image.msed, text.msed, optional caption_sims)."""
-    d = Path(feature_dir)
-    ids = msed.read_ids(d / "stimulus_ids.json")
-    image = msed.read_tensor(d / "image.msed")
-    text = msed.read_tensor(d / "text.msed")
-    sims_path = d / "caption_sims.msed"
-    sims = msed.read_tensor(sims_path) if sims_path.exists() else None
-    if image.shape[0] != len(ids):
-        raise msed.DimMismatch("image feature rows do not match manifest ids")
-    return RawModalFeatures(image, text, sims, [str(s) for s in ids])
-
-
-def select_caption(caption_sims: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Pick one caption per stimulus among those scoring at least half the max."""
-    sims = np.asarray(caption_sims, dtype=np.float64)
-    if sims.ndim != 2 or sims.shape[1] < 1:
-        raise StimFeatError("caption_sims must be n_s x k with k >= 1")
-    if not np.isfinite(sims).all():
-        raise StimFeatError("caption similarities must be finite")
-    chosen = np.empty(sims.shape[0], dtype=np.int64)
-    for i, row in enumerate(sims):
-        candidates = np.flatnonzero(row >= row.max() / 2.0)
-        if candidates.size == 0:
-            raise StimFeatError(f"stimulus {i}: empty candidate set")
-        chosen[i] = candidates[rng.integers(candidates.size)]
-    return chosen
-
-
 def _l2_normalize(x: np.ndarray, label: str) -> np.ndarray:
     norms = np.linalg.norm(x, axis=1, keepdims=True)
     if (norms == 0).any():
         raise StimFeatError(f"{label}: zero-norm row cannot be normalized")
     return x / norms
-
-
-def fuse_multimodal(raw: RawModalFeatures, trunc: float = 1.5) -> np.ndarray:
-    """Clamp, normalize, and average image/text features into unit-norm rows."""
-    img = _l2_normalize(np.clip(raw.image_feats, -trunc, trunc), "image features")
-    txt = _l2_normalize(np.clip(raw.text_feats, -trunc, trunc), "text features")
-    fused = (img + txt) / 2.0
-    # renormalized so the downstream cosine RSM depends only on direction
-    return _l2_normalize(fused, "fused features")
 
 
 def compute_stimulus_rsm(feats: np.ndarray, warn_counter=None) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Adam training loop, early stopping, grid search, and method comparison.
+"""Adam training loop, early stopping, and method comparison.
 
 All randomness flows through one numpy Generator seeded from the config, so
 identical (config, data, seed) produce bitwise-identical checkpoints in
@@ -8,7 +8,6 @@ float64 mode, and a saved checkpoint resumes bitwise-identically.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -73,11 +72,6 @@ def parse_train_config(section: dict) -> TrainConfig:
     """TrainConfig from its JSON form: a config's train section, or a checkpoint header's."""
     section = dict(section)
     return TrainConfig(weights=LossWeights(**section.pop("weights", {})), **section)
-
-
-# regimes from the two dataset-scale experiments
-HCP_PRESET = TrainConfig(learning_rate=0.001, batch_size=64, weights=objectives.HCP_WEIGHTS)
-NSD_PRESET = TrainConfig(learning_rate=0.0001, batch_size=64, weights=objectives.NSD_WEIGHTS)
 
 
 @dataclass
@@ -248,7 +242,7 @@ def predict(params, cfg: EncoderConfig, data: TrainData, split: str):
             idx = model.subject_positions(cfg, subjects, [ds.subject_id] * b)
             bindings = {**params, "patches": ds.responses[sel], "subject_idx": idx}
             out = diffcore.evaluate(graph_cache[b], bindings)
-            scores.append(out["y_hat"])
+            scores.append(diffcore.sigmoid(out["logits"]))
             labels.append(data.features.rows([ds.stimulus_ids[r] for r in sel])[2])
     return np.concatenate(scores), np.concatenate(labels)
 
@@ -448,33 +442,7 @@ def load_checkpoint(ckpt_dir) -> Checkpoint:
 
 
 # ---------------------------------------------------------------------------
-# grid search and comparison
-
-
-def grid_search(cfg: TrainConfig, model_cfg: EncoderConfig, data: TrainData, grid: dict):
-    """Train every combination of `grid` (LossWeights field -> candidate values)
-    with the same seed; best validation mAP wins."""
-    if not grid:
-        raise TrainerError("grid_search needs non-empty grid lists")
-    names = sorted(grid.keys())
-    grids = [grid[n] for n in names]
-    if any(len(g) == 0 for g in grids):
-        raise TrainerError("grid lists must be non-empty")
-    cells = []
-    best = None
-    for values in itertools.product(*grids):
-        weights = replace(cfg.weights, **dict(zip(names, values)))
-        cell_cfg = replace(cfg, weights=weights)
-        state, report = train(cell_cfg, model_cfg, data)
-        cell = {
-            "weights": dataclasses.asdict(weights),
-            "val_map": state.best_val_map,
-            "val": report.best_val,
-        }
-        cells.append(cell)
-        if best is None or state.best_val_map > best[0]:
-            best = (state.best_val_map, weights, state, report)
-    return {"best_weights": best[1], "best_state": best[2], "cells": cells}
+# comparison
 
 
 def compare(

@@ -127,6 +127,17 @@ class TestTrainEval:
             for v in rows[split][4:]:
                 assert 0.0 <= float(v) <= 1.0
 
+    def test_repeated_subject_id_is_data_error(self, workspace, capsys):
+        tmp_path, manifest_path, config_path = workspace
+        manifest = json.loads(manifest_path.read_text())
+        manifest["subjects"][1]["id"] = "sub_00"
+        manifest_path.write_text(json.dumps(manifest))
+        code = cli.main(["train", "--config", str(config_path), "--data", str(manifest_path),
+                         "--out", str(tmp_path / "run")])
+        assert code == cli.EXIT_DATA
+        assert capsys.readouterr().err == "data error: subject sub_00: id listed more than once\n"
+        assert not (tmp_path / "run").exists()
+
     def test_train_override_method_and_seed(self, workspace, capsys):
         tmp_path, manifest_path, config_path = workspace
         code = cli.main(
@@ -420,6 +431,18 @@ class TestExports:
         assert code == cli.EXIT_DATA
         assert "leaves a part empty" in capsys.readouterr().err
         assert not (tmp_path / "empty").exists()
+
+    def test_bad_roi_names_is_data_error(self, trained, capsys):
+        tmp_path, manifest_path, config_path, ckpt = trained
+        manifest = json.loads(manifest_path.read_text())
+        manifest["roi_names"] = ["a", "b"]  # the data have 4 patches
+        manifest_path.write_text(json.dumps(manifest))
+        code = cli.main(
+            ["export-attn", "--checkpoint", str(ckpt), "--config", str(config_path),
+             "--data", str(manifest_path), "--out", str(tmp_path / "attn")]
+        )
+        assert code == cli.EXIT_DATA
+        assert capsys.readouterr().err.startswith("data error: roi_names must be a list of 4 strings")
 
     def test_non_finite_params_are_numeric_error(self, trained, capsys):
         tmp_path, manifest_path, config_path, ckpt = trained

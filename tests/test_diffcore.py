@@ -33,16 +33,17 @@ class TestEvaluate:
         np.testing.assert_array_equal(res["y"], a)
 
     def test_softmax_symmetry(self):
+        # one query against two equal keys weighs them equally
         g = Graph()
-        g.mark_output("y", g.softmax_rows(g.input("x")))
-        res = evaluate(g, {"x": np.array([[0.0, 0.0]])})
-        np.testing.assert_allclose(res["y"], [[0.5, 0.5]])
+        g.mark_output("y", g.attention_probs(g.input("q"), g.input("k"), 1))
+        res = evaluate(g, {"q": np.ones((1, 1, 2)), "k": np.ones((1, 2, 2))})
+        np.testing.assert_allclose(res["y"], [[[[0.5, 0.5]]]])
 
     def test_layer_norm_row(self):
         g = Graph()
-        g.mark_output("y", g.layer_norm(g.input("x"), eps=1e-5))
+        g.mark_output("y", g.affine_layer_norm(g.input("x"), g.input("gamma"), g.input("beta"), eps=1e-5))
         x = np.array([[1.0, 2.0, 3.0]])
-        y = evaluate(g, {"x": x})["y"]
+        y = evaluate(g, {"x": x, "gamma": np.ones(3), "beta": np.zeros(3)})["y"]
         mu = x.mean()
         expected = (x - mu) / np.sqrt(x.var() + 1e-5)
         np.testing.assert_allclose(y, expected, atol=1e-12)
@@ -64,7 +65,7 @@ class TestEvaluate:
         rng = np.random.default_rng(0)
         g = Graph()
         h = g.gelu(g.matmul(g.input("x"), g.param("w")))
-        g.mark_output("y", g.softmax_rows(h))
+        g.mark_output("y", g.cosine_sim_matrix(h))
         b = {"x": rng.normal(size=(4, 5)), "w": rng.normal(size=(5, 5))}
         y1 = evaluate(g, b)["y"]
         y2 = evaluate(g, b)["y"]
@@ -77,10 +78,11 @@ class TestGradient:
         grads = evaluate_with_gradient(g, {"w": np.array([3.0])}, "out")[1]
         np.testing.assert_allclose(grads["w"], [6.0])
 
-    def test_mean_sigmoid_at_zero(self):
-        g = scalar_graph(lambda g: g.mean(g.sigmoid(g.param("w"))))
-        grads = evaluate_with_gradient(g, {"w": np.array([0.0])}, "out")[1]
-        np.testing.assert_allclose(grads["w"], [0.25], atol=1e-12)
+    def test_bce_with_logits_at_zero(self):
+        # d/dx of the mean BCE is (sigmoid(x) - y) / n, and sigmoid(0) = 1/2
+        g = scalar_graph(lambda g: g.bce_with_logits(g.param("w"), g.input("y")))
+        grads = evaluate_with_gradient(g, {"w": np.zeros(2), "y": np.array([0.0, 1.0])}, "out")[1]
+        np.testing.assert_allclose(grads["w"], [0.25, -0.25], atol=1e-12)
 
     def test_matmul_frobenius_matches_fd(self):
         rng = np.random.default_rng(7)
@@ -91,23 +93,23 @@ class TestGradient:
 
     def test_not_a_scalar(self):
         g = Graph()
-        g.mark_output("out", g.sigmoid(g.param("w")))
+        g.mark_output("out", g.gelu(g.param("w")))
         with pytest.raises(NotAScalar):
             evaluate_with_gradient(g, {"w": np.zeros((2, 2))}, "out")
 
     def test_constant_graph_zero_gradient(self):
         g = Graph()
         w = g.param("w")
-        g.mark_output("out", g.mean(g.const(np.ones((2, 2)))))
+        g.mark_output("out", g.frobenius_sq(g.input("c")))
         g.mark_output("unused", w)
-        grads = evaluate_with_gradient(g, {"w": np.ones(3)}, "out")[1]
+        grads = evaluate_with_gradient(g, {"w": np.ones(3), "c": np.ones((2, 2))}, "out")[1]
         np.testing.assert_array_equal(grads["w"], np.zeros(3))
 
     def test_linear_graph_near_exact(self):
         rng = np.random.default_rng(3)
         c = rng.normal(size=(1, 6))
-        g = scalar_graph(lambda g: g.mean(g.matmul(g.const(c), g.param("w"))))
-        report = grad_check(g, {"w": rng.normal(size=(6, 1))}, "out", h=1e-4, tol=1e-9)
+        g = scalar_graph(lambda g: g.reshape(g.matmul(g.input("c"), g.param("w")), (1,)))
+        report = grad_check(g, {"w": rng.normal(size=(6, 1)), "c": c}, "out", h=1e-4, tol=1e-9)
         assert report.passed, report.per_param
 
 
@@ -116,13 +118,9 @@ PRIMITIVE_GRAPHS = {
     "add": lambda g: g.frobenius_sq(g.add(g.param("w"), g.param("v"))),
     "scale": lambda g: g.frobenius_sq(g.scale(g.param("w"), -1.7)),
     "concat": lambda g: g.frobenius_sq(g.concat([g.param("w"), g.param("v")], axis=1)),
-    "layer-norm": lambda g: g.frobenius_sq(g.sigmoid(g.layer_norm(g.param("w")))),
-    "softmax-rows": lambda g: g.frobenius_sq(g.elementwise_mul(g.softmax_rows(g.param("w")), g.param("v"))),
     "gelu": lambda g: g.frobenius_sq(g.gelu(g.param("w"))),
-    "sigmoid": lambda g: g.frobenius_sq(g.sigmoid(g.param("w"))),
-    "mean": lambda g: g.mean(g.elementwise_mul(g.param("w"), g.param("w"))),
-    "bce-with-logits": lambda g: g.bce_with_logits(g.param("w"), g.const(np.arange(16).reshape(4, 4) % 3 == 0)),
-    "cosine-sim": lambda g: g.frobenius_sq(g.elementwise_mul(g.cosine_sim_matrix(g.param("w")), g.param("m"))),
+    "bce-with-logits": lambda g: g.bce_with_logits(g.param("w"), g.input("y")),
+    "cosine-sim": lambda g: g.frobenius_sq(g.add(g.cosine_sim_matrix(g.param("w")), g.param("m"))),
     "transpose": lambda g: g.frobenius_sq(g.matmul(g.param("w"), g.transpose(g.param("v"), (1, 0)))),
     "reshape": lambda g: g.frobenius_sq(g.reshape(g.gelu(g.param("w")), (2, 8))),
     "slice-row": lambda g: g.frobenius_sq(g.slice_row(g.reshape(g.param("w"), (2, 2, 2)), 1)),
@@ -134,7 +132,7 @@ PRIMITIVE_GRAPHS = {
 def test_primitive_adjoints_match_finite_differences(name):
     rng = np.random.default_rng(hash(name) % (2**31))
     g = scalar_graph(PRIMITIVE_GRAPHS[name])
-    bindings = {}
+    bindings = {"y": (np.arange(16).reshape(4, 4) % 3 == 0).astype(np.float64)}  # bce-with-logits labels
     for pname in g.params:
         if name == "cosine-sim" and pname == "m":
             bindings[pname] = rng.normal(size=(4, 4))
@@ -158,17 +156,17 @@ FUSED_GRAPHS = {
     ),
     "affine-layer-norm": (
         lambda g: g.frobenius_sq(
-            g.elementwise_mul(g.affine_layer_norm(g.param("x"), g.param("gamma"), g.param("beta")), g.param("m"))
+            g.add(g.affine_layer_norm(g.param("x"), g.param("gamma"), g.param("beta")), g.param("m"))
         ),
         {"x": (2, 3, 5), "gamma": (5,), "beta": (5,), "m": (2, 3, 5)},
     ),
     "attention-probs": (
-        lambda g: g.frobenius_sq(g.elementwise_mul(g.attention_probs(g.param("q"), g.param("k"), 2), g.param("m"))),
+        lambda g: g.frobenius_sq(g.add(g.attention_probs(g.param("q"), g.param("k"), 2), g.param("m"))),
         {"q": (2, 3, 4), "k": (2, 3, 4), "m": (2, 2, 3, 3)},
     ),
     # fewer query rows than keys: the pruned last encoder block
     "attention-probs-fewer-queries": (
-        lambda g: g.frobenius_sq(g.elementwise_mul(g.attention_probs(g.param("q"), g.param("k"), 2), g.param("m"))),
+        lambda g: g.frobenius_sq(g.add(g.attention_probs(g.param("q"), g.param("k"), 2), g.param("m"))),
         {"q": (2, 2, 4), "k": (2, 5, 4), "m": (2, 2, 2, 5)},
     ),
     "attend": (
@@ -213,17 +211,24 @@ def test_fewer_queries_match_leading_rows_of_full_attention():
 def test_nonfinite_node_is_named_even_when_squashed():
     g = Graph()
     big = g.scale(g.input("x"), 1e300)
-    g.mark_output("y", g.sigmoid(big))  # sigmoid(inf) is a finite 1.0
+    g.mark_output("y", g.lead_rows(big, 1))  # drops the overflowing row: finite
     with np.errstate(over="ignore"), pytest.raises(NonFiniteOutput) as info:
-        evaluate(g, {"x": np.array([1e10, 1.0])})
+        evaluate(g, {"x": np.array([[[1.0], [1e10]]])})
     assert info.value.node_id == big
+
+
+def test_sigmoid_saturates_without_overflow():
+    x = np.array([-1000.0, -1.0, 0.0, 1.0, 1000.0])
+    y = diffcore.sigmoid(x)  # an `exp` overflow warning fails the suite
+    np.testing.assert_allclose(y, [0.0, 1.0 / (1.0 + np.e), 0.5, 1.0 / (1.0 + np.exp(-1.0)), 1.0], rtol=1e-15, atol=0)
+    assert diffcore.sigmoid(x.astype(np.float32)).dtype == np.float32
 
 
 def _take_rows_graph(n_parts):
     g = Graph()
     rows = g.take_rows([g.param(f"p{s}") for s in range(n_parts)], g.input("idx"))
     g.mark_output("rows", rows)
-    g.mark_output("out", g.frobenius_sq(g.gelu(g.elementwise_mul(rows, g.input("w")))))
+    g.mark_output("out", g.frobenius_sq(g.gelu(g.add(rows, g.input("w")))))
     return g
 
 
@@ -251,7 +256,7 @@ def test_take_rows_adjoint_repeated_and_absent_indices():
 def _broadcast_to_graph():
     g = Graph()
     tiled = g.broadcast_to(g.param("t"), (4, 1, 3))
-    g.mark_output("out", g.frobenius_sq(g.gelu(g.elementwise_mul(tiled, g.input("w")))))
+    g.mark_output("out", g.frobenius_sq(g.gelu(g.add(tiled, g.input("w")))))
     return g
 
 
@@ -315,15 +320,15 @@ class TestBuiltInProperties:
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(2)
         g = Graph()
-        g.mark_output("y", g.softmax_rows(g.input("x")))
-        y = evaluate(g, {"x": rng.normal(size=(7, 9)) * 10})["y"]
-        np.testing.assert_allclose(y.sum(axis=-1), np.ones(7), atol=1e-12)
+        g.mark_output("y", g.attention_probs(g.input("q"), g.input("k"), 2))
+        y = evaluate(g, {"q": rng.normal(size=(1, 7, 8)) * 10, "k": rng.normal(size=(1, 9, 8))})["y"]
+        np.testing.assert_allclose(y.sum(axis=-1), np.ones((1, 2, 7)), atol=1e-12)
 
     def test_layer_norm_moments(self):
         rng = np.random.default_rng(4)
         g = Graph()
-        g.mark_output("y", g.layer_norm(g.input("x"), eps=1e-5))
-        y = evaluate(g, {"x": rng.normal(size=(5, 64)) * 3 + 2})["y"]
+        g.mark_output("y", g.affine_layer_norm(g.input("x"), g.input("gamma"), g.input("beta"), eps=1e-5))
+        y = evaluate(g, {"x": rng.normal(size=(5, 64)) * 3 + 2, "gamma": np.ones(64), "beta": np.zeros(64)})["y"]
         assert np.abs(y.mean(axis=-1)).max() < 1e-10
         assert np.abs(y.var(axis=-1) - 1.0).max() < 1e-3
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from musedec import diffcore, model
+from musedec import diffcore, model, trainer
 from musedec.model import (
     AttentionRecord,
     EncoderConfig,
@@ -20,6 +20,7 @@ from musedec.model import (
     token_subjects,
     total_param_count,
 )
+from musedec.objectives import LossWeights
 
 SUBJECTS = ["sub_00", "sub_01", "sub_02"]
 
@@ -93,13 +94,17 @@ def np_forward(cfg, patches, subject_index, params):
         lead = [np.tile(params["token/class"], (b, 1, 1))]
     z = np.concatenate(lead + [emb], axis=1) + params["embed/E_pos"]
     for l in range(cfg.layers):
-        ln1 = _np_affine_ln(z, params, f"layer{l}/ln1")
-        z_mid = _np_mhsa(ln1, params, f"layer{l}/attn", cfg.heads) + z
-        ln2 = _np_affine_ln(z_mid, params, f"layer{l}/ln2")
-        h1 = _np_gelu(ln2 @ params[f"layer{l}/mlp/W1"] + params[f"layer{l}/mlp/b1"])
-        mlp = h1 @ params[f"layer{l}/mlp/W2"] + params[f"layer{l}/mlp/b2"]
-        z = mlp + (z if cfg.residual_variant == "paper" else z_mid)
+        z = np_block(cfg, z, l, params)
     return z
+
+
+def np_block(cfg, z, l, params):
+    ln1 = _np_affine_ln(z, params, f"layer{l}/ln1")
+    z_mid = _np_mhsa(ln1, params, f"layer{l}/attn", cfg.heads) + z
+    ln2 = _np_affine_ln(z_mid, params, f"layer{l}/ln2")
+    h1 = _np_gelu(ln2 @ params[f"layer{l}/mlp/W1"] + params[f"layer{l}/mlp/b1"])
+    mlp = h1 @ params[f"layer{l}/mlp/W2"] + params[f"layer{l}/mlp/b2"]
+    return mlp + (z if cfg.residual_variant == "paper" else z_mid)
 
 
 def np_head(cfg, z, params):
@@ -189,7 +194,7 @@ class TestForwardOracle:
         z_ref = np_forward(cfg, patches, idx, params)
         np.testing.assert_allclose(z_llv, _np_affine_ln(z_ref[:, 0], params, "final_ln"), atol=1e-10)
         np.testing.assert_allclose(z_hlv, _np_affine_ln(z_ref[:, 1], params, "final_ln"), atol=1e-10)
-        y = out["y_hat"]
+        y = diffcore.sigmoid(out["logits"])
         np.testing.assert_allclose(
             y, np_head(cfg, np.concatenate([z_llv, z_hlv], axis=1), params), atol=1e-10
         )
@@ -212,7 +217,7 @@ class TestForwardOracle:
         params = init_params(cfg, SUBJECTS, np.random.default_rng(5))
         patches, idx = make_inputs(cfg, 4, seed=6)
         out = forward(params, cfg, patches, idx)
-        z, y = out["z"], out["y_hat"]
+        z, y = out["z"], diffcore.sigmoid(out["logits"])
         z_ref = _np_affine_ln(np_forward(cfg, patches, idx, params)[:, 0], params, "final_ln")
         np.testing.assert_allclose(z, z_ref, atol=1e-10)
         np.testing.assert_allclose(y, np_head(cfg, z_ref, params), atol=1e-10)
@@ -222,7 +227,7 @@ class TestForwardOracle:
         params = init_params(cfg, [], np.random.default_rng(7))
         patches, idx = make_inputs(cfg, 5, seed=8)
         out = forward(params, cfg, patches, idx)
-        z, y = out["z"], out["y_hat"]
+        z, y = out["z"], diffcore.sigmoid(out["logits"])
         flat = patches.reshape(5, -1)
         h = _np_gelu(flat @ params["mlp/W1"] + params["mlp/b1"])
         y_ref = 1.0 / (1.0 + np.exp(-(h @ params["mlp/W2"] + params["mlp/b2"])))
@@ -235,14 +240,15 @@ class TestForwardOracle:
         params = init_params(cfg, SUBJECTS, np.random.default_rng(10))
         patches, idx = make_inputs(cfg, 4, seed=11)
         out = forward(params, cfg, patches, idx)
-        assert out["logits"].shape == (4, cfg.n_classes)
-        np.testing.assert_allclose(out["y_hat"], 1.0 / (1.0 + np.exp(-out["logits"])), rtol=1e-14, atol=0)
+        assert out["logits"].shape == (4, cfg.n_classes) and "y_hat" not in out
+        y_hat = diffcore.sigmoid(out["logits"])
+        np.testing.assert_allclose(y_hat, 1.0 / (1.0 + np.exp(-out["logits"])), rtol=1e-14, atol=0)
 
     def test_outputs_in_unit_interval(self):
         cfg = tiny_cfg()
         params = init_params(cfg, SUBJECTS, np.random.default_rng(9))
         patches, idx = make_inputs(cfg, 6)
-        y = forward(params, cfg, patches, idx)["y_hat"]
+        y = diffcore.sigmoid(forward(params, cfg, patches, idx)["logits"])
         assert y.shape == (6, cfg.n_classes)
         assert ((y > 0) & (y < 1)).all()
 
@@ -254,6 +260,7 @@ def test_forward_keeps_float32(variant):
     params = {k: v.astype(np.float32) for k, v in params.items()}
     patches, idx = make_inputs(cfg, 4, seed=25)
     out = forward(params, cfg, patches.astype(np.float32), idx)
+    out["y_hat"] = diffcore.sigmoid(out["logits"])
     for name, value in out.items():
         assert value.dtype == np.float32, (name, value.dtype)
 
@@ -293,7 +300,7 @@ class TestSubjectIsolation:
         idx = ["sub_00", "sub_01"]
         subjects = token_subjects(cfg, params)
         g = build_forward_graph(cfg, subjects, 2)
-        g.mark_output("scalar", g.mean(g.outputs["y_hat"]))
+        g.mark_output("scalar", g.frobenius_sq(g.outputs["logits"]))
         patches, _ = make_inputs(cfg, 2, seed=13)
         bindings = {**params, "patches": patches, "subject_idx": subject_positions(cfg, subjects, idx)}
         grads = diffcore.evaluate_with_gradient(g, bindings, "scalar")[1]
@@ -308,68 +315,34 @@ class TestGradients:
         params = init_params(cfg, ["a", "b"], np.random.default_rng(14))
         patches = np.random.default_rng(15).normal(size=(2, 2, 3))
         g = build_forward_graph(cfg, ["a", "b"], 2)
-        g.mark_output("scalar", g.frobenius_sq(g.outputs["y_hat"]))
+        g.mark_output("scalar", g.frobenius_sq(g.outputs["logits"]))
         bindings = {**params, "patches": patches, "subject_idx": subject_positions(cfg, ["a", "b"], ["a", "b"])}
         report = diffcore.grad_check(g, bindings, "scalar", tol=1e-4)
         assert report.passed, f"max rel err {report.max_rel_err}"
 
 
-def _unfused_block(g, z_prev, layer, cfg, batch):
-    """One encoder block from the unfused primitives, the fused block's oracle."""
-    d, h, t = cfg.d_model, cfg.heads, cfg.seq_len
-    dh = d // h
-
-    def p(name):
-        return g.param(f"layer{layer}/{name}")
-
-    def affine_ln(x, name):
-        return g.add(g.elementwise_mul(g.layer_norm(x, eps=model.LN_EPS), p(f"{name}/gamma")), p(f"{name}/beta"))
-
-    def linear(x, w, b):
-        return g.add(g.matmul(x, p(w)), p(b))
-
-    def heads(node):
-        return g.transpose(g.reshape(node, (batch, t, h, dh)), (0, 2, 1, 3))
-
-    ln1 = affine_ln(z_prev, "ln1")
-    q, k, v = (heads(linear(ln1, f"attn/W{c}", f"attn/b{c}")) for c in "qkv")
-    attn = g.softmax_rows(g.scale(g.matmul(q, g.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh)))
-    merged = g.reshape(g.transpose(g.matmul(attn, v), (0, 2, 1, 3)), (batch, t, d))
-    z_mid = g.add(linear(merged, "attn/Wo", "attn/bo"), z_prev)
-    ln2 = affine_ln(z_mid, "ln2")
-    mlp = linear(g.gelu(linear(ln2, "mlp/W1", "mlp/b1")), "mlp/W2", "mlp/b2")
-    return g.add(mlp, z_prev if cfg.residual_variant == "paper" else z_mid), attn
-
-
 @pytest.mark.parametrize("residual", ["paper", "conventional"])
-def test_fused_block_matches_unfused_primitives(residual):
+def test_encoder_block_grad_check(residual):
     cfg = tiny_cfg(residual_variant=residual)
     batch = 3
     rng = np.random.default_rng(26)
     params = {k: v + 0.1 * rng.normal(size=v.shape) for k, v in init_params(cfg, SUBJECTS, rng).items()}
-    bindings = {**params, "z": rng.normal(size=(batch, cfg.seq_len, cfg.d_model)),
-                "m": rng.normal(size=(batch, cfg.seq_len, cfg.d_model))}
-    results = []
-    for block in (lambda g, z: model._encoder_block(g, z, 1, cfg), lambda g, z: _unfused_block(g, z, 1, cfg, batch)):
-        g = diffcore.Graph()
-        out, attn = block(g, g.param("z"))
-        g.mark_output("out", out)
-        g.mark_output("attn", attn)
-        g.mark_output("loss", g.frobenius_sq(g.elementwise_mul(out, g.input("m"))))
-        results.append(diffcore.evaluate_with_gradient(g, bindings, "loss"))
-    (fused, fused_grads), (ref, ref_grads) = results
-    for name in ("out", "attn", "loss"):
-        np.testing.assert_allclose(fused[name], ref[name], rtol=0, atol=1e-12, err_msg=name)
-    assert sorted(fused_grads) == sorted(ref_grads)
-    for name in ref_grads:
-        np.testing.assert_allclose(fused_grads[name], ref_grads[name], rtol=0, atol=1e-12, err_msg=name)
+    z = rng.normal(size=(batch, cfg.seq_len, cfg.d_model))
+    g = diffcore.Graph()
+    out, _ = model._encoder_block(g, g.param("z"), 1, cfg)
+    g.mark_output("out", out)
+    g.mark_output("loss", g.frobenius_sq(g.add(out, g.input("m"))))
+    bindings = {**params, "z": z, "m": rng.normal(size=z.shape)}
+    np.testing.assert_allclose(diffcore.evaluate(g, bindings)["out"], np_block(cfg, z, 1, params), rtol=0, atol=1e-12)
+    report = diffcore.grad_check(g, bindings, "loss", h=1e-5, tol=1e-6)
+    assert report.passed, report.per_param
 
 
 def _forward_loss_graph(cfg, subjects, batch, want_attention):
     """Forward graph with a loss over every read-out output."""
     g = build_forward_graph(cfg, subjects, batch, want_attention)
     names = [n for n in g.outputs if not n.startswith("attn/")]
-    terms = [g.frobenius_sq(g.elementwise_mul(g.outputs[n], g.input(f"m/{n}"))) for n in names]
+    terms = [g.frobenius_sq(g.add(g.outputs[n], g.input(f"m/{n}"))) for n in names]
     loss = terms[0]
     for t in terms[1:]:
         loss = g.add(loss, t)
@@ -393,7 +366,7 @@ def test_last_block_on_read_out_rows_matches_full_rows(variant, residual):
     assert not any(n.kind == "lead-rows" for n in full.nodes)
     bindings = {**params, "patches": patches, "subject_idx": subject_positions(cfg, subjects, idx)}
     for n in names:
-        bindings[f"m/{n}"] = rng.normal(size=(batch, cfg.n_classes if n in ("logits", "y_hat") else cfg.d_model))
+        bindings[f"m/{n}"] = rng.normal(size=(batch, cfg.n_classes if n == "logits" else cfg.d_model))
     (out_p, grads_p), (out_f, grads_f) = (
         diffcore.evaluate_with_gradient(g, bindings, "loss") for g in (pruned, full)
     )
@@ -402,6 +375,33 @@ def test_last_block_on_read_out_rows_matches_full_rows(variant, residual):
     assert sorted(grads_p) == sorted(grads_f) == sorted(params)
     for n in grads_f:
         np.testing.assert_allclose(grads_p[n], grads_f[n], rtol=0, atol=1e-12, err_msg=n)
+
+
+def _package_graphs():
+    """(loss graphs, forward graphs): every variant, residual and mapping flag trains, every forward predicts."""
+    loss_graphs, forward_graphs = [], []
+    for variant in model.VARIANTS:
+        for residual in ("paper", "conventional"):
+            cfg = tiny_cfg(variant=variant, residual_variant=residual)
+            subjects = SUBJECTS if variant in model.SUBJECT_TOKEN else []
+            for mapping in (False, True):
+                loss_graphs.append(trainer._build_loss_graph(cfg, LossWeights(), subjects, 4, mapping))
+            for want_attention in (False, True):
+                forward_graphs.append(build_forward_graph(cfg, subjects, 4, want_attention))
+    return loss_graphs, forward_graphs
+
+
+def test_package_graphs_reach_every_rule_and_feed_every_loss_node():
+    loss_graphs, forward_graphs = _package_graphs()
+    reached = {n.kind for g in loss_graphs + forward_graphs for n in g.nodes} - set(diffcore._LEAVES)
+    assert reached == set(diffcore._RULES), sorted(reached ^ set(diffcore._RULES))
+    for g in loss_graphs:
+        live = {g.outputs["loss"]}
+        for i in range(len(g.nodes) - 1, -1, -1):
+            if i in live:
+                live.update(g.nodes[i].inputs)
+        dead = [(i, n.kind) for i, n in enumerate(g.nodes) if i not in live and n.kind not in diffcore._LEAVES]
+        assert not dead, dead
 
 
 class TestAttention:

@@ -11,13 +11,9 @@ from musedec.neurodata import (
     gather_batch,
     load_experiment,
     make_batches,
-    patchify_rois,
-    pca_fit,
-    pca_reduce,
     split_dataset,
     synth_generate,
     write_experiment,
-    zero_pad,
 )
 
 
@@ -27,103 +23,6 @@ def _features(n_s=60, seed=0, n_classes=4):
 
 def _datasets(features, n_subjects=3, n_per=40, n_patches=4, patch_dim=6, seed=0, **kw):
     return synth_generate(n_subjects, n_per, n_patches, patch_dim, features, snr=5.0, seed=seed, **kw)
-
-
-class TestPca:
-    def test_variance_matches_eigendecomposition(self):
-        # projected variance along the top-k principal axes must equal the
-        # top-k eigenvalues of the sample covariance (independent oracle)
-        rng = np.random.default_rng(5)
-        x = rng.normal(size=(40, 9)) * np.array([5.0, 3.0, 2.0, 1, 1, 1, 1, 1, 1])
-        k = 3
-        proj = pca_fit(x, k)
-        reduced = proj.apply(x)
-        cov = np.cov(x, rowvar=False, bias=True)
-        eigvals = np.sort(np.linalg.eigvalsh(cov))[::-1]
-        got = reduced.var(axis=0)
-        np.testing.assert_allclose(np.sort(got)[::-1], eigvals[:k], rtol=1e-8)
-
-    def test_reconstruction_beats_random_projection(self):
-        rng = np.random.default_rng(7)
-        x = rng.normal(size=(50, 12)) @ rng.normal(size=(12, 12))
-        proj = pca_fit(x, 4)
-        centered = x - proj.mean
-        recon = proj.apply(x) @ proj.components.T
-        pca_err = np.linalg.norm(centered - recon)
-        q, _ = np.linalg.qr(rng.normal(size=(12, 4)))
-        rand_err = np.linalg.norm(centered - centered @ q @ q.T)
-        assert pca_err < rand_err
-
-    def test_rank_deficient_flag_and_padding(self):
-        # rank-2 data asked for 4 components: last two must be zero columns
-        rng = np.random.default_rng(1)
-        basis = rng.normal(size=(2, 8))
-        x = rng.normal(size=(30, 2)) @ basis
-        proj = pca_fit(x, 4)
-        assert proj.rank_deficient
-        assert np.array_equal(proj.components[:, 2:], np.zeros((8, 2)))
-        reduced = proj.apply(x)
-        np.testing.assert_allclose(reduced[:, 2:], 0.0, atol=1e-10)
-
-    def test_full_rank_not_flagged(self):
-        rng = np.random.default_rng(2)
-        proj = pca_fit(rng.normal(size=(20, 6)), 5)
-        assert not proj.rank_deficient
-
-    def test_target_dim_too_large(self):
-        with pytest.raises(NeuroDataError):
-            pca_fit(np.zeros((3, 10)), 4)
-
-    def test_identity_when_target_equals_rank(self):
-        # with target_dim == d and n > d the projection is an isometry of the
-        # centered data: pairwise distances are preserved
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=(25, 5))
-        proj = pca_fit(x, 5)
-        red = proj.apply(x)
-        d_orig = np.linalg.norm(x[:, None] - x[None, :], axis=2)
-        d_red = np.linalg.norm(red[:, None] - red[None, :], axis=2)
-        np.testing.assert_allclose(d_red, d_orig, rtol=1e-9, atol=1e-9)
-
-    def test_pca_reduce_nesting_and_train_rows_only(self):
-        rng = np.random.default_rng(4)
-        blocks = [[rng.normal(size=(30, 10)), rng.normal(size=(30, 7))] for _ in range(2)]
-        train_rows = np.arange(20)
-        reduced, projections = pca_reduce(blocks, 5, train_rows)
-        assert len(reduced) == 2 and len(reduced[0]) == 2
-        assert reduced[0][0].shape == (30, 5)
-        # fitting must ignore non-train rows entirely
-        blocks2 = [[b.copy() for b in subj] for subj in blocks]
-        for subj in blocks2:
-            for b in subj:
-                b[20:] = 999.0
-        reduced2, _ = pca_reduce(blocks2, 5, train_rows)
-        np.testing.assert_allclose(reduced2[0][0][:20], reduced[0][0][:20])
-        np.testing.assert_allclose(projections[0][0].mean, blocks[0][0][:20].mean(axis=0))
-
-
-class TestZeroPadPatchify:
-    def test_zero_pad(self):
-        out = zero_pad(np.ones((3, 2)), 5)
-        assert out.shape == (3, 5)
-        np.testing.assert_array_equal(out[:, 2:], 0.0)
-        np.testing.assert_array_equal(out[:, :2], 1.0)
-
-    def test_zero_pad_rejects_shrink(self):
-        with pytest.raises(NeuroDataError):
-            zero_pad(np.ones((3, 6)), 5)
-
-    def test_patchify_stacks_rois(self):
-        rng = np.random.default_rng(0)
-        blocks = [rng.normal(size=(10, 4)) for _ in range(3)]
-        patches = patchify_rois(blocks)
-        assert patches.shape == (10, 3, 4)
-        for m, b in enumerate(blocks):
-            np.testing.assert_array_equal(patches[:, m, :], b)
-
-    def test_patchify_width_mismatch(self):
-        with pytest.raises(NeuroDataError):
-            patchify_rois([np.zeros((5, 4)), np.zeros((5, 3))])
 
 
 class TestSplits:
@@ -411,6 +310,30 @@ class TestExperimentFiles:
         path.write_text(json.dumps(manifest))
         with pytest.raises(msed.ManifestError, match=message):
             load_experiment(path)
+
+    def test_repeated_subject_id(self, experiment):
+        path = experiment[0]
+        manifest = json.loads(path.read_text())
+        manifest["subjects"][1]["id"] = "sub_00"
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(msed.ManifestError, match="subject sub_00: id listed more than once"):
+            load_experiment(path)
+
+    @pytest.mark.parametrize(
+        "roi_names",
+        [["a", "b"], ["a", "b", "c", "d", "e"], "abcd", [0, 1, 2, 3], {"a": 1}],
+        ids=["too-few", "too-many", "string", "numbers", "object"],
+    )
+    def test_bad_roi_names(self, experiment, roi_names):
+        path = experiment[0]
+        self._edit_manifest(path, roi_names=roi_names)
+        with pytest.raises(msed.ManifestError, match="roi_names must be a list of 4 strings, one per patch"):
+            load_experiment(path)
+
+    def test_roi_names_optional(self, experiment):
+        path = experiment[0]
+        self._edit_manifest(path, roi_names=None)
+        assert "roi_names" not in load_experiment(path)[0]
 
     @pytest.mark.parametrize("field", ["experiment", "mode", "subjects", "features"])
     def test_missing_manifest_field(self, experiment, field):

@@ -2,103 +2,12 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from musedec import msed, stimfeat
+from musedec import stimfeat
 from musedec.stimfeat import (
-    RawModalFeatures,
     StimFeatError,
     StimulusFeatureSet,
-    fuse_multimodal,
-    select_caption,
     synth_features,
 )
-
-
-class TestLoadFeatures:
-    def _write(self, tmp_path, n=4, d_h=16):
-        rng = np.random.default_rng(0)
-        ids = [f"s{i}" for i in range(n)]
-        msed.write_ids(tmp_path / "stimulus_ids.json", ids)
-        msed.write_tensor(tmp_path / "image.msed", rng.normal(size=(n, d_h)))
-        msed.write_tensor(tmp_path / "text.msed", rng.normal(size=(n, d_h)))
-        return ids
-
-    def test_shape_round_trip(self, tmp_path):
-        self._write(tmp_path, n=4, d_h=16)
-        raw = stimfeat.load_raw_modal(tmp_path)
-        assert raw.image_feats.shape == (4, 16)
-        assert raw.caption_sims is None
-
-    def test_truncated_file(self, tmp_path):
-        self._write(tmp_path)
-        blob = (tmp_path / "image.msed").read_bytes()
-        (tmp_path / "image.msed").write_bytes(blob[: len(blob) // 2])
-        with pytest.raises(msed.DimMismatch):
-            stimfeat.load_raw_modal(tmp_path)
-
-    def test_duplicate_ids(self, tmp_path):
-        self._write(tmp_path)
-        msed.write_ids(tmp_path / "stimulus_ids.json", ["a", "b", "a", "c"])
-        with pytest.raises(msed.ManifestError):
-            stimfeat.load_raw_modal(tmp_path)
-
-
-class TestSelectCaption:
-    def test_threshold_rule(self):
-        # 0.3 < max/2 = 0.5, so only the first two captions are candidates
-        sims = np.array([[1.0, 0.6, 0.3]])
-        seen = set()
-        for seed in range(50):
-            idx = select_caption(sims, np.random.default_rng(seed))[0]
-            seen.add(int(idx))
-        assert seen == {0, 1}
-
-    def test_single_caption(self):
-        idx = select_caption(np.array([[0.8]]), np.random.default_rng(0))
-        assert idx[0] == 0
-
-    def test_all_equal_uniform(self):
-        sims = np.tile([[0.5, 0.5, 0.5, 0.5]], (1, 1))
-        counts = np.zeros(4)
-        for seed in range(400):
-            counts[select_caption(sims, np.random.default_rng(seed))[0]] += 1
-        assert (counts > 50).all()
-
-    def test_never_below_half_max(self):
-        rng = np.random.default_rng(3)
-        sims = rng.uniform(0, 1, size=(50, 5))
-        idx = select_caption(sims, rng)
-        for i, j in enumerate(idx):
-            assert sims[i, j] >= sims[i].max() / 2
-
-
-class TestFuseMultimodal:
-    def test_identical_vectors(self):
-        v = np.array([[0.6, 0.8]])
-        fused = fuse_multimodal(RawModalFeatures(v.copy(), v.copy()))
-        np.testing.assert_allclose(fused, v, atol=1e-12)
-
-    def test_orthogonal_vectors(self):
-        raw = RawModalFeatures(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))
-        fused = fuse_multimodal(raw)
-        np.testing.assert_allclose(fused, [[np.sqrt(0.5), np.sqrt(0.5)]], atol=1e-12)
-
-    def test_truncation_applied(self):
-        # a 2.7 coordinate clamps to 1.5 before normalization
-        raw = RawModalFeatures(np.array([[2.7, 1.5]]), np.array([[1.5, 1.5]]))
-        fused = fuse_multimodal(raw, trunc=1.5)
-        expected_img = np.array([1.5, 1.5]) / np.linalg.norm([1.5, 1.5])
-        np.testing.assert_allclose(fused, expected_img[None, :], atol=1e-12)
-
-    def test_unit_norm_output(self):
-        rng = np.random.default_rng(4)
-        raw = RawModalFeatures(rng.normal(size=(20, 8)), rng.normal(size=(20, 8)))
-        fused = fuse_multimodal(raw)
-        np.testing.assert_allclose(np.linalg.norm(fused, axis=1), np.ones(20), atol=1e-12)
-
-    def test_zero_norm_error(self):
-        raw = RawModalFeatures(np.zeros((1, 3)), np.ones((1, 3)))
-        with pytest.raises(StimFeatError):
-            fuse_multimodal(raw)
 
 
 class TestComputeStimulusRsm:

@@ -16,7 +16,6 @@ from musedec.trainer import (
     adam_step,
     compare,
     evaluate_split,
-    grid_search,
     load_checkpoint,
     predict,
     save_checkpoint,
@@ -206,13 +205,6 @@ class TestConfigValidation:
     def test_bad_grad_clip(self, grad_clip):
         with pytest.raises(TrainerError, match="grad_clip"):
             TrainConfig(grad_clip=grad_clip)
-
-    def test_presets(self):
-        assert trainer.HCP_PRESET.batch_size == 64
-        assert trainer.HCP_PRESET.learning_rate == 0.001
-        assert trainer.HCP_PRESET.weights.lambda_llv == 0.1
-        assert trainer.NSD_PRESET.learning_rate == 0.0001
-        assert trainer.NSD_PRESET.weights.lambda_llv == 0.0001
 
     def test_method_variant_mismatch(self):
         data = small_data()
@@ -482,28 +474,6 @@ class TestCheckpoint:
         lines = (out / "metrics.csv").read_text().strip().splitlines()
         assert lines[0] == "epoch,map,auc,hamming"
         assert len(lines) == 3
-
-
-class TestGridSearch:
-    def test_cells_and_best(self):
-        data = small_data()
-        grid = {"lambda_llv": [0.0, 0.1], "lambda_hlv": [0.0, 0.001]}
-        result = grid_search(small_cfg(max_epochs=1), small_model(), data, grid)
-        assert len(result["cells"]) == 4
-        best_map = max(c["val_map"] for c in result["cells"])
-        assert result["best_state"].best_val_map == best_map
-        w = result["best_weights"]
-        assert w.lambda_llv in (0.0, 0.1) and w.lambda_hlv in (0.0, 0.001)
-        # every cell keeps the un-gridded weights from the base config
-        for cell in result["cells"]:
-            assert cell["weights"]["lambda_perp"] == 0.001
-
-    def test_empty_grid_rejected(self):
-        data = small_data()
-        with pytest.raises(TrainerError):
-            grid_search(small_cfg(), small_model(), data, None)
-        with pytest.raises(TrainerError):
-            grid_search(small_cfg(), small_model(), data, {"lambda_llv": []})
 
 
 class TestCompare:
