@@ -311,7 +311,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (msed.MsedError, msed.ManifestError, neurodata.NeuroDataError, stimfeat.StimFeatError,
-            metrics.MetricsError, model.UnknownSubject, FileNotFoundError) as exc:
+            metrics.MetricsError, model.UnknownSubject, trainer.CheckpointError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

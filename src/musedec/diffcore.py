@@ -101,13 +101,9 @@ class Graph:
     def concat(self, parts, axis: int):
         return self._push(Node("concat", tuple(parts), {"axis": int(axis)}))
 
-    def slice_row(self, a, index: int):
-        """Extract row `index` along axis 1 of a (B, T, D) tensor -> (B, D)."""
-        return self._push(Node("slice-row", (a,), {"index": int(index)}))
-
-    def lead_rows(self, a, n: int):
-        """The first `n` rows along axis 1 of a (B, T, D) tensor -> (B, n, D)."""
-        return self._push(Node("lead-rows", (a,), {"n": int(n)}))
+    def rows(self, a, index):
+        """Rows `index` along axis 1 of a (B, T, D) tensor: an int gives (B, D), a slice (B, n, D)."""
+        return self._push(Node("rows", (a,), {"index": index}))
 
     def affine_layer_norm(self, a, gamma, beta, eps: float = 1e-5):
         """layer_norm(a) * gamma + beta."""
@@ -306,15 +302,9 @@ def _concat_bwd(g, ins, out, saved, a):
     return tuple(np.split(g, bounds, axis=axis))
 
 
-def _slice_row_bwd(g, ins, out, saved, a):
+def _rows_bwd(g, ins, out, saved, a):
     gx = np.zeros_like(ins[0])
     gx[:, a["index"], :] = g
-    return (gx,)
-
-
-def _lead_rows_bwd(g, ins, out, saved, a):
-    gx = np.zeros_like(ins[0])
-    gx[:, : a["n"], :] = g
     return (gx,)
 
 
@@ -374,8 +364,7 @@ _RULES = {
     ),
     "scale": (lambda ins, a: (ins[0] * a["c"], None), lambda g, ins, out, s, a: (g * a["c"],)),
     "concat": (lambda ins, a: (np.concatenate(ins, axis=a["axis"]), None), _concat_bwd),
-    "slice-row": (lambda ins, a: (ins[0][:, a["index"], :], None), _slice_row_bwd),
-    "lead-rows": (lambda ins, a: (ins[0][:, : a["n"], :], None), _lead_rows_bwd),
+    "rows": (lambda ins, a: (ins[0][:, a["index"], :], None), _rows_bwd),
     "affine-layer-norm": (_affine_ln_fwd, _affine_ln_bwd),
     "attention-probs": (_attention_probs_fwd, _attention_probs_bwd),
     "attend": (_attend_fwd, _attend_bwd),
@@ -428,7 +417,7 @@ def _run_forward(graph: Graph, bindings: dict):
         except (ValueError, IndexError) as exc:
             raise ShapeMismatch(i, kind, str(exc)) from exc
         # per node, so the first non-finite node is named even when a later node
-        # (a lead-rows that drops the overflowing row, say) makes it finite again
+        # (a rows node that drops the overflowing row, say) makes it finite again
         if not np.isfinite(out).all():
             raise NonFiniteOutput(i, kind)
         vals[i] = out

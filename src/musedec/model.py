@@ -177,7 +177,7 @@ def _linear(g: Graph, x, w_name, b_name):
 
 def _mhsa(g: Graph, x, prefix: str, cfg: EncoderConfig, rows=None):
     """Self-attention over (B, T, d) x; with `rows`, only the first `rows` queries."""
-    q = _linear(g, x if rows is None else g.lead_rows(x, rows), f"{prefix}/Wq", f"{prefix}/bq")
+    q = _linear(g, x if rows is None else g.rows(x, slice(rows)), f"{prefix}/Wq", f"{prefix}/bq")
     k = _linear(g, x, f"{prefix}/Wk", f"{prefix}/bk")
     v = _linear(g, x, f"{prefix}/Wv", f"{prefix}/bv")
     attn = g.attention_probs(q, k, cfg.heads)  # (B, H, rows or T, T)
@@ -193,7 +193,7 @@ def _encoder_block(g: Graph, z_prev, layer: int, cfg: EncoderConfig, rows=None):
     ln1 = _affine_ln(g, z_prev, f"layer{layer}/ln1/gamma", f"layer{layer}/ln1/beta")
     attn_out, attn = _mhsa(g, ln1, f"layer{layer}/attn", cfg, rows)
     if rows is not None:
-        z_prev = g.lead_rows(z_prev, rows)
+        z_prev = g.rows(z_prev, slice(rows))
     z_mid = g.add(attn_out, z_prev)
     ln2 = _affine_ln(g, z_mid, f"layer{layer}/ln2/gamma", f"layer{layer}/ln2/beta")
     h1 = g.gelu(_linear(g, ln2, f"layer{layer}/mlp/W1", f"layer{layer}/mlp/b1"))
@@ -260,13 +260,13 @@ def build_forward_graph(
             g.mark_output(f"attn/{l}", attn)
 
     if cfg.variant == "clip-mused":
-        z_llv = _affine_ln(g, g.slice_row(z, 0), "final_ln/gamma", "final_ln/beta")
-        z_hlv = _affine_ln(g, g.slice_row(z, 1), "final_ln/gamma", "final_ln/beta")
+        z_llv = _affine_ln(g, g.rows(z, 0), "final_ln/gamma", "final_ln/beta")
+        z_hlv = _affine_ln(g, g.rows(z, 1), "final_ln/gamma", "final_ln/beta")
         g.mark_output("z_llv", z_llv)
         g.mark_output("z_hlv", z_hlv)
         _classifier(g, g.concat([z_llv, z_hlv], axis=1), "head")
     else:
-        z_out = _affine_ln(g, g.slice_row(z, 0), "final_ln/gamma", "final_ln/beta")
+        z_out = _affine_ln(g, g.rows(z, 0), "final_ln/gamma", "final_ln/beta")
         g.mark_output("z", z_out)
         _classifier(g, z_out, "head")
     return g

@@ -40,6 +40,10 @@ class TrainingDiverged(TrainerError):
     pass
 
 
+class CheckpointError(Exception):
+    """A checkpoint directory whose header or tensors do not describe one model."""
+
+
 @dataclass
 class TrainConfig:
     learning_rate: float = 1e-3
@@ -126,56 +130,32 @@ class RunReport:
 # optimizer
 
 
-def adam_step(params, grads, moments, lr, beta1=0.9, beta2=0.999, eps=1e-8, t=1):
-    """Bias-corrected Adam update over every parameter (in place).
+def adam_step(params, grad, moments, lr, beta1=0.9, beta2=0.999, eps=1e-8, t=1):
+    """Bias-corrected Adam update of one flat parameter buffer, in place.
 
-    Gradients, parameters and moments are concatenated in `params` order, one
-    flat array per parameter dtype, updated in one vectorised step and written
-    back per name as reshaped views, so each tensor keeps its dtype.  A
-    missing gradient counts as zero.  Returns (params, moments, skipped): a
-    non-finite gradient skips the whole step so one bad batch cannot poison
-    the parameters.
+    `params`, `grad` and both `moments` are 1-D arrays of one dtype, laid out
+    alike (see `_arena`).  Returns (params, moments, skipped): a non-finite
+    gradient skips the whole step so one bad batch cannot poison the
+    parameters.
     """
     if t < 1:
         raise TrainerError("Adam step count must be >= 1")
+    if not np.isfinite(grad).all():
+        return params, moments, True
     m, v = moments
-    groups: dict = {}
-    for name, p in params.items():
-        groups.setdefault(p.dtype, []).append(name)
-    flat_grads = []
-    for names in groups.values():
-        g = np.concatenate(
-            [np.zeros(params[n].size, params[n].dtype) if grads.get(n) is None else grads[n].ravel() for n in names]
-        )
-        if not np.isfinite(g).all():
-            return params, moments, True
-        flat_grads.append(g)
-    bc1 = 1.0 - beta1**t
-    bc2 = 1.0 - beta2**t
-    for names, g in zip(groups.values(), flat_grads):
-        m_flat = beta1 * np.concatenate([m[n].ravel() for n in names]) + (1.0 - beta1) * g
-        v_flat = beta2 * np.concatenate([v[n].ravel() for n in names]) + (1.0 - beta2) * g * g
-        mhat = m_flat / bc1
-        vhat = v_flat / bc2
-        p_flat = np.concatenate([params[n].ravel() for n in names]) - lr * mhat / (np.sqrt(vhat) + eps)
-        start = 0
-        for n in names:
-            shape = params[n].shape
-            stop = start + params[n].size
-            params[n] = p_flat[start:stop].reshape(shape)
-            m[n] = m_flat[start:stop].reshape(shape)
-            v[n] = v_flat[start:stop].reshape(shape)
-            start = stop
+    m *= beta1
+    m += (1.0 - beta1) * grad
+    v *= beta2
+    v += (1.0 - beta2) * grad * grad
+    params -= lr * (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + eps)
     return params, moments, False
 
 
-def _clip_grads(grads, max_norm):
-    total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+def _clip_grads(grad, max_norm):
+    """Scale the flat gradient in place so its global norm is at most `max_norm`."""
+    total = float(np.sqrt(grad @ grad))
     if total > max_norm:
-        scale = max_norm / total
-        for name in grads:
-            grads[name] = grads[name] * scale
-    return grads
+        grad *= max_norm / total
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +236,31 @@ def evaluate_split(params, cfg, data: TrainData, split: str) -> metrics.EvalResu
 # training
 
 
-def _copy_params(params):
-    return {k: v.copy() for k, v in params.items()}
+def _arena(group: dict):
+    """(flat, views): one 1-D buffer holding `group`'s tensors in order, and each name bound to its reshaped view."""
+    flat = np.concatenate([a.ravel() for a in group.values()])
+    parts = np.split(flat, np.cumsum([a.size for a in group.values()])[:-1])
+    return flat, {name: part.reshape(a.shape) for (name, a), part in zip(group.items(), parts)}
+
+
+def _pack_state(state: Checkpoint, graph: diffcore.Graph) -> list:
+    """Rebind each tensor group of `state` to views of one flat buffer; returns the buffers in TENSOR_GROUPS order.
+
+    `state.params` must be exactly the loss graph's parameters, and every tensor must share one dtype.
+    """
+    if set(state.params) != set(graph.params):
+        odd = sorted(set(state.params) ^ set(graph.params))
+        raise TrainerError(f"state params differ from the loss graph's parameters in {odd}")
+    groups = [getattr(state, group) for group in TENSOR_GROUPS]
+    dtypes = sorted({str(a.dtype) for tensors in groups for a in tensors.values()})
+    if len(dtypes) > 1:
+        raise TrainerError(f"state tensors mix dtypes {dtypes}; a training state shares one dtype")
+    flats = []
+    for group, tensors in zip(TENSOR_GROUPS, groups):
+        flat, views = _arena({name: tensors[name] for name in state.params})
+        setattr(state, group, views)
+        flats.append(flat)
+    return flats
 
 
 def _init_state(cfg: TrainConfig, model_cfg: EncoderConfig, data: TrainData) -> Checkpoint:
@@ -270,16 +273,15 @@ def _init_state(cfg: TrainConfig, model_cfg: EncoderConfig, data: TrainData) -> 
                 model_cfg.d_model, data.features.f_llv.shape[1], data.features.f_hlv.shape[1], rng
             )
         )
-    zeros = {k: np.zeros_like(v) for k, v in params.items()}
     return Checkpoint(
         params=params,
-        m=zeros,
-        v={k: np.zeros_like(vv) for k, vv in params.items()},
+        m={k: np.zeros_like(p) for k, p in params.items()},
+        v={k: np.zeros_like(p) for k, p in params.items()},
         t=0,
         epoch=0,
         best_epoch=-1,
         best_val_map=-np.inf,
-        best_params=_copy_params(params),
+        best_params={k: v.copy() for k, v in params.items()},
         epochs_since_improve=0,
         rng_state=rng.bit_generator.state,
         train_cfg=cfg,
@@ -312,6 +314,7 @@ def train(
     subjects = model.token_subjects(model_cfg, state.params)
     # make_batches drops the short tail, so every batch has batch_size rows
     g = _build_loss_graph(model_cfg, cfg.weights, subjects, cfg.batch_size, mapping)
+    params, m, v, best = _pack_state(state, g)
     rsm_warnings = [0]
 
     for epoch in range(state.epoch, state.epoch if state.stopped else cfg.max_epochs):
@@ -323,12 +326,11 @@ def train(
             for batch in batches:
                 bindings = {**state.params, **_batch_bindings(batch, model_cfg, subjects, mapping, rsm_warnings)}
                 outputs, grads = diffcore.evaluate_with_gradient(g, bindings, "loss")
+                grad = np.concatenate([grads[name].ravel() for name in state.params])
                 if cfg.grad_clip is not None:
-                    grads = _clip_grads(grads, cfg.grad_clip)
+                    _clip_grads(grad, cfg.grad_clip)
                 state.t += 1
-                _, _, skipped = adam_step(
-                    state.params, grads, (state.m, state.v), cfg.learning_rate, t=state.t
-                )
+                _, _, skipped = adam_step(params, grad, (m, v), cfg.learning_rate, t=state.t)
                 if skipped:
                     state.events.append({"epoch": epoch, "step": state.t, "event": "nonfinite-grad-skip"})
                 for name in outputs:
@@ -346,7 +348,7 @@ def train(
         if val.map > state.best_val_map:
             state.best_val_map = val.map
             state.best_epoch = epoch
-            state.best_params = _copy_params(state.params)
+            best[...] = params
             state.epochs_since_improve = 0
         else:
             state.epochs_since_improve += 1
@@ -423,22 +425,63 @@ def save_checkpoint(ckpt_dir, state: Checkpoint):
 
 
 def load_checkpoint(ckpt_dir) -> Checkpoint:
+    """The Checkpoint that `save_checkpoint` wrote; a malformed header or tensor raises CheckpointError."""
     ckpt_dir = Path(ckpt_dir)
-    with open(ckpt_dir / "header.json") as fh:
-        header = json.load(fh)
+    path = ckpt_dir / "header.json"
+    try:
+        header = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise CheckpointError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path} does not hold a JSON object")
+    fields = {f.name: f for f in dataclasses.fields(Checkpoint) if f.name not in TENSOR_GROUPS}
+    required = ["param_names"] + [
+        name for name, f in fields.items() if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+    ]
+    missing = [name for name in required if name not in header]
+    unknown = sorted(header.keys() - fields.keys() - {"param_names"})
+    if missing or unknown:
+        raise CheckpointError(f"{path}: missing field(s) {missing}, unknown field(s) {unknown}")
     names = header.pop("param_names")
+    if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
+        raise CheckpointError(f"{path}: param_names is not a list of strings")
+    try:
+        if header["model_cfg"].get("conv") is not None:  # null in headers that still carry it
+            raise model.ModelConfigError("checkpoint uses the removed 3-D conv front end")
+        for section, keys in _RETIRED.items():
+            for key in keys:
+                header[section].pop(key, None)
+        header["train_cfg"] = parse_train_config(header["train_cfg"])
+        header["model_cfg"] = EncoderConfig(**header["model_cfg"])
+        # JSON round-trips the PCG64 state ints as Python ints; restore exactly
+        header["rng_state"]["state"] = {k: int(v) for k, v in header["rng_state"]["state"].items()}
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: malformed field: {exc!r}") from exc
     for group in TENSOR_GROUPS:
         header[group] = {name: msed.read_tensor(ckpt_dir / group / f"{_safe_name(name)}.msed") for name in names}
-    if header["model_cfg"].get("conv") is not None:  # null in headers that still carry it
-        raise model.ModelConfigError("checkpoint uses the removed 3-D conv front end")
-    for section, keys in _RETIRED.items():
-        for key in keys:
-            header[section].pop(key, None)
-    header["train_cfg"] = parse_train_config(header["train_cfg"])
-    header["model_cfg"] = EncoderConfig(**header["model_cfg"])
-    # JSON round-trips the PCG64 state ints as Python ints; restore exactly
-    header["rng_state"]["state"] = {k: int(v) for k, v in header["rng_state"]["state"].items()}
+    _check_tensor_shapes(ckpt_dir, header["model_cfg"], {group: header[group] for group in TENSOR_GROUPS})
     return Checkpoint(**header)
+
+
+def _check_tensor_shapes(ckpt_dir, model_cfg: EncoderConfig, groups: dict):
+    """Every group holds the model's parameters, each with the shape `model.param_shapes` gives it."""
+    params = groups["params"]
+    want = model.param_shapes(model_cfg, model.token_subjects(model_cfg, params))
+    for name in ("map/Pl", "map/Ph"):  # their widths are the stimulus features', which the header does not record
+        if name in params:
+            shape = params[name].shape
+            if len(shape) != 2 or shape[0] != model_cfg.d_model:
+                raise CheckpointError(
+                    f"{ckpt_dir}: params/{name} has shape {shape}; it needs d_model = {model_cfg.d_model} rows"
+                )
+            want[name] = shape
+    odd = sorted(set(params) ^ set(want))
+    if odd:
+        raise CheckpointError(f"{ckpt_dir}: param_names differ from the model's parameters in {odd}")
+    for group, tensors in groups.items():
+        for name, a in tensors.items():
+            if a.shape != want[name]:
+                raise CheckpointError(f"{ckpt_dir}: {group}/{name} has shape {a.shape}, expected {want[name]}")
 
 
 # ---------------------------------------------------------------------------

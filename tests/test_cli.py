@@ -479,6 +479,46 @@ class TestExports:
         assert code == cli.EXIT_DATA
         assert "at least two subjects" in capsys.readouterr().err
 
+    MALFORMED_CHECKPOINTS = [
+        ("header-not-json", "eval", "header.json is not valid JSON"),
+        ("header-lacks-field", "export-rsm", "missing field(s) ['best_epoch']"),
+        ("extra-row", "eval", "best_params/head/W2 has shape (9, 4), expected (8, 4)"),
+        ("extra-row", "export-attn", "best_params/head/W2 has shape (9, 4), expected (8, 4)"),
+        ("short-token", "export-rsm", "params/token/llv/sub_00 has shape (3,), expected (8,)"),
+        ("map-rows", "export-rsm", "params/map/Pl has shape (7, 5); it needs d_model = 8 rows"),
+        ("groups-differ", "eval", "m/map/Pl has shape (8, 3), expected (8, 5)"),
+    ]
+
+    @pytest.mark.parametrize(
+        "case, command, message", MALFORMED_CHECKPOINTS, ids=[f"{case}-{cmd}" for case, cmd, _ in MALFORMED_CHECKPOINTS]
+    )
+    def test_malformed_checkpoint_is_data_error(self, trained, capsys, case, command, message):
+        tmp_path, manifest_path, config_path, ckpt = trained
+        header_path = ckpt / "header.json"
+        header = json.loads(header_path.read_text())
+        if case == "header-not-json":
+            header_path.write_text(header_path.read_text()[:-2])
+        elif case == "header-lacks-field":
+            del header["best_epoch"]
+            header_path.write_text(json.dumps(header))
+        elif case == "extra-row":
+            w2 = msed.read_tensor(ckpt / "best_params" / "head__W2.msed")
+            msed.write_tensor(ckpt / "best_params" / "head__W2.msed", np.vstack([w2, w2[:1]]))
+        elif case == "short-token":
+            msed.write_tensor(ckpt / "params" / "token__llv__sub_00.msed", np.zeros(3))
+        else:  # a mapping projection next to the model's parameters
+            header_path.write_text(json.dumps({**header, "param_names": header["param_names"] + ["map/Pl"]}))
+            for group in trainer.TENSOR_GROUPS:
+                cols = 3 if case == "groups-differ" and group == "m" else 5
+                msed.write_tensor(ckpt / group / "map__Pl.msed", np.zeros((7 if case == "map-rows" else 8, cols)))
+        args = [command, "--checkpoint", str(ckpt), "--out", str(tmp_path / "out")]
+        if command != "export-rsm":
+            args += ["--config", str(config_path), "--data", str(manifest_path)]
+        assert cli.main(args) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and message in err, err
+        assert not (tmp_path / "out").exists()
+
 
 def test_import_leaves_scipy_stats_unloaded():
     # scipy.stats costs about 40 MiB and 0.4 s at import; metrics needs only scipy.special

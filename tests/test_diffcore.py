@@ -123,8 +123,9 @@ PRIMITIVE_GRAPHS = {
     "cosine-sim": lambda g: g.frobenius_sq(g.add(g.cosine_sim_matrix(g.param("w")), g.param("m"))),
     "transpose": lambda g: g.frobenius_sq(g.matmul(g.param("w"), g.transpose(g.param("v"), (1, 0)))),
     "reshape": lambda g: g.frobenius_sq(g.reshape(g.gelu(g.param("w")), (2, 8))),
-    "slice-row": lambda g: g.frobenius_sq(g.slice_row(g.reshape(g.param("w"), (2, 2, 2)), 1)),
-    "lead-rows": lambda g: g.frobenius_sq(g.gelu(g.lead_rows(g.reshape(g.param("w"), (2, 4, 2)), 3))),
+    # the two index forms of the one `rows` kind: an int row and a leading slice
+    "slice-row": lambda g: g.frobenius_sq(g.rows(g.reshape(g.param("w"), (2, 2, 2)), 1)),
+    "lead-rows": lambda g: g.frobenius_sq(g.gelu(g.rows(g.reshape(g.param("w"), (2, 4, 2)), slice(3)))),
 }
 
 
@@ -199,7 +200,7 @@ def test_fewer_queries_match_leading_rows_of_full_attention():
     q, k, v = (rng.normal(size=(2, 5, 4)) for _ in range(3))
     g = Graph()
     full = g.attention_probs(g.input("q"), g.input("k"), 2)
-    few = g.attention_probs(g.lead_rows(g.input("q"), 2), g.input("k"), 2)
+    few = g.attention_probs(g.rows(g.input("q"), slice(2)), g.input("k"), 2)
     g.mark_output("full", g.attend(full, g.input("v")))
     g.mark_output("few", g.attend(few, g.input("v")))
     g.mark_output("p", few)
@@ -211,7 +212,7 @@ def test_fewer_queries_match_leading_rows_of_full_attention():
 def test_nonfinite_node_is_named_even_when_squashed():
     g = Graph()
     big = g.scale(g.input("x"), 1e300)
-    g.mark_output("y", g.lead_rows(big, 1))  # drops the overflowing row: finite
+    g.mark_output("y", g.rows(big, slice(1)))  # drops the overflowing row: finite
     with np.errstate(over="ignore"), pytest.raises(NonFiniteOutput) as info:
         evaluate(g, {"x": np.array([[[1.0], [1e10]]])})
     assert info.value.node_id == big

@@ -362,8 +362,9 @@ def test_last_block_on_read_out_rows_matches_full_rows(variant, residual):
     pruned, names = _forward_loss_graph(cfg, subjects, batch, want_attention=False)
     full, _ = _forward_loss_graph(cfg, subjects, batch, want_attention=True)
     read_rows = 2 if variant == "clip-mused" else 1
-    assert [n.attrs["n"] for n in pruned.nodes if n.kind == "lead-rows"] == [read_rows, read_rows]
-    assert not any(n.kind == "lead-rows" for n in full.nodes)
+    leading = [[n.attrs["index"] for n in g.nodes if n.kind == "rows" and isinstance(n.attrs["index"], slice)]
+               for g in (pruned, full)]
+    assert leading == [[slice(read_rows)] * 2, []]
     bindings = {**params, "patches": patches, "subject_idx": subject_positions(cfg, subjects, idx)}
     for n in names:
         bindings[f"m/{n}"] = rng.normal(size=(batch, cfg.n_classes if n == "logits" else cfg.d_model))

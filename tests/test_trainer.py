@@ -56,26 +56,23 @@ class TestAdam:
         # fresh moments at t=1: m_hat = g and v_hat = g^2, so the update is
         # exactly -lr * g / (|g| + eps)
         rng = np.random.default_rng(0)
-        g = rng.normal(size=(3, 4))
-        p0 = rng.normal(size=(3, 4))
-        params = {"w": p0.copy()}
-        moments = ({"w": np.zeros_like(p0)}, {"w": np.zeros_like(p0)})
+        g = rng.normal(size=12)
+        p0 = rng.normal(size=12)
+        params = p0.copy()
         lr = 0.01
-        params, _, skipped = adam_step(params, {"w": g}, moments, lr, t=1)
-        assert not skipped
+        out, _, skipped = adam_step(params, g, (np.zeros(12), np.zeros(12)), lr, t=1)
+        assert not skipped and out is params
         expect = p0 - lr * g / (np.abs(g) + 1e-8)
-        np.testing.assert_allclose(params["w"], expect, rtol=1e-10)
+        np.testing.assert_allclose(params, expect, rtol=1e-10)
 
     def test_two_steps_match_reference(self):
         rng = np.random.default_rng(1)
         p0 = rng.normal(size=(5,))
         g1, g2 = rng.normal(size=(5,)), rng.normal(size=(5,))
-        params = {"w": p0.copy()}
-        m = {"w": np.zeros(5)}
-        v = {"w": np.zeros(5)}
+        params, m, v = p0.copy(), np.zeros(5), np.zeros(5)
         lr, b1, b2, eps = 0.02, 0.9, 0.999, 1e-8
-        adam_step(params, {"w": g1}, (m, v), lr, t=1)
-        adam_step(params, {"w": g2}, (m, v), lr, t=2)
+        adam_step(params, g1, (m, v), lr, t=1)
+        adam_step(params, g2, (m, v), lr, t=2)
         # independent reference
         pm = np.zeros(5)
         pv = np.zeros(5)
@@ -84,27 +81,18 @@ class TestAdam:
             pm = b1 * pm + (1 - b1) * g
             pv = b2 * pv + (1 - b2) * g * g
             ref -= lr * (pm / (1 - b1**t)) / (np.sqrt(pv / (1 - b2**t)) + eps)
-        np.testing.assert_allclose(params["w"], ref, rtol=1e-12)
+        np.testing.assert_allclose(params, ref, rtol=1e-12)
 
     def test_nonfinite_grad_skips_whole_step(self):
-        params = {"a": np.ones(2), "b": np.ones(2)}
-        moments = ({k: np.zeros(2) for k in params}, {k: np.zeros(2) for k in params})
-        grads = {"a": np.ones(2), "b": np.array([1.0, np.nan])}
-        _, _, skipped = adam_step(params, grads, moments, 0.1, t=1)
+        params, m, v = np.ones(4), np.zeros(4), np.zeros(4)
+        _, _, skipped = adam_step(params, np.array([1.0, 1.0, 1.0, np.nan]), (m, v), 0.1, t=1)
         assert skipped
-        np.testing.assert_array_equal(params["a"], np.ones(2))
-        np.testing.assert_array_equal(moments[0]["a"], np.zeros(2))
-
-    def test_missing_grad_means_zero(self):
-        params = {"a": np.ones(2), "b": np.full(2, 3.0)}
-        moments = ({k: np.zeros(2) for k in params}, {k: np.zeros(2) for k in params})
-        adam_step(params, {"a": np.ones(2)}, moments, 0.1, t=1)
-        np.testing.assert_array_equal(params["b"], np.full(2, 3.0))
-        assert not np.array_equal(params["a"], np.ones(2))
+        np.testing.assert_array_equal(params, np.ones(4))
+        np.testing.assert_array_equal(m, np.zeros(4))
 
     def test_step_count_floor(self):
         with pytest.raises(TrainerError):
-            adam_step({}, {}, ({}, {}), 0.1, t=0)
+            adam_step(np.zeros(1), np.zeros(1), (np.zeros(1), np.zeros(1)), 0.1, t=0)
 
 
 def _reference_adam(params, grads, m, v, lr, t, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -112,9 +100,7 @@ def _reference_adam(params, grads, m, v, lr, t, beta1=0.9, beta2=0.999, eps=1e-8
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
     for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(p)
+        g = grads[name]
         m[name] = beta1 * m[name] + (1.0 - beta1) * g
         v[name] = beta2 * v[name] + (1.0 - beta2) * g * g
         mhat = m[name] / bc1
@@ -123,41 +109,43 @@ def _reference_adam(params, grads, m, v, lr, t, beta1=0.9, beta2=0.999, eps=1e-8
 
 
 class TestFlatAdam:
-    SHAPES = {"w": (3, 4), "b": (4,), "tok": (1,), "skip": (2, 2)}  # "skip" never gets a gradient
+    SHAPES = {"w": (3, 4), "b": (4,), "tok": (1,), "still": (2, 2)}  # "still" only ever gets zero gradients
 
-    @pytest.mark.parametrize("dtypes", ["float64", "float32", "mixed"])
-    def test_bitwise_equal_to_per_tensor_loop(self, dtypes):
+    @staticmethod
+    def _arenas(params, m, v):
+        """Flat buffers and views of copies of (params, m, v), as `train` packs them."""
+        return [trainer._arena({n: x.copy() for n, x in group.items()}) for group in (params, m, v)]
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_bitwise_equal_to_per_tensor_loop(self, dtype):
         rng = np.random.default_rng(30)
-        dtype = {n: np.float32 if dtypes == "float32" or (dtypes == "mixed" and n in ("b", "skip")) else np.float64
-                 for n in self.SHAPES}
-        params = {n: rng.normal(size=s).astype(dtype[n]) for n, s in self.SHAPES.items()}
-        flat = ({n: p.copy() for n, p in params.items()},
-                {n: np.zeros_like(p) for n, p in params.items()},
-                {n: np.zeros_like(p) for n, p in params.items()})
-        ref = ({n: p.copy() for n, p in params.items()},
-               {n: np.zeros_like(p) for n, p in params.items()},
-               {n: np.zeros_like(p) for n, p in params.items()})
+        params = {n: rng.normal(size=s).astype(dtype) for n, s in self.SHAPES.items()}
+        zeros = {n: np.zeros_like(p) for n, p in params.items()}
+        (p_flat, p_views), (m_flat, m_views), (v_flat, v_views) = self._arenas(params, zeros, zeros)
+        ref = tuple({n: x.copy() for n, x in group.items()} for group in (params, zeros, zeros))
         for t in (1, 2, 3):
-            grads = {n: rng.normal(size=s).astype(dtype[n]) for n, s in self.SHAPES.items() if n != "skip"}
-            _, _, skipped = adam_step(flat[0], grads, (flat[1], flat[2]), 0.01, t=t)
+            grads = {n: rng.normal(size=s).astype(dtype) for n, s in self.SHAPES.items()}
+            grads["still"][...] = 0.0
+            grad = np.concatenate([grads[n].ravel() for n in params])
+            _, _, skipped = adam_step(p_flat, grad, (m_flat, v_flat), 0.01, t=t)
             assert not skipped
             _reference_adam(ref[0], grads, ref[1], ref[2], 0.01, t)
-        for got, want in zip(flat, ref):
+        for got, want in zip((p_views, m_views, v_views), ref):
             for n in self.SHAPES:
-                assert got[n].dtype == dtype[n] and got[n].shape == self.SHAPES[n], n
+                assert got[n].dtype == dtype and got[n].shape == self.SHAPES[n], n
                 assert np.array_equal(got[n], want[n]), n
+        assert np.array_equal(p_views["still"], params["still"])
 
     def test_nonfinite_grad_leaves_everything_untouched(self):
         rng = np.random.default_rng(31)
-        params = {n: rng.normal(size=s) for n, s in self.SHAPES.items()}
-        m = {n: rng.normal(size=s) for n, s in self.SHAPES.items()}
-        v = {n: rng.random(size=s) for n, s in self.SHAPES.items()}
-        before = [{n: x.copy() for n, x in d.items()} for d in (params, m, v)]
+        groups = [{n: draw(size=s) for n, s in self.SHAPES.items()} for draw in (rng.normal, rng.normal, rng.random)]
+        (p_flat, params), (m_flat, m), (v_flat, v) = self._arenas(*groups)
         grads = {n: rng.normal(size=s) for n, s in self.SHAPES.items()}
         grads["tok"] = np.array([np.inf])
-        _, _, skipped = adam_step(params, grads, (m, v), 0.01, t=5)
+        grad = np.concatenate([grads[n].ravel() for n in params])
+        _, _, skipped = adam_step(p_flat, grad, (m_flat, v_flat), 0.01, t=5)
         assert skipped
-        for now, then in zip((params, m, v), before):
+        for now, then in zip((params, m, v), groups):
             for n in self.SHAPES:
                 assert np.array_equal(now[n], then[n]), n
 
@@ -168,9 +156,9 @@ class TestGradClip:
         norms = []
         step = trainer.adam_step
 
-        def recording_step(params, grads, *args, **kwargs):
-            norms.append(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
-            return step(params, grads, *args, **kwargs)
+        def recording_step(params, grad, *args, **kwargs):
+            norms.append(np.sqrt(grad @ grad))
+            return step(params, grad, *args, **kwargs)
 
         monkeypatch.setattr(trainer, "adam_step", recording_step)
         state, _ = train(small_cfg(max_epochs=1, grad_clip=1e-3), small_model(), small_data())
@@ -178,10 +166,10 @@ class TestGradClip:
         np.testing.assert_allclose(norms, 1e-3, rtol=1e-12)
 
     def test_norm_below_limit_is_unchanged(self):
-        grads = {"a": np.array([0.3, 0.4]), "b": np.zeros((2, 2))}
-        clipped = trainer._clip_grads(dict(grads), 1.0)
-        for n in grads:
-            assert np.array_equal(clipped[n], grads[n])
+        grad = np.array([0.3, 0.4, 0.0, 0.0, 0.0, 0.0])
+        clipped = grad.copy()
+        trainer._clip_grads(clipped, 1.0)
+        assert np.array_equal(clipped, grad)
 
 
 class TestConfigValidation:
@@ -327,6 +315,40 @@ class TestTrainLoop:
         )
 
 
+    def test_best_params_are_a_copy_of_the_best_epoch(self):
+        data, mcfg = small_data(), small_model()
+        state, _ = train(small_cfg(max_epochs=5), mcfg, data)
+        assert 0 < state.best_epoch < state.epoch - 1, "the snapshot must be taken before the last epoch"
+        at_best, _ = train(small_cfg(max_epochs=state.best_epoch + 1), mcfg, data)
+        for name, best in state.best_params.items():
+            assert best.tobytes() == at_best.params[name].tobytes(), name
+            assert not np.shares_memory(best, state.params[name]), name
+
+    @pytest.mark.parametrize("odd", ["missing", "extra"])
+    def test_params_unlike_the_loss_graph_are_rejected_before_a_step(self, monkeypatch, odd):
+        """Each tensor needs a gradient: a missing or a graph-less parameter is an error, not a zero."""
+        data, cfg, mcfg = small_data(), small_cfg(max_epochs=1), small_model()
+        state = trainer._init_state(cfg, mcfg, data)
+        for group in trainer.TENSOR_GROUPS:
+            tensors = getattr(state, group)
+            if odd == "missing":
+                del tensors["head/b2"]
+            else:
+                tensors["map/Pl"] = np.zeros((8, 3))
+        monkeypatch.setattr(diffcore, "evaluate_with_gradient", lambda *a: pytest.fail("stepped"))
+        with pytest.raises(TrainerError, match=r"loss graph's parameters in \['(head/b2|map/Pl)'\]"):
+            train(cfg, mcfg, data, state=state)
+        assert state.t == 0
+
+    def test_mixed_dtype_state_is_rejected_before_a_step(self, monkeypatch):
+        data, cfg, mcfg = small_data(), small_cfg(max_epochs=1), small_model()
+        state = trainer._init_state(cfg, mcfg, data)
+        state.m["head/b2"] = state.m["head/b2"].astype(np.float32)
+        monkeypatch.setattr(diffcore, "evaluate_with_gradient", lambda *a: pytest.fail("stepped"))
+        with pytest.raises(TrainerError, match=r"mix dtypes \['float32', 'float64'\]"):
+            train(cfg, mcfg, data, state=state)
+        assert state.t == 0
+
     def test_nonfinite_forward_raises_training_diverged(self, monkeypatch):
         _, gelu_backward = diffcore._RULES["gelu"]
         monkeypatch.setitem(
@@ -336,24 +358,32 @@ class TestTrainLoop:
             train(small_cfg(max_epochs=1), small_model(), small_data())
 
 
-@pytest.mark.parametrize("method", ["clip-mused", "mapping-based", "ss-vit", "ms-smodel", "ms-emb", "ss-mlp"])
-def test_float32_training_stays_float32(method):
-    """float32 params and responses stay float32 through training, Adam and predict."""
+def float32_data():
     data = small_data()
-    data = TrainData(
+    return TrainData(
         [neurodata.SubjectDataset(d.subject_id, d.responses.astype(np.float32), d.stimulus_ids)
          for d in data.datasets],
         data.features,
         data.splits,
     )
+
+
+def float32_state(cfg, mcfg, data):
+    """A fresh training state with every tensor group cast to float32."""
+    state = trainer._init_state(cfg, mcfg, data)
+    for group in trainer.TENSOR_GROUPS:
+        setattr(state, group, {name: a.astype(np.float32) for name, a in getattr(state, group).items()})
+    return state
+
+
+@pytest.mark.parametrize("method", ["clip-mused", "mapping-based", "ss-vit", "ms-smodel", "ms-emb", "ss-mlp"])
+def test_float32_training_stays_float32(method):
+    """float32 params and responses stay float32 through training, Adam and predict."""
+    data = float32_data()
     weights = LossWeights(lambda_perp=0.001, lambda_llv=0.1, lambda_hlv=0.001, lambda_map=0.0001)
     cfg = small_cfg(method=method, max_epochs=1, weights=weights)
     mcfg = small_model(variant=trainer.METHOD_VARIANT[method])
-    state = trainer._init_state(cfg, mcfg, data)
-    for group in (state.params, state.m, state.v, state.best_params):
-        for name in group:
-            group[name] = group[name].astype(np.float32)
-    state, _ = train(cfg, mcfg, data, state=state)
+    state, _ = train(cfg, mcfg, data, state=float32_state(cfg, mcfg, data))
     assert state.t > 0
     for group in (state.params, state.m, state.v, state.best_params):
         for name, value in group.items():
@@ -451,6 +481,25 @@ class TestCheckpoint:
             np.testing.assert_array_equal(resumed_state.params[k], full_state.params[k])
         assert resumed_state.t == full_state.t
         assert resumed_state.val_history == full_state.val_history
+
+    def test_float32_resume_is_bitwise_identical(self, tmp_path):
+        """Criterion 7 in float32: 4 epochs straight equal 2, a checkpoint round trip, then 2 more."""
+        data, mcfg = float32_data(), small_model()
+        cfg, half_cfg = small_cfg(max_epochs=4), small_cfg(max_epochs=2)
+        full, _ = train(cfg, mcfg, data, out_dir=tmp_path / "full", state=float32_state(cfg, mcfg, data))
+        half, _ = train(half_cfg, mcfg, data, state=float32_state(half_cfg, mcfg, data))
+        save_checkpoint(tmp_path / "half", half)
+        resumed, _ = train(cfg, mcfg, data, out_dir=tmp_path / "resumed", state=load_checkpoint(tmp_path / "half"))
+        assert resumed.t == full.t
+        for group in trainer.TENSOR_GROUPS:
+            got, want = getattr(resumed, group), getattr(full, group)
+            assert list(got) == list(want), group
+            for name in want:
+                assert got[name].dtype == want[name].dtype == np.float32, (group, name)
+                assert got[name].tobytes() == want[name].tobytes(), (group, name)
+        metrics_csv = (tmp_path / "full" / "metrics.csv").read_bytes()
+        assert metrics_csv == (tmp_path / "resumed" / "metrics.csv").read_bytes()
+        assert len(metrics_csv.splitlines()) == 5
 
     def test_resuming_a_stopped_run_does_not_train(self, tmp_path):
         data = small_data()
