@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+import typing
 from pathlib import Path
 
 
@@ -27,7 +28,6 @@ _cap_threads()
 from . import diffcore, metrics, model, msed, neurodata, objectives, stimfeat, trainer  # noqa: E402
 from .model import EncoderConfig  # noqa: E402
 from .neurodata import SplitSpec, load_experiment, write_experiment  # noqa: E402
-from .objectives import LossWeights  # noqa: E402
 from .trainer import METHOD_VARIANT, TrainConfig, TrainData  # noqa: E402
 
 EXIT_OK = 0
@@ -51,28 +51,64 @@ MODEL_KEYS = [
 ]
 
 
+# what a config value of each annotated field type must be in JSON
+_JSON_KINDS = {int: "an integer", float: "a number", str: "a string", tuple: "a list of 3 numbers", type(None): "null"}
+
+
+def _fits(value, kind) -> bool:
+    """Whether a JSON value fits a field annotated `kind`; a bool is not a number."""
+    if kind is type(None):
+        return value is None
+    if isinstance(value, bool):
+        return False
+    if kind is float:
+        return isinstance(value, (int, float))
+    if kind is tuple:  # split counts and fractions: (train, val, test)
+        return isinstance(value, list) and len(value) == 3 and all(_fits(v, float) for v in value)
+    return isinstance(value, kind)
+
+
+def _check_section(where, section, cls, valid=None):
+    """UsageError unless `section` is a JSON object whose keys are `cls`'s fields (or those in `valid`)
+    and whose values fit those fields' annotations."""
+    if not isinstance(section, dict):
+        raise UsageError(f"config section {where!r} is not a JSON object")
+    hints = typing.get_type_hints(cls)
+    valid = valid or list(hints)
+    unknown = sorted(set(section) - set(valid))
+    if unknown:
+        raise UsageError(
+            f"unknown key(s) {', '.join(map(repr, unknown))} in config section {where!r}; "
+            f"valid: {', '.join(sorted(valid))}"
+        )
+    for key, value in section.items():
+        kinds = typing.get_args(hints[key]) or (hints[key],)
+        if dataclasses.is_dataclass(hints[key]):
+            _check_section(f"{where}.{key}", value, hints[key])
+        elif not any(_fits(value, kind) for kind in kinds):
+            want = " or ".join(_JSON_KINDS[kind] for kind in kinds)
+            raise UsageError(f"config value {where}.{key} = {json.dumps(value)} is not {want}")
+
+
 def _load_config(path):
-    """The config's train/model/split sections; bad JSON, a missing section or an unknown key is a usage error."""
+    """The config's train/model/split sections.
+
+    Bad JSON, a missing section, a section that is not an object, an unknown
+    key or a value of the wrong JSON type is a usage error.
+    """
     with open(path) as fh:
         try:
             cfg = json.load(fh)
         except json.JSONDecodeError as exc:
             raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise UsageError(f"config {path} does not hold a JSON object")
     for key in ("train", "model", "split"):
         if key not in cfg:
             raise UsageError(f"config missing section {key!r}")
-    for where, section, valid in (
-        ("train", cfg["train"], [f.name for f in dataclasses.fields(TrainConfig)]),
-        ("train.weights", cfg["train"].get("weights", {}), [f.name for f in dataclasses.fields(LossWeights)]),
-        ("model", cfg["model"], MODEL_KEYS),
-        ("split", cfg["split"], [f.name for f in dataclasses.fields(SplitSpec)]),
-    ):
-        unknown = sorted(set(section) - set(valid))
-        if unknown:
-            raise UsageError(
-                f"unknown key(s) {', '.join(map(repr, unknown))} in config section {where!r}; "
-                f"valid: {', '.join(sorted(valid))}"
-            )
+    _check_section("train", cfg["train"], TrainConfig)
+    _check_section("model", cfg["model"], EncoderConfig, MODEL_KEYS)
+    _check_section("split", cfg["split"], SplitSpec)
     return cfg
 
 

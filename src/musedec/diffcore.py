@@ -124,8 +124,9 @@ class Graph:
         """Mean binary cross-entropy of sigmoid(logits) against labels y -> (1,); y takes no gradient."""
         return self._push(Node("bce-with-logits", (logits, y)))
 
-    def frobenius_sq(self, a):
-        return self._push(Node("frobenius-sq", (a,)))
+    def frobenius_sq(self, a, rows_power: int = 0):
+        """||a||_F^2 / a.shape[0]**rows_power -> (1,)."""
+        return self._push(Node("frobenius-sq", (a,), {"rows_power": int(rows_power)}))
 
     def cosine_sim_matrix(self, a):
         return self._push(Node("cosine-sim-matrix", (a,)))
@@ -143,8 +144,9 @@ class Graph:
         """
         return self._push(Node("take-rows", (*parts, index)))
 
-    def broadcast_to(self, a, shape):
-        return self._push(Node("broadcast-to", (a,), {"shape": tuple(shape)}))
+    def repeat_rows(self, a, like):
+        """`a` repeated once per row of `like` -> (like.shape[0], *a.shape); `like` takes no gradient."""
+        return self._push(Node("repeat-rows", (a, like)))
 
     def _push(self, node: Node) -> int:
         self.nodes.append(node)
@@ -349,6 +351,11 @@ def _bce_with_logits_bwd(g, ins, out, saved, a):
     return ((sigmoid(x) - y) * (g[0] / x.size),)
 
 
+def _rows_scale(x, a):
+    """frobenius-sq's 1 / rows**rows_power, applied after the sum as a scale node would be."""
+    return 1.0 / x.shape[0] ** a["rows_power"]
+
+
 def _take_rows_bwd(g, ins, out, saved, a):
     index = ins[-1]
     # one adjoint per part; zip in _run_backward leaves the index input without one
@@ -370,8 +377,8 @@ _RULES = {
     "attend": (_attend_fwd, _attend_bwd),
     "gelu": (_gelu_fwd, _gelu_bwd),
     "frobenius-sq": (
-        lambda ins, a: (np.array([float((ins[0] * ins[0]).sum())], dtype=ins[0].dtype), None),
-        lambda g, ins, out, s, a: (2.0 * g[0] * ins[0],),
+        lambda ins, a: (np.array([float((ins[0] * ins[0]).sum())], dtype=ins[0].dtype) * _rows_scale(ins[0], a), None),
+        lambda g, ins, out, s, a: (2.0 * (g * _rows_scale(ins[0], a))[0] * ins[0],),
     ),
     "cosine-sim-matrix": (_cosine_sim_fwd, _cosine_sim_bwd),
     "bce-with-logits": (_bce_with_logits_fwd, _bce_with_logits_bwd),
@@ -381,9 +388,10 @@ _RULES = {
     ),
     "reshape": (lambda ins, a: (ins[0].reshape(a["shape"]), None), lambda g, ins, out, s, a: (g.reshape(ins[0].shape),)),
     "take-rows": (lambda ins, a: (np.stack(ins[:-1])[ins[-1]], None), _take_rows_bwd),
-    "broadcast-to": (
-        lambda ins, a: (np.broadcast_to(ins[0], a["shape"]), None),
-        lambda g, ins, out, s, a: (_unbroadcast(g, ins[0].shape),),
+    # one adjoint: zip in _run_backward leaves `like` without one
+    "repeat-rows": (
+        lambda ins, a: (np.broadcast_to(ins[0], (ins[1].shape[0], *ins[0].shape)), None),
+        lambda g, ins, out, s, a: (g.sum(axis=0),),
     ),
 }
 _LEAVES = ("param", "input")

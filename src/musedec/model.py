@@ -5,7 +5,8 @@ high-level) to the patch sequence; every other parameter is shared across
 subjects.  Baselines cover class-token ViTs (ss-vit, ms-smodel), an identity
 token model (ms-emb), and a flat MLP (ss-mlp).  All forward/backward passes
 run through the diffcore graph.  Each row's subject is an integer input that
-picks its token rows, so one graph serves every subject mix of a batch size.
+picks its token rows, and every rule reads the batch size from its input, so
+one graph serves every subject mix and every number of rows.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ VARIANTS = ("clip-mused", "ss-vit", "ms-smodel", "ms-emb", "ss-mlp")
 SUBJECT_TOKEN = {"clip-mused": "token/llv", "ms-emb": "token/emb"}
 INIT_STD = 0.02
 LN_EPS = 1e-5
+CHUNK = 256  # rows per graph evaluation in `forward`
 
 
 class ModelConfigError(Exception):
@@ -212,13 +214,8 @@ def _classifier(g: Graph, x, prefix: str):
     return h
 
 
-def build_forward_graph(
-    cfg: EncoderConfig,
-    subjects: list,
-    batch: int,
-    want_attention: bool = False,
-) -> Graph:
-    """Forward graph for batches of `batch` rows of any mix of `subjects`.
+def build_forward_graph(cfg: EncoderConfig, subjects: list, want_attention: bool = False) -> Graph:
+    """Forward graph for batches of any size and any mix of `subjects`.
 
     Inputs are 'patches' (B, M, d_in) and, for the token variants,
     'subject_idx': each row's position in `subjects` (see
@@ -232,7 +229,7 @@ def build_forward_graph(
     patches = g.input("patches")
 
     if cfg.variant == "ss-mlp":
-        flat = g.reshape(patches, (batch, cfg.patch_count * cfg.patch_dim))
+        flat = g.reshape(patches, (-1, cfg.patch_count * cfg.patch_dim))
         g.mark_output("z", _classifier(g, flat, "mlp"))
         return g
 
@@ -240,12 +237,12 @@ def build_forward_graph(
 
     def subject_tokens(prefix):
         rows = g.take_rows([g.param(f"{prefix}/{sid}") for sid in subjects], g.input("subject_idx"))
-        return g.reshape(rows, (batch, 1, d))
+        return g.reshape(rows, (-1, 1, d))
 
     if cfg.variant == "clip-mused":
         lead = [subject_tokens("token/llv"), subject_tokens("token/hlv")]
     else:
-        lead = [g.broadcast_to(g.param("token/class"), (batch, 1, d))]
+        lead = [g.reshape(g.repeat_rows(g.param("token/class"), patches), (-1, 1, d))]
         if cfg.variant == "ms-emb":
             lead.append(subject_tokens("token/emb"))
 
@@ -295,15 +292,23 @@ def subject_positions(cfg: EncoderConfig, subjects: list, subject_index: list) -
 
 
 def forward(params: dict, cfg: EncoderConfig, x: np.ndarray, subject_index: list, want_attention: bool = False) -> dict:
-    """Run the model on one batch of patches (B, M, d_in); returns every marked output by name.
+    """Run the model on patches (B, M, d_in) of any B; returns every marked output by name, B rows each.
 
-    With `want_attention`, 'attention' holds one AttentionRecord per layer in
-    place of the raw 'attn/<layer>' outputs.
+    The one forward entry point: it builds one graph and evaluates it on
+    `CHUNK` rows at a time, so the chunks, and not B, bound the size of the
+    activations.  `subject_index` names each row's subject.  With
+    `want_attention`, 'attention' holds one AttentionRecord per layer in place
+    of the raw 'attn/<layer>' outputs.
     """
     subjects = token_subjects(cfg, params)
     idx = subject_positions(cfg, subjects, subject_index)
-    g = build_forward_graph(cfg, subjects, x.shape[0], want_attention)
-    out = diffcore.evaluate(g, {**params, "patches": x, "subject_idx": idx})
+    g = build_forward_graph(cfg, subjects, want_attention)
+    # one evaluation even of zero rows, so every output has its shape
+    chunks = [
+        diffcore.evaluate(g, {**params, "patches": x[s : s + CHUNK], "subject_idx": idx[s : s + CHUNK]})
+        for s in range(0, max(len(x), 1), CHUNK)
+    ]
+    out = {name: np.concatenate([c[name] for c in chunks]) for name in chunks[0]}
     if want_attention:
         out["attention"] = [
             AttentionRecord(l, out.pop(f"attn/{l}"), cfg.n_lead_tokens)

@@ -134,18 +134,29 @@ def read_labels_csv(path):
 def load_manifest(path) -> dict:
     path = Path(path)
     with open(path) as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ManifestError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ManifestError(f"{path} does not hold a JSON object")
     for key in ("experiment", "mode", "subjects", "features"):
         if key not in manifest:
             raise ManifestError(f"manifest missing field {key!r}")
     if manifest["mode"] not in ("same-stimuli", "disjoint-stimuli"):
         raise ManifestError(f"unknown mode {manifest['mode']!r}")
+    if not isinstance(manifest["subjects"], list) or not all(isinstance(sub, dict) for sub in manifest["subjects"]):
+        raise ManifestError("manifest field 'subjects' is not a list of objects")
     if not manifest["subjects"]:
         raise ManifestError("manifest lists no subjects")
+    if not isinstance(manifest["features"], dict):
+        raise ManifestError("manifest field 'features' is not an object")
     base = path.parent
     for i, sub in enumerate(manifest["subjects"]):
         if "id" not in sub:
             raise ManifestError(f"subject #{i}: manifest entry missing field 'id'")
+        if not isinstance(sub["id"], str):
+            raise ManifestError(f"subject #{i}: id {json.dumps(sub['id'])} is not a string")
         if any(other["id"] == sub["id"] for other in manifest["subjects"][:i]):
             raise ManifestError(f"subject {sub['id']}: id listed more than once")
         _check_files(base, sub, ("responses", "stimulus_ids"), f"subject {sub['id']}")
@@ -160,5 +171,7 @@ def _check_files(base, entry, fields, owner):
     for k in fields:
         if k not in entry:
             raise ManifestError(f"{owner}: manifest entry missing field {k!r}")
+        if not isinstance(entry[k], str):
+            raise ManifestError(f"{owner}: field {k!r} is not a file name")
         if not (base / entry[k]).exists():
             raise ManifestError(f"{owner}: missing file {entry[k]}")

@@ -1,7 +1,9 @@
 """Loss terms and the total training objective.
 
 Each loss has two surfaces: a graph builder used inside the training graph,
-and a plain function that evaluates the same builder on concrete arrays.
+and a plain function that evaluates the same builder on concrete arrays.  No
+builder takes a batch size: each term divides by the row count of its input
+(`frobenius_sq`'s `rows_power`), so one graph serves every batch size.
 """
 
 from __future__ import annotations
@@ -35,18 +37,16 @@ class LossWeights:
 # -- graph builders ---------------------------------------------------------
 
 
-def add_rsa_loss(g: Graph, target_rsm, z, batch: int):
+def add_rsa_loss(g: Graph, target_rsm, z):
     """|| M_target - cosine_rsm(Z) ||_F^2 / B^2."""
-    if batch < 2:
-        raise ObjectiveError("RSA loss needs batch size >= 2")
     diff = g.add(target_rsm, g.scale(g.cosine_sim_matrix(z), -1.0))
-    return g.scale(g.frobenius_sq(diff), 1.0 / batch**2)
+    return g.frobenius_sq(diff, rows_power=2)
 
 
-def add_orthogonality_loss(g: Graph, z_llv, z_hlv, batch: int):
+def add_orthogonality_loss(g: Graph, z_llv, z_hlv):
     """|| Z_llv Z_hlv^T ||_F^2 / B^2."""
     prod = g.matmul(z_llv, g.transpose(z_hlv, (1, 0)))
-    return g.scale(g.frobenius_sq(prod), 1.0 / batch**2)
+    return g.frobenius_sq(prod, rows_power=2)
 
 
 def add_bce_loss(g: Graph, logits, y):
@@ -54,13 +54,13 @@ def add_bce_loss(g: Graph, logits, y):
     return g.bce_with_logits(logits, y)
 
 
-def add_mapping_loss(g: Graph, z_llv, z_hlv, f_llv, f_hlv, batch: int):
-    """Mean squared error of linear projections onto the stimulus features."""
+def add_mapping_loss(g: Graph, z_llv, z_hlv, f_llv, f_hlv):
+    """(|| Z_llv P_l - F_llv ||_F^2 + || Z_hlv P_h - F_hlv ||_F^2) / B."""
     pred_l = g.matmul(z_llv, g.param("map/Pl"))
     pred_h = g.matmul(z_hlv, g.param("map/Ph"))
-    err_l = g.frobenius_sq(g.add(pred_l, g.scale(f_llv, -1.0)))
-    err_h = g.frobenius_sq(g.add(pred_h, g.scale(f_hlv, -1.0)))
-    return g.scale(g.add(err_l, err_h), 1.0 / batch)
+    err_l = g.frobenius_sq(g.add(pred_l, g.scale(f_llv, -1.0)), rows_power=1)
+    err_h = g.frobenius_sq(g.add(pred_h, g.scale(f_hlv, -1.0)), rows_power=1)
+    return g.add(err_l, err_h)
 
 
 def add_total_loss(g: Graph, parts: dict, weights: LossWeights, mapping: bool = False):
@@ -79,10 +79,8 @@ def add_total_loss(g: Graph, parts: dict, weights: LossWeights, mapping: bool = 
 
 
 def rsa_loss(target_rsm: np.ndarray, z: np.ndarray) -> float:
-    target_rsm = np.asarray(target_rsm)
-    b = target_rsm.shape[0]
     g = Graph()
-    out = add_rsa_loss(g, g.input("m"), g.input("z"), b)
+    out = add_rsa_loss(g, g.input("m"), g.input("z"))
     g.mark_output("loss", out)
     return float(diffcore.evaluate(g, {"m": target_rsm, "z": z})["loss"][0])
 
@@ -91,7 +89,7 @@ def orthogonality_loss(z_llv: np.ndarray, z_hlv: np.ndarray) -> float:
     if z_llv.shape != z_hlv.shape:
         raise ObjectiveError("representation shapes differ")
     g = Graph()
-    out = add_orthogonality_loss(g, g.input("a"), g.input("b"), z_llv.shape[0])
+    out = add_orthogonality_loss(g, g.input("a"), g.input("b"))
     g.mark_output("loss", out)
     return float(diffcore.evaluate(g, {"a": z_llv, "b": z_hlv})["loss"][0])
 
@@ -108,7 +106,7 @@ def mapping_loss(z_llv, z_hlv, f_llv, f_hlv, map_params: dict) -> float:
     if map_params["map/Pl"].shape[0] != z_llv.shape[1]:
         raise ObjectiveError("mapping projection dims do not match representations")
     g = Graph()
-    out = add_mapping_loss(g, g.input("zl"), g.input("zh"), g.input("fl"), g.input("fh"), z_llv.shape[0])
+    out = add_mapping_loss(g, g.input("zl"), g.input("zh"), g.input("fl"), g.input("fh"))
     g.mark_output("loss", out)
     bindings = {**map_params, "zl": z_llv, "zh": z_hlv, "fl": f_llv, "fh": f_hlv}
     return float(diffcore.evaluate(g, bindings)["loss"][0])

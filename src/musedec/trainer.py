@@ -162,19 +162,17 @@ def _clip_grads(grad, max_norm):
 # training graphs
 
 
-def _build_loss_graph(cfg, weights: LossWeights, subjects, batch, mapping):
-    g = model.build_forward_graph(cfg, subjects, batch)
+def _build_loss_graph(cfg, weights: LossWeights, subjects, mapping):
+    g = model.build_forward_graph(cfg, subjects)
     parts = {"loss_c": objectives.add_bce_loss(g, g.outputs["logits"], g.input("labels"))}
     if cfg.variant == "clip-mused":
         z_llv, z_hlv = g.outputs["z_llv"], g.outputs["z_hlv"]
-        parts["loss_perp"] = objectives.add_orthogonality_loss(g, z_llv, z_hlv, batch)
+        parts["loss_perp"] = objectives.add_orthogonality_loss(g, z_llv, z_hlv)
         if mapping:
-            parts["loss_map"] = objectives.add_mapping_loss(
-                g, z_llv, z_hlv, g.input("f_llv"), g.input("f_hlv"), batch
-            )
+            parts["loss_map"] = objectives.add_mapping_loss(g, z_llv, z_hlv, g.input("f_llv"), g.input("f_hlv"))
         else:
-            parts["loss_llv"] = objectives.add_rsa_loss(g, g.input("m_llv"), z_llv, batch)
-            parts["loss_hlv"] = objectives.add_rsa_loss(g, g.input("m_hlv"), z_hlv, batch)
+            parts["loss_llv"] = objectives.add_rsa_loss(g, g.input("m_llv"), z_llv)
+            parts["loss_hlv"] = objectives.add_rsa_loss(g, g.input("m_hlv"), z_hlv)
         total = objectives.add_total_loss(g, parts, weights, mapping)
     else:
         total = parts["loss_c"]
@@ -204,26 +202,14 @@ def _batch_bindings(batch: Batch, cfg: EncoderConfig, subjects, mapping: bool, r
 # prediction
 
 
-PREDICT_CHUNK = 256  # rows per forward pass in predict
-
-
 def predict(params, cfg: EncoderConfig, data: TrainData, split: str):
     """Scores/labels over one split, pooled across subjects (row-aligned); labels come from the feature set."""
     scores, labels = [], []
-    subjects = model.token_subjects(cfg, params)
-    graph_cache = {}
     for ds in data.datasets:
         rows = data.splits[ds.subject_id][split]
-        for start in range(0, len(rows), PREDICT_CHUNK):
-            sel = rows[start : start + PREDICT_CHUNK]
-            b = len(sel)
-            if b not in graph_cache:
-                graph_cache[b] = model.build_forward_graph(cfg, subjects, b)
-            idx = model.subject_positions(cfg, subjects, [ds.subject_id] * b)
-            bindings = {**params, "patches": ds.responses[sel], "subject_idx": idx}
-            out = diffcore.evaluate(graph_cache[b], bindings)
-            scores.append(diffcore.sigmoid(out["logits"]))
-            labels.append(data.features.rows([ds.stimulus_ids[r] for r in sel])[2])
+        logits = model.forward(params, cfg, ds.responses[rows], [ds.subject_id] * len(rows))["logits"]
+        scores.append(diffcore.sigmoid(logits))
+        labels.append(data.features.rows([ds.stimulus_ids[r] for r in rows])[2])
     return np.concatenate(scores), np.concatenate(labels)
 
 
@@ -312,8 +298,7 @@ def train(
     rng.bit_generator.state = state.rng_state
 
     subjects = model.token_subjects(model_cfg, state.params)
-    # make_batches drops the short tail, so every batch has batch_size rows
-    g = _build_loss_graph(model_cfg, cfg.weights, subjects, cfg.batch_size, mapping)
+    g = _build_loss_graph(model_cfg, cfg.weights, subjects, mapping)
     params, m, v, best = _pack_state(state, g)
     rsm_warnings = [0]
 

@@ -33,7 +33,7 @@ def test_criterion_1_gradient_correctness_full_loss_graph():
     )
     weights = LossWeights(lambda_perp=0.001, lambda_llv=0.1, lambda_hlv=0.1)
     subject_index = ["subA", "subB", "subA", "subB"]
-    g = trainer._build_loss_graph(cfg, weights, ["subA", "subB"], 4, mapping=False)
+    g = trainer._build_loss_graph(cfg, weights, ["subA", "subB"], mapping=False)
 
     rng = np.random.default_rng(0)
     params = model.init_params(cfg, ["subA", "subB"], rng)
@@ -74,7 +74,7 @@ def test_criterion_2_subject_token_isolation():
     assert np.array_equal(z_hlv, z_hlv2)
 
     weights = LossWeights(lambda_perp=0.001, lambda_llv=0.1, lambda_hlv=0.1)
-    g = trainer._build_loss_graph(cfg, weights, ["subA", "subB"], 3, mapping=False)
+    g = trainer._build_loss_graph(cfg, weights, ["subA", "subB"], mapping=False)
     feats = stimfeat.synth_features(3, 3, 6, 6, seed=3)
     _, grads = diffcore.evaluate_with_gradient(
         g,

@@ -138,6 +138,22 @@ class TestTrainEval:
         assert capsys.readouterr().err == "data error: subject sub_00: id listed more than once\n"
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda m: {**m, "subjects": 5}, "manifest field 'subjects' is not a list of objects"),
+            (lambda m: {**m, "subjects": [{**m["subjects"][0], "id": 7}]}, "subject #0: id 7 is not a string"),
+        ],
+        ids=["subjects-int", "id-int"],
+    )
+    def test_malformed_manifest_structure_is_data_error(self, workspace, capsys, edit, message):
+        tmp_path, manifest_path, config_path = workspace
+        manifest_path.write_text(json.dumps(edit(json.loads(manifest_path.read_text()))))
+        code = cli.main(["train", "--config", str(config_path), "--data", str(manifest_path),
+                         "--out", str(tmp_path / "run")])
+        assert code == cli.EXIT_DATA
+        assert capsys.readouterr().err == f"data error: {message}\n"
+
     def test_train_override_method_and_seed(self, workspace, capsys):
         tmp_path, manifest_path, config_path = workspace
         code = cli.main(
@@ -224,6 +240,32 @@ class TestTrainEval:
         code = cli.main(["train", "--config", str(bad), "--data", str(manifest_path), "--out", str(tmp_path / "r5")])
         assert code == cli.EXIT_USAGE
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, values, message",
+        [
+            (None, {"train": 5}, "config section 'train' is not a JSON object"),
+            ("train", {"weights": 3}, "config section 'train.weights' is not a JSON object"),
+            ("train", {"max_epochs": "2"}, 'config value train.max_epochs = "2" is not an integer'),
+            ("train", {"batch_size": 8.5}, "config value train.batch_size = 8.5 is not an integer"),
+            ("model", {"d_model": "32"}, 'config value model.d_model = "32" is not an integer'),
+            ("model", {"layers": 1.5}, "config value model.layers = 1.5 is not an integer"),
+            ("split", {"counts": [40, 10]}, "config value split.counts = [40, 10] is not a list of 3 numbers or null"),
+            ("split", {"counts": "abc"}, 'config value split.counts = "abc" is not a list of 3 numbers or null'),
+        ],
+        ids=["train-int", "weights-int", "epochs-str", "batch-float", "d_model-str", "layers-float",
+             "counts-short", "counts-str"],
+    )
+    def test_config_value_of_wrong_json_type_is_usage_error(self, workspace, capsys, section, values, message):
+        tmp_path, manifest_path, _ = workspace
+        cfg = json.loads(json.dumps(CONFIG))
+        (cfg if section is None else cfg[section]).update(values)
+        bad = tmp_path / "bad_type.json"
+        bad.write_text(json.dumps(cfg))
+        code = cli.main(["train", "--config", str(bad), "--data", str(manifest_path), "--out", str(tmp_path / "r6")])
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not (tmp_path / "r6").exists()
 
     def test_config_not_json_is_usage_error(self, workspace, capsys):
         tmp_path, manifest_path, _ = workspace

@@ -254,17 +254,29 @@ def test_take_rows_adjoint_repeated_and_absent_indices():
         assert np.array_equal(grads[absent], np.zeros(3)), absent
 
 
-def _broadcast_to_graph():
+def _repeat_rows_graph():
     g = Graph()
-    tiled = g.broadcast_to(g.param("t"), (4, 1, 3))
+    tiled = g.reshape(g.repeat_rows(g.param("t"), g.input("w")), (-1, 1, 3))
     g.mark_output("out", g.frobenius_sq(g.gelu(g.add(tiled, g.input("w")))))
     return g
 
 
-def test_broadcast_to_adjoint_matches_finite_differences():
+def test_repeat_rows_adjoint_matches_finite_differences():
     rng = np.random.default_rng(22)
-    g = _broadcast_to_graph()
+    g = _repeat_rows_graph()
     bindings = {"t": rng.normal(size=3), "w": rng.normal(size=(4, 1, 3))}
+    assert evaluate(g, bindings)["out"].shape == (1,)
+    report = grad_check(g, bindings, "out", h=1e-5, tol=1e-6)
+    assert report.passed, report.per_param
+
+
+def test_frobenius_sq_rows_power_matches_finite_differences():
+    rng = np.random.default_rng(23)
+    g = Graph()
+    g.mark_output("out", g.frobenius_sq(g.matmul(g.param("w"), g.param("v")), rows_power=2))
+    bindings = {"w": rng.normal(size=(5, 3)), "v": rng.normal(size=(3, 4))}
+    want = ((bindings["w"] @ bindings["v"]) ** 2).sum() / 25.0
+    np.testing.assert_allclose(evaluate(g, bindings)["out"], [want], rtol=1e-12)
     report = grad_check(g, bindings, "out", h=1e-5, tol=1e-6)
     assert report.passed, report.per_param
 
@@ -272,7 +284,7 @@ def test_broadcast_to_adjoint_matches_finite_differences():
 def test_every_rule_kind_is_gradient_checked():
     graphs = [scalar_graph(build) for build in PRIMITIVE_GRAPHS.values()]
     graphs += [scalar_graph(build) for build, _ in FUSED_GRAPHS.values()]
-    graphs += [_take_rows_graph(3), _broadcast_to_graph()]
+    graphs += [_take_rows_graph(3), _repeat_rows_graph()]
     checked = {node.kind for g in graphs for node in g.nodes}
     assert set(diffcore._RULES) <= checked, sorted(set(diffcore._RULES) - checked)
 

@@ -3,6 +3,7 @@ import pytest
 from scipy.special import erf
 
 from musedec import diffcore, model, trainer
+from musedec.diffcore import cosine_similarity_matrix
 from musedec.model import (
     AttentionRecord,
     EncoderConfig,
@@ -299,7 +300,7 @@ class TestSubjectIsolation:
         params = init_params(cfg, SUBJECTS, np.random.default_rng(12))
         idx = ["sub_00", "sub_01"]
         subjects = token_subjects(cfg, params)
-        g = build_forward_graph(cfg, subjects, 2)
+        g = build_forward_graph(cfg, subjects)
         g.mark_output("scalar", g.frobenius_sq(g.outputs["logits"]))
         patches, _ = make_inputs(cfg, 2, seed=13)
         bindings = {**params, "patches": patches, "subject_idx": subject_positions(cfg, subjects, idx)}
@@ -314,7 +315,7 @@ class TestGradients:
         cfg = EncoderConfig(layers=1, heads=2, d_model=4, patch_dim=3, patch_count=2, n_classes=2)
         params = init_params(cfg, ["a", "b"], np.random.default_rng(14))
         patches = np.random.default_rng(15).normal(size=(2, 2, 3))
-        g = build_forward_graph(cfg, ["a", "b"], 2)
+        g = build_forward_graph(cfg, ["a", "b"])
         g.mark_output("scalar", g.frobenius_sq(g.outputs["logits"]))
         bindings = {**params, "patches": patches, "subject_idx": subject_positions(cfg, ["a", "b"], ["a", "b"])}
         report = diffcore.grad_check(g, bindings, "scalar", tol=1e-4)
@@ -338,9 +339,9 @@ def test_encoder_block_grad_check(residual):
     assert report.passed, report.per_param
 
 
-def _forward_loss_graph(cfg, subjects, batch, want_attention):
+def _forward_loss_graph(cfg, subjects, want_attention):
     """Forward graph with a loss over every read-out output."""
-    g = build_forward_graph(cfg, subjects, batch, want_attention)
+    g = build_forward_graph(cfg, subjects, want_attention)
     names = [n for n in g.outputs if not n.startswith("attn/")]
     terms = [g.frobenius_sq(g.add(g.outputs[n], g.input(f"m/{n}"))) for n in names]
     loss = terms[0]
@@ -359,8 +360,8 @@ def test_last_block_on_read_out_rows_matches_full_rows(variant, residual):
     params = {k: v + 0.1 * rng.normal(size=v.shape) for k, v in init_params(cfg, SUBJECTS, rng).items()}
     subjects = token_subjects(cfg, params)
     patches, idx = make_inputs(cfg, batch, seed=42)
-    pruned, names = _forward_loss_graph(cfg, subjects, batch, want_attention=False)
-    full, _ = _forward_loss_graph(cfg, subjects, batch, want_attention=True)
+    pruned, names = _forward_loss_graph(cfg, subjects, want_attention=False)
+    full, _ = _forward_loss_graph(cfg, subjects, want_attention=True)
     read_rows = 2 if variant == "clip-mused" else 1
     leading = [[n.attrs["index"] for n in g.nodes if n.kind == "rows" and isinstance(n.attrs["index"], slice)]
                for g in (pruned, full)]
@@ -379,30 +380,107 @@ def test_last_block_on_read_out_rows_matches_full_rows(variant, residual):
 
 
 def _package_graphs():
-    """(loss graphs, forward graphs): every variant, residual and mapping flag trains, every forward predicts."""
+    """(loss graphs, forward graphs) as (cfg, graph) pairs: every variant, residual and mapping flag trains,
+    every forward predicts."""
     loss_graphs, forward_graphs = [], []
     for variant in model.VARIANTS:
         for residual in ("paper", "conventional"):
             cfg = tiny_cfg(variant=variant, residual_variant=residual)
             subjects = SUBJECTS if variant in model.SUBJECT_TOKEN else []
             for mapping in (False, True):
-                loss_graphs.append(trainer._build_loss_graph(cfg, LossWeights(), subjects, 4, mapping))
+                loss_graphs.append((cfg, trainer._build_loss_graph(cfg, LossWeights(), subjects, mapping)))
             for want_attention in (False, True):
-                forward_graphs.append(build_forward_graph(cfg, subjects, 4, want_attention))
+                forward_graphs.append((cfg, build_forward_graph(cfg, subjects, want_attention)))
     return loss_graphs, forward_graphs
 
 
 def test_package_graphs_reach_every_rule_and_feed_every_loss_node():
     loss_graphs, forward_graphs = _package_graphs()
-    reached = {n.kind for g in loss_graphs + forward_graphs for n in g.nodes} - set(diffcore._LEAVES)
+    reached = {n.kind for _, g in loss_graphs + forward_graphs for n in g.nodes} - set(diffcore._LEAVES)
     assert reached == set(diffcore._RULES), sorted(reached ^ set(diffcore._RULES))
-    for g in loss_graphs:
+    for _, g in loss_graphs:
         live = {g.outputs["loss"]}
         for i in range(len(g.nodes) - 1, -1, -1):
             if i in live:
                 live.update(g.nodes[i].inputs)
         dead = [(i, n.kind) for i, n in enumerate(g.nodes) if i not in live and n.kind not in diffcore._LEAVES]
         assert not dead, dead
+
+
+def _guard_params(cfg, g, seed):
+    rng = np.random.default_rng(seed)
+    params = {k: v + 0.1 * rng.normal(size=v.shape) for k, v in init_params(cfg, SUBJECTS, rng).items()}
+    if "map/Pl" in g.params:
+        params.update(model.init_mapping_params(cfg.d_model, 3, 4, rng))
+    return params
+
+
+def _assert_rows_alone(out, params, cfg, patches, idx, want_attention=False):
+    """Each row of every output in `out` equals that row run through `forward` on its own.
+
+    The atol covers the last bit of a logit that cancels to about 1e-6, where a
+    one-row GEMM sums in another order than a many-row one.
+    """
+    alone = [forward(params, cfg, patches[i : i + 1], idx[i : i + 1], want_attention) for i in range(len(idx))]
+    for name in ("logits", "z", "z_llv", "z_hlv"):
+        if name in out:
+            want = np.concatenate([a[name] for a in alone])
+            np.testing.assert_allclose(out[name], want, rtol=1e-12, atol=1e-15, err_msg=name)
+    for l, rec in enumerate(out.get("attention", [])):
+        want = np.concatenate([a["attention"][l].weights for a in alone])
+        np.testing.assert_allclose(rec.weights, want, rtol=1e-12, atol=1e-15, err_msg=f"attention {l}")
+
+
+def test_one_loss_graph_serves_every_batch_size():
+    """One loss graph per model runs at B = 2 and B = 5: its rows match each row run alone,
+    and its terms divide by the batch it was given."""
+    for k, (cfg, g) in enumerate(_package_graphs()[0]):
+        params = _guard_params(cfg, g, seed=50 + k)
+        rng = np.random.default_rng(k)
+        for batch in (2, 5):
+            patches, idx = make_inputs(cfg, batch, seed=batch + k)
+            bindings = {
+                **params,
+                "patches": patches,
+                "subject_idx": subject_positions(cfg, SUBJECTS, idx),
+                "labels": rng.integers(0, 2, size=(batch, cfg.n_classes)).astype(float),
+                "m_llv": cosine_similarity_matrix(rng.normal(size=(batch, 3))),
+                "m_hlv": cosine_similarity_matrix(rng.normal(size=(batch, 4))),
+                "f_llv": rng.normal(size=(batch, 3)),
+                "f_hlv": rng.normal(size=(batch, 4)),
+            }
+            out, grads = diffcore.evaluate_with_gradient(g, bindings, "loss")
+            assert sorted(grads) == sorted(params) and all(np.isfinite(v).all() for v in grads.values())
+            assert out["logits"].shape == (batch, cfg.n_classes)
+            _assert_rows_alone(out, params, cfg, patches, idx)
+            if "loss_perp" in out:
+                want = ((out["z_llv"] @ out["z_hlv"].T) ** 2).sum() / batch**2
+                np.testing.assert_allclose(out["loss_perp"], [want], rtol=1e-12)
+
+
+def test_one_forward_graph_serves_one_row_and_two_chunks(monkeypatch):
+    """`forward` runs its one graph over any number of rows: 300 rows take two chunks of it,
+    and every row matches the row run alone."""
+    for k, (cfg, g) in enumerate(_package_graphs()[1]):
+        want_attention = "attn/0" in g.outputs
+        params = _guard_params(cfg, g, seed=80 + k)
+        patches, idx = make_inputs(cfg, 300, seed=k)
+        calls = []
+
+        def built_once(*args, **kwargs):
+            calls.append("build")
+            return g
+
+        def counted(graph, bindings, _evaluate=diffcore.evaluate):
+            calls.append(len(bindings["patches"]))
+            return _evaluate(graph, bindings)
+
+        monkeypatch.setattr(model, "build_forward_graph", built_once)
+        monkeypatch.setattr(diffcore, "evaluate", counted)
+        out = forward(params, cfg, patches, idx, want_attention)
+        assert calls == ["build", model.CHUNK, 300 - model.CHUNK]
+        _assert_rows_alone(out, params, cfg, patches, idx, want_attention)
+        monkeypatch.undo()
 
 
 class TestAttention:

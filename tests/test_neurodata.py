@@ -311,6 +311,28 @@ class TestExperimentFiles:
         with pytest.raises(msed.ManifestError, match=message):
             load_experiment(path)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda m: "{not json", "is not valid JSON"),
+            (lambda m: [m], "does not hold a JSON object"),
+            (lambda m: {**m, "subjects": 5}, "manifest field 'subjects' is not a list of objects"),
+            (lambda m: {**m, "subjects": [5]}, "manifest field 'subjects' is not a list of objects"),
+            (lambda m: {**m, "features": 5}, "manifest field 'features' is not an object"),
+            (lambda m: {**m, "subjects": [m["subjects"][0], {**m["subjects"][1], "id": 7}]},
+             "subject #1: id 7 is not a string"),
+            (lambda m: {**m, "subjects": [{**m["subjects"][0], "responses": 5}]},
+             "subject sub_00: field 'responses' is not a file name"),
+        ],
+        ids=["not-json", "not-object", "subjects-int", "subject-int", "features-int", "id-int", "responses-int"],
+    )
+    def test_malformed_manifest_structure(self, experiment, edit, message):
+        path = experiment[0]
+        edited = edit(json.loads(path.read_text()))
+        path.write_text(edited if isinstance(edited, str) else json.dumps(edited))
+        with pytest.raises(msed.ManifestError, match=message):
+            load_experiment(path)
+
     def test_repeated_subject_id(self, experiment):
         path = experiment[0]
         manifest = json.loads(path.read_text())

@@ -53,18 +53,13 @@ class TestRsaLoss:
         scaled = z * rng.uniform(0.5, 3.0, size=(4, 1))
         assert rsa_loss(target, z) == pytest.approx(rsa_loss(target, scaled), rel=1e-10)
 
-    def test_batch_floor(self):
-        g = Graph()
-        with pytest.raises(ObjectiveError):
-            add_rsa_loss(g, g.input("m"), g.input("z"), 1)
-
     def test_gradient_check(self):
         rng = np.random.default_rng(3)
         z = rng.normal(size=(4, 3))
         target = cosine_similarity_matrix(rng.normal(size=(4, 3)))
         g = Graph()
         zp = g.param("z")
-        g.mark_output("loss", add_rsa_loss(g, g.input("m"), zp, 4))
+        g.mark_output("loss", add_rsa_loss(g, g.input("m"), zp))
         report = diffcore.grad_check(g, {"z": z, "m": target}, "loss", tol=1e-4)
         assert report.passed, report.max_rel_err
 
@@ -97,7 +92,7 @@ class TestOrthogonalityLoss:
         rng = np.random.default_rng(6)
         g = Graph()
         g.mark_output(
-            "loss", add_orthogonality_loss(g, g.param("a"), g.param("b"), 3)
+            "loss", add_orthogonality_loss(g, g.param("a"), g.param("b"))
         )
         bindings = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(3, 4))}
         report = diffcore.grad_check(g, bindings, "loss", tol=1e-4)
@@ -211,7 +206,7 @@ class TestMappingLoss:
     def test_gradient_check_through_maps(self):
         z_llv, z_hlv, f_llv, f_hlv, maps = self._setup(seed=10)
         g = Graph()
-        out = add_mapping_loss(g, g.input("zl"), g.input("zh"), g.input("fl"), g.input("fh"), 4)
+        out = add_mapping_loss(g, g.input("zl"), g.input("zh"), g.input("fl"), g.input("fh"))
         g.mark_output("loss", out)
         bindings = {**maps, "zl": z_llv, "zh": z_hlv, "fl": f_llv, "fh": f_hlv}
         report = diffcore.grad_check(g, bindings, "loss", tol=1e-4)

@@ -1,7 +1,8 @@
-"""The benchmark's tracer wraps musedec module attributes by name.
+"""The benchmark's tracer and workloads reach musedec through its public names.
 
 A rename under src/ would otherwise surface only when perfbench/run.py is
-run with --trace 1; this enters the tracer once so pytest catches it.
+run; these enter the tracer once and run every workload at its tiny size so
+pytest catches it.
 """
 
 import importlib.util
@@ -10,12 +11,12 @@ from pathlib import Path
 
 from musedec import cli, diffcore, metrics, model, msed, neurodata, objectives, stimfeat, trainer
 
-TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 MODULES = (cli, diffcore, metrics, model, msed, neurodata, objectives, trainer)
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
@@ -23,7 +24,7 @@ def _load_tracer():
 
 
 def test_tracer_hooks_resolve_and_restore():
-    tracer = _load_tracer()
+    tracer = _load("tracer")
     before = [dict(vars(m)) for m in MODULES]
     with tracer.instrument(tracer.Tracer(), "hooks"):
         wrapped = {
@@ -48,7 +49,7 @@ def test_tracer_sizes_count_adam_steps_and_scored_rows():
     splits = neurodata.split_dataset(datasets, neurodata.SplitSpec("same-stimuli", counts=(24, 8, 8), seed=0))
     data = trainer.TrainData(datasets, features, splits)
     mcfg = model.EncoderConfig(layers=1, heads=2, d_model=8, patch_dim=6, patch_count=4, n_classes=4)
-    tracer = _load_tracer()
+    tracer = _load("tracer")
     with tracer.instrument(tracer.Tracer(), "sizes") as traced:
         state, _ = trainer.train(trainer.TrainConfig(batch_size=8, max_epochs=1), mcfg, data)
         scores, _ = trainer.predict(state.params, mcfg, data, "test")
@@ -57,3 +58,17 @@ def test_tracer_sizes_count_adam_steps_and_scored_rows():
     assert values["trainer.adam_skipped"] == 0
     val_rows = sum(len(data.splits[ds.subject_id]["val"]) for ds in data.datasets)
     assert values["trainer.predict_rows"] == val_rows + len(scores)
+
+
+def test_every_workload_runs_tiny(tmp_path):
+    """Each workload, shrunk, generates, sets up and runs twice without a failure and with the same digests."""
+    workloads = _load("workloads")
+    for name, full in workloads.WORKLOADS.items():
+        w = workloads.sized(full, "tiny")
+        manifest = workloads.generate(w, 23, tmp_path / name / "experiment")
+        digests = []
+        for rep in range(2):
+            result = workloads.run(w, workloads.setup(w, 23, manifest), tmp_path / name / f"run{rep}")
+            assert not result.errors and result.failed == 0 and result.attempted >= 1, (name, result)
+            digests.append((result.output_sha256, result.loss_sha256))
+        assert digests[0] == digests[1], name

@@ -269,33 +269,51 @@ class TestTrainLoop:
         )
         np.testing.assert_array_equal(labels, expect_labels)
 
-    def test_one_graph_per_batch_size(self, monkeypatch):
-        """Shuffled cross-subject batches share the graph of their batch size."""
-        build, predict_, batch_bindings = model.build_forward_graph, trainer.predict, trainer._batch_bindings
-        train_builds, mixes, in_predict = [], set(), [False]
+    def test_one_loss_graph_per_run(self, monkeypatch):
+        """Shuffled cross-subject batches all run through the one loss graph built at the start of the run."""
+        build, evaluate, batch_bindings = (
+            trainer._build_loss_graph, diffcore.evaluate_with_gradient, trainer._batch_bindings
+        )
+        built, used, mixes = [], set(), set()
 
-        def counting_build(cfg, subjects, batch, *args, **kwargs):
-            if not in_predict[0]:
-                train_builds.append(batch)
-            return build(cfg, subjects, batch, *args, **kwargs)
+        def counting_build(*args, **kwargs):
+            built.append(build(*args, **kwargs))
+            return built[-1]
 
-        def flagged_predict(*args, **kwargs):
-            in_predict[0] = True
-            try:
-                return predict_(*args, **kwargs)
-            finally:
-                in_predict[0] = False
+        def recording_evaluate(g, *args, **kwargs):
+            used.add(id(g))
+            return evaluate(g, *args, **kwargs)
 
         def recording_bindings(batch, *args, **kwargs):
-            mixes.add((len(batch.subject_index), tuple(batch.subject_index)))
+            mixes.add(tuple(batch.subject_index))
             return batch_bindings(batch, *args, **kwargs)
 
-        monkeypatch.setattr(model, "build_forward_graph", counting_build)
-        monkeypatch.setattr(trainer, "predict", flagged_predict)
+        monkeypatch.setattr(trainer, "_build_loss_graph", counting_build)
+        monkeypatch.setattr(diffcore, "evaluate_with_gradient", recording_evaluate)
         monkeypatch.setattr(trainer, "_batch_bindings", recording_bindings)
         train(small_cfg(max_epochs=3), small_model(), small_data(n_sub=3))
         assert len(mixes) > 1, "batches should mix subjects differently"
-        assert sorted(train_builds) == sorted({b for b, _ in mixes})
+        assert len(built) == 1 and used == {id(built[0])}
+
+    def test_predict_scores_forward_in_chunks_of_256_rows(self, monkeypatch):
+        """A 300-row split scores, bitwise, as the sigmoid of `forward` on rows[:256] and on rows[256:]."""
+        data, mcfg = small_data(n_s=300, n_sub=1), small_model()
+        ds = data.datasets[0]
+        rows = np.random.default_rng(3).permutation(300)
+        data.splits[ds.subject_id]["test"] = rows
+        params = model.init_params(mcfg, [ds.subject_id], np.random.default_rng(4))
+        sizes, evaluate = [], diffcore.evaluate
+
+        def recording_evaluate(g, bindings):
+            sizes.append(len(bindings["patches"]))
+            return evaluate(g, bindings)
+
+        monkeypatch.setattr(diffcore, "evaluate", recording_evaluate)
+        scores, _ = predict(params, mcfg, data, "test")
+        assert sizes == [256, 44]
+        parts = [model.forward(params, mcfg, ds.responses[r], [ds.subject_id] * len(r))["logits"]
+                 for r in (rows[:256], rows[256:])]
+        assert scores.tobytes() == diffcore.sigmoid(np.concatenate(parts)).tobytes()
 
     def test_token_isolation_during_training(self):
         # training on one subject's data must not move another's tokens
