@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-import typing
 from pathlib import Path
 
 
@@ -51,45 +50,6 @@ MODEL_KEYS = [
 ]
 
 
-# what a config value of each annotated field type must be in JSON
-_JSON_KINDS = {int: "an integer", float: "a number", str: "a string", tuple: "a list of 3 numbers", type(None): "null"}
-
-
-def _fits(value, kind) -> bool:
-    """Whether a JSON value fits a field annotated `kind`; a bool is not a number."""
-    if kind is type(None):
-        return value is None
-    if isinstance(value, bool):
-        return False
-    if kind is float:
-        return isinstance(value, (int, float))
-    if kind is tuple:  # split counts and fractions: (train, val, test)
-        return isinstance(value, list) and len(value) == 3 and all(_fits(v, float) for v in value)
-    return isinstance(value, kind)
-
-
-def _check_section(where, section, cls, valid=None):
-    """UsageError unless `section` is a JSON object whose keys are `cls`'s fields (or those in `valid`)
-    and whose values fit those fields' annotations."""
-    if not isinstance(section, dict):
-        raise UsageError(f"config section {where!r} is not a JSON object")
-    hints = typing.get_type_hints(cls)
-    valid = valid or list(hints)
-    unknown = sorted(set(section) - set(valid))
-    if unknown:
-        raise UsageError(
-            f"unknown key(s) {', '.join(map(repr, unknown))} in config section {where!r}; "
-            f"valid: {', '.join(sorted(valid))}"
-        )
-    for key, value in section.items():
-        kinds = typing.get_args(hints[key]) or (hints[key],)
-        if dataclasses.is_dataclass(hints[key]):
-            _check_section(f"{where}.{key}", value, hints[key])
-        elif not any(_fits(value, kind) for kind in kinds):
-            want = " or ".join(_JSON_KINDS[kind] for kind in kinds)
-            raise UsageError(f"config value {where}.{key} = {json.dumps(value)} is not {want}")
-
-
 def _load_config(path):
     """The config's train/model/split sections.
 
@@ -106,9 +66,9 @@ def _load_config(path):
     for key in ("train", "model", "split"):
         if key not in cfg:
             raise UsageError(f"config missing section {key!r}")
-    _check_section("train", cfg["train"], TrainConfig)
-    _check_section("model", cfg["model"], EncoderConfig, MODEL_KEYS)
-    _check_section("split", cfg["split"], SplitSpec)
+    trainer.check_section("train", cfg["train"], TrainConfig)
+    trainer.check_section("model", cfg["model"], EncoderConfig, MODEL_KEYS)
+    trainer.check_section("split", cfg["split"], SplitSpec)
     return cfg
 
 
@@ -164,6 +124,8 @@ def cmd_gen_synth(args):
     for flag in ("subjects", "samples", "classes", "patches", "patch_dim", "d_llv", "d_hlv"):
         if getattr(args, flag) < 1:
             raise UsageError(f"--{flag.replace('_', '-')} must be >= 1")
+    if args.seed < 0:
+        raise UsageError("--seed must be >= 0")
     features = stimfeat.synth_features(
         args.samples, args.classes, args.d_llv, args.d_hlv, seed=args.seed
     )
@@ -248,9 +210,9 @@ def cmd_export_attn(args):
             out_b = model.forward(
                 state.best_params, mcfg, ds.responses[rows], [ds.subject_id] * len(rows), want_attention=True
             )
-            record = out_b["attention"][-1]
+            weights = out_b[f"attn/{mcfg.layers - 1}"]
             for token in tokens:
-                w = model.extract_attention(record, token, mcfg.variant).mean(axis=0)
+                w = model.extract_attention(weights, token, mcfg).mean(axis=0)
                 w = w / w.sum()
                 for i, value in enumerate(w):
                     fh.write(f"{ds.subject_id},{token},{i},{roi_names[i]},{value}\n")

@@ -7,7 +7,7 @@ that have at least one positive (AUC additionally needs a negative).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import stdtr
@@ -15,6 +15,7 @@ from scipy.special import stdtr
 
 _NO_POSITIVE = "no class has a positive example"
 _ALL_DEGENERATE = "every class is degenerate for AUC"
+THRESHOLD = 0.5  # a score at or above it counts as a predicted positive
 
 
 class MetricsError(Exception):
@@ -26,9 +27,6 @@ class EvalResult:
     map: float
     auc: float
     hamming: float
-    per_class_ap: list = field(default_factory=list)
-    per_class_auc: list = field(default_factory=list)
-    excluded_classes: int = 0
 
     def as_dict(self):
         return {"map": self.map, "auc": self.auc, "hamming": self.hamming}
@@ -101,59 +99,44 @@ def macro_auc(scores: np.ndarray, labels: np.ndarray):
     return _macro(_per_class(scores, labels)[1], _ALL_DEGENERATE)
 
 
-def hamming_distance(scores: np.ndarray, labels: np.ndarray, threshold: float = 0.5) -> float:
+def hamming_distance(scores: np.ndarray, labels: np.ndarray) -> float:
     """Fraction of (sample, class) cells where the thresholded score misses the label."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
-    hard = scores >= threshold
+    hard = scores >= THRESHOLD
     return float((hard != (labels > 0)).mean())
 
 
-def evaluate_scores(scores: np.ndarray, labels: np.ndarray, threshold: float = 0.5) -> EvalResult:
+def evaluate_scores(scores: np.ndarray, labels: np.ndarray) -> EvalResult:
     per_ap, per_auc = _per_class(scores, labels)
     m, _ = _macro(per_ap, _NO_POSITIVE)
     a, _ = _macro(per_auc, _ALL_DEGENERATE)
-    excluded = sum(1 for v in per_ap if v is None)
-    return EvalResult(
-        map=m,
-        auc=a,
-        hamming=hamming_distance(scores, labels, threshold),
-        per_class_ap=per_ap,
-        per_class_auc=per_auc,
-        excluded_classes=excluded,
-    )
+    return EvalResult(map=m, auc=a, hamming=hamming_distance(scores, labels))
 
 
 @dataclass
 class TTestResult:
     p_value: float
     statistic: float
-    paired: bool
     degenerate: bool = False
 
 
-def t_test(runs_a, runs_b, paired: bool = False) -> TTestResult:
-    """Two-sided t-test; paired over per-seed differences, else Welch."""
+def t_test(runs_a, runs_b) -> TTestResult:
+    """Two-sided paired t-test over per-seed differences, n - 1 degrees of freedom."""
     a = np.asarray(runs_a, dtype=np.float64)
     b = np.asarray(runs_b, dtype=np.float64)
-    if len(a) < 2 or len(b) < 2:
-        raise MetricsError("need at least two runs per group")
-    if paired and len(a) != len(b):
+    if len(a) != len(b):
         raise MetricsError("paired test needs equal-length runs")
-    if paired:
-        diffs = a - b
-        gap, se2, df = diffs.mean(), diffs.var(ddof=1) / len(diffs), len(diffs) - 1
-    else:
-        var_a, var_b = a.var(ddof=1) / len(a), b.var(ddof=1) / len(b)
-        gap, se2 = a.mean() - b.mean(), var_a + var_b
+    if len(a) < 2:
+        raise MetricsError("need at least two runs per group")
+    diffs = a - b
+    gap, se2 = diffs.mean(), diffs.var(ddof=1) / len(diffs)
     if se2 == 0.0:
         if gap == 0.0:
-            return TTestResult(1.0, 0.0, paired, degenerate=True)
-        return TTestResult(0.0, np.inf if gap > 0 else -np.inf, paired, degenerate=True)
-    if not paired:  # Welch-Satterthwaite degrees of freedom
-        df = se2**2 / (var_a**2 / (len(a) - 1) + var_b**2 / (len(b) - 1))
+            return TTestResult(1.0, 0.0, degenerate=True)
+        return TTestResult(0.0, np.inf if gap > 0 else -np.inf, degenerate=True)
     t = gap / np.sqrt(se2)
-    return TTestResult(float(2.0 * stdtr(df, -abs(t))), float(t), paired)
+    return TTestResult(float(2.0 * stdtr(len(diffs) - 1, -abs(t))), float(t))
 
 
 def holm_bonferroni(p_values, alpha: float = 0.05):

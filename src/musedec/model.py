@@ -74,13 +74,6 @@ class EncoderConfig:
         return self.patch_count + self.n_lead_tokens
 
 
-@dataclass
-class AttentionRecord:
-    layer: int
-    weights: np.ndarray  # (B, H, T, T)
-    n_lead_tokens: int
-
-
 def param_shapes(cfg: EncoderConfig, subject_ids: list) -> dict:
     """Shape of every named parameter; token rows are the only per-subject ones."""
     d = cfg.d_model
@@ -149,20 +142,6 @@ def init_mapping_params(d_model: int, d_l: int, d_h: int, rng: np.random.Generat
         "map/Pl": rng.normal(0.0, INIT_STD, size=(d_model, d_l)),
         "map/Ph": rng.normal(0.0, INIT_STD, size=(d_model, d_h)),
     }
-
-
-def shared_param_count(cfg: EncoderConfig) -> int:
-    shapes = param_shapes(cfg, [])
-    return int(sum(np.prod(s) for s in shapes.values()))
-
-
-def total_param_count(cfg: EncoderConfig, n_subjects: int) -> int:
-    per_subject = {"clip-mused": 2, "ms-emb": 1}.get(cfg.variant, 0)
-    return shared_param_count(cfg) + per_subject * n_subjects * cfg.d_model
-
-
-def count_params(params: dict) -> int:
-    return int(sum(v.size for v in params.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +276,7 @@ def forward(params: dict, cfg: EncoderConfig, x: np.ndarray, subject_index: list
     The one forward entry point: it builds one graph and evaluates it on
     `CHUNK` rows at a time, so the chunks, and not B, bound the size of the
     activations.  `subject_index` names each row's subject.  With
-    `want_attention`, 'attention' holds one AttentionRecord per layer in place
-    of the raw 'attn/<layer>' outputs.
+    `want_attention`, 'attn/<layer>' holds that layer's (B, H, T, T) weights.
     """
     subjects = token_subjects(cfg, params)
     idx = subject_positions(cfg, subjects, subject_index)
@@ -308,14 +286,7 @@ def forward(params: dict, cfg: EncoderConfig, x: np.ndarray, subject_index: list
         diffcore.evaluate(g, {**params, "patches": x[s : s + CHUNK], "subject_idx": idx[s : s + CHUNK]})
         for s in range(0, max(len(x), 1), CHUNK)
     ]
-    out = {name: np.concatenate([c[name] for c in chunks]) for name in chunks[0]}
-    if want_attention:
-        out["attention"] = [
-            AttentionRecord(l, out.pop(f"attn/{l}"), cfg.n_lead_tokens)
-            for l in range(cfg.layers)
-            if f"attn/{l}" in out
-        ]
-    return out
+    return {name: np.concatenate([c[name] for c in chunks]) for name in chunks[0]}
 
 
 TOKEN_POSITIONS = {
@@ -324,13 +295,15 @@ TOKEN_POSITIONS = {
 }
 
 
-def extract_attention(record: AttentionRecord, token: str, variant: str = "clip-mused") -> np.ndarray:
-    """Head-averaged attention of a lead token over patch positions, renormalized."""
-    positions = TOKEN_POSITIONS.get(variant, {})
+def extract_attention(weights: np.ndarray, token: str, cfg: EncoderConfig) -> np.ndarray:
+    """Head-averaged attention of a lead token over patch positions, renormalized.
+
+    `weights` is one layer's (B, H, T, T) 'attn/<layer>' output of `forward`.
+    """
+    positions = TOKEN_POSITIONS.get(cfg.variant, {})
     if token not in positions:
-        raise ModelConfigError(f"variant {variant!r} has no {token!r} token")
-    pos = positions[token]
-    row = record.weights[:, :, pos, record.n_lead_tokens :].mean(axis=1)  # (B, M)
+        raise ModelConfigError(f"variant {cfg.variant!r} has no {token!r} token")
+    row = weights[:, :, positions[token], cfg.n_lead_tokens :].mean(axis=1)  # (B, M)
     sums = row.sum(axis=1, keepdims=True)
     return row / sums
 

@@ -84,8 +84,14 @@ def write_ids(path, ids: list) -> None:
 
 
 def read_ids(path) -> list:
+    """The stimulus ids of a JSON list of strings or integers; ManifestError, naming the file, otherwise."""
     with open(path) as fh:
-        ids = json.load(fh)
+        try:
+            ids = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ManifestError(f"{path}: not valid JSON: {exc}") from exc
+    if not (isinstance(ids, list) and all(isinstance(i, (str, int)) and not isinstance(i, bool) for i in ids)):
+        raise ManifestError(f"{path}: stimulus ids are not a JSON list of strings or integers")
     if len(set(ids)) != len(ids):
         raise ManifestError(f"{path}: duplicate stimulus ids")
     return ids

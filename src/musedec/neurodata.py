@@ -65,6 +65,8 @@ class SplitSpec:
             raise NeuroDataError(f"unknown split mode {self.mode!r}")
         if (self.counts is None) == (self.fractions is None):
             raise NeuroDataError("exactly one of counts/fractions must be given")
+        if self.seed < 0:
+            raise NeuroDataError(f"split seed must be >= 0, got {self.seed}")
 
 
 def _resolve_counts(spec: SplitSpec, total: int) -> tuple:

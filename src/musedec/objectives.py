@@ -1,8 +1,7 @@
-"""Loss terms and the total training objective.
+"""Loss terms and the total training objective, as graph builders.
 
-Each loss has two surfaces: a graph builder used inside the training graph,
-and a plain function that evaluates the same builder on concrete arrays.  No
-builder takes a batch size: each term divides by the row count of its input
+Each builder adds one loss term to a training graph.  No builder takes a
+batch size: each term divides by the row count of its input
 (`frobenius_sq`'s `rows_power`), so one graph serves every batch size.
 """
 
@@ -10,12 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import diffcore
 from .diffcore import Graph
-
-PROB_CLAMP = 1e-7
 
 
 class ObjectiveError(Exception):
@@ -32,9 +26,6 @@ class LossWeights:
     def __post_init__(self):
         if min(self.lambda_perp, self.lambda_llv, self.lambda_hlv, self.lambda_map) < 0:
             raise ObjectiveError("loss weights must be non-negative")
-
-
-# -- graph builders ---------------------------------------------------------
 
 
 def add_rsa_loss(g: Graph, target_rsm, z):
@@ -73,47 +64,3 @@ def add_total_loss(g: Graph, parts: dict, weights: LossWeights, mapping: bool = 
         total = g.add(total, g.scale(parts["loss_llv"], weights.lambda_llv))
         total = g.add(total, g.scale(parts["loss_hlv"], weights.lambda_hlv))
     return total
-
-
-# -- array surfaces ---------------------------------------------------------
-
-
-def rsa_loss(target_rsm: np.ndarray, z: np.ndarray) -> float:
-    g = Graph()
-    out = add_rsa_loss(g, g.input("m"), g.input("z"))
-    g.mark_output("loss", out)
-    return float(diffcore.evaluate(g, {"m": target_rsm, "z": z})["loss"][0])
-
-
-def orthogonality_loss(z_llv: np.ndarray, z_hlv: np.ndarray) -> float:
-    if z_llv.shape != z_hlv.shape:
-        raise ObjectiveError("representation shapes differ")
-    g = Graph()
-    out = add_orthogonality_loss(g, g.input("a"), g.input("b"))
-    g.mark_output("loss", out)
-    return float(diffcore.evaluate(g, {"a": z_llv, "b": z_hlv})["loss"][0])
-
-
-def bce_loss(y_hat: np.ndarray, y: np.ndarray) -> float:
-    """Mean BCE of probabilities clamped to [1e-7, 1 - 1e-7], evaluated on their logits."""
-    p = np.clip(y_hat, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    g = Graph()
-    g.mark_output("loss", add_bce_loss(g, g.input("logits"), g.input("y")))
-    return float(diffcore.evaluate(g, {"logits": np.log(p) - np.log1p(-p), "y": y})["loss"][0])
-
-
-def mapping_loss(z_llv, z_hlv, f_llv, f_hlv, map_params: dict) -> float:
-    if map_params["map/Pl"].shape[0] != z_llv.shape[1]:
-        raise ObjectiveError("mapping projection dims do not match representations")
-    g = Graph()
-    out = add_mapping_loss(g, g.input("zl"), g.input("zh"), g.input("fl"), g.input("fh"))
-    g.mark_output("loss", out)
-    bindings = {**map_params, "zl": z_llv, "zh": z_hlv, "fl": f_llv, "fh": f_hlv}
-    return float(diffcore.evaluate(g, bindings)["loss"][0])
-
-
-def total_loss(parts: dict, weights: LossWeights, mapping: bool = False) -> float:
-    total = parts["loss_c"] + weights.lambda_perp * parts["loss_perp"]
-    if mapping:
-        return total + weights.lambda_map * parts["loss_map"]
-    return total + weights.lambda_llv * parts["loss_llv"] + weights.lambda_hlv * parts["loss_hlv"]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -64,6 +65,8 @@ class TrainConfig:
             raise TrainerError("max_epochs must be >= 1")
         if self.patience < 1:
             raise TrainerError("patience must be >= 1")
+        if self.seed < 0:
+            raise TrainerError(f"seed must be >= 0, got {self.seed}")
         if self.method not in METHOD_VARIANT:
             raise TrainerError(
                 f"unknown method {self.method!r}; valid: {sorted(METHOD_VARIANT)}"
@@ -76,6 +79,45 @@ def parse_train_config(section: dict) -> TrainConfig:
     """TrainConfig from its JSON form: a config's train section, or a checkpoint header's."""
     section = dict(section)
     return TrainConfig(weights=LossWeights(**section.pop("weights", {})), **section)
+
+
+# what a config value of each annotated field type must be in JSON
+_JSON_KINDS = {int: "an integer", float: "a number", str: "a string", tuple: "a list of 3 numbers", type(None): "null"}
+
+
+def _fits(value, kind) -> bool:
+    """Whether a JSON value fits a field annotated `kind`; a bool is not a number."""
+    if kind is type(None):
+        return value is None
+    if isinstance(value, bool):
+        return False
+    if kind is float:
+        return isinstance(value, (int, float))
+    if kind is tuple:  # split counts and fractions: (train, val, test)
+        return isinstance(value, list) and len(value) == 3 and all(_fits(v, float) for v in value)
+    return isinstance(value, kind)
+
+
+def check_section(where, section, cls, valid=None):
+    """TrainerError unless `section` is a JSON object whose keys are `cls`'s fields (or those in `valid`)
+    and whose values fit those fields' annotations."""
+    if not isinstance(section, dict):
+        raise TrainerError(f"config section {where!r} is not a JSON object")
+    hints = typing.get_type_hints(cls)
+    valid = valid or list(hints)
+    unknown = sorted(set(section) - set(valid))
+    if unknown:
+        raise TrainerError(
+            f"unknown key(s) {', '.join(map(repr, unknown))} in config section {where!r}; "
+            f"valid: {', '.join(sorted(valid))}"
+        )
+    for key, value in section.items():
+        kinds = typing.get_args(hints[key]) or (hints[key],)
+        if dataclasses.is_dataclass(hints[key]):
+            check_section(f"{where}.{key}", value, hints[key])
+        elif not any(_fits(value, kind) for kind in kinds):
+            want = " or ".join(_JSON_KINDS[kind] for kind in kinds)
+            raise TrainerError(f"config value {where}.{key} = {json.dumps(value)} is not {want}")
 
 
 @dataclass
@@ -130,7 +172,12 @@ class RunReport:
 # optimizer
 
 
-def adam_step(params, grad, moments, lr, beta1=0.9, beta2=0.999, eps=1e-8, t=1):
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
+def adam_step(params, grad, moments, lr, t=1):
     """Bias-corrected Adam update of one flat parameter buffer, in place.
 
     `params`, `grad` and both `moments` are 1-D arrays of one dtype, laid out
@@ -143,11 +190,11 @@ def adam_step(params, grad, moments, lr, beta1=0.9, beta2=0.999, eps=1e-8, t=1):
     if not np.isfinite(grad).all():
         return params, moments, True
     m, v = moments
-    m *= beta1
-    m += (1.0 - beta1) * grad
-    v *= beta2
-    v += (1.0 - beta2) * grad * grad
-    params -= lr * (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + eps)
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grad * grad
+    params -= lr * (m / (1.0 - ADAM_BETA1**t)) / (np.sqrt(v / (1.0 - ADAM_BETA2**t)) + ADAM_EPS)
     return params, moments, False
 
 
@@ -436,6 +483,11 @@ def load_checkpoint(ckpt_dir) -> Checkpoint:
         for section, keys in _RETIRED.items():
             for key in keys:
                 header[section].pop(key, None)
+        for section, cls in (("train_cfg", TrainConfig), ("model_cfg", EncoderConfig)):
+            try:
+                check_section(section, header[section], cls)
+            except TrainerError as exc:
+                raise CheckpointError(f"{path}: {exc}") from exc
         header["train_cfg"] = parse_train_config(header["train_cfg"])
         header["model_cfg"] = EncoderConfig(**header["model_cfg"])
         # JSON round-trips the PCG64 state ints as Python ints; restore exactly
@@ -484,9 +536,8 @@ def compare(
     """Train each method per seed; aggregate test-split metrics and test the
     significance of clip-mused against every other method (paired t-tests,
     Holm-corrected per metric at alpha 0.05)."""
-    for m_name in methods:
-        if m_name not in METHOD_VARIANT:
-            raise TrainerError(f"unknown method {m_name!r}; valid: {sorted(METHOD_VARIANT)}")
+    # every run's config up front, so TrainConfig rejects a bad method or seed before anything trains
+    run_cfgs = {m_name: [replace(cfg, method=m_name, seed=seed) for seed in seeds] for m_name in methods}
     for name, values in (("method", methods), ("seed", seeds)):
         if len(set(values)) != len(values):
             raise TrainerError(f"repeated {name} in {list(values)}: each {name} may appear once")
@@ -498,8 +549,7 @@ def compare(
         variant = METHOD_VARIANT[m_name]
         mcfg = replace(model_cfg, variant=variant)
         rows = []
-        for seed in seeds:
-            run_cfg = replace(cfg, method=m_name, seed=seed)
+        for run_cfg in run_cfgs[m_name]:
             if m_name in SINGLE_SUBJECT_METHODS:
                 limit = method_overrides.get(m_name, {}).get("train_limit")
                 subj_results = []
@@ -531,7 +581,7 @@ def compare(
             raw = []
             for m_name in others:
                 theirs = [r[metric_name] for r in per_method[m_name]]
-                raw.append(metrics.t_test(ours, theirs, paired=True).p_value)
+                raw.append(metrics.t_test(ours, theirs).p_value)
             if raw:
                 adjusted, reject = metrics.holm_bonferroni(raw)
                 significance[metric_name] = {

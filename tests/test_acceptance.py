@@ -15,7 +15,7 @@ from scipy.special import erf
 from musedec import diffcore, metrics, model, msed, neurodata, stimfeat, trainer
 from musedec.model import EncoderConfig
 from musedec.neurodata import SplitSpec
-from musedec.objectives import LossWeights, bce_loss, orthogonality_loss, rsa_loss
+from musedec.objectives import LossWeights, add_bce_loss, add_orthogonality_loss, add_rsa_loss
 from musedec.trainer import TrainConfig, TrainData
 
 
@@ -104,11 +104,10 @@ def test_criterion_3_parameter_scaling_audit():
                 layers=2, heads=2, d_model=8, patch_dim=4, patch_count=4,
                 n_classes=3, variant=variant,
             )
-            shared = model.shared_param_count(cfg)
+            shared = sum(int(np.prod(s)) for s in model.param_shapes(cfg, []).values())
             expected = shared + per_sub * n_sub * cfg.d_model
-            assert model.total_param_count(cfg, n_sub) == expected
             params = model.init_params(cfg, subjects, np.random.default_rng(0))
-            assert model.count_params(params) == expected, (variant, n_sub)
+            assert sum(p.size for p in params.values()) == expected, (variant, n_sub)
     _report(3, "counts are shared + 2*N*d (tokens) and shared + N*d (identity) for N=1..5")
 
 
@@ -175,6 +174,21 @@ def test_criterion_4_metric_oracles_exhaustive():
     _report(4, f"{checked} exhaustive cases agree to 1e-12; step-down hand case matches")
 
 
+def _loss(build, *arrays):
+    """The scalar that `build(g, *inputs)` adds to a graph, with `arrays` bound to its inputs."""
+    g = diffcore.Graph()
+    g.mark_output("loss", build(g, *(g.input(f"in{i}") for i in range(len(arrays)))))
+    return float(diffcore.evaluate(g, {f"in{i}": a for i, a in enumerate(arrays)})["loss"][0])
+
+
+def rsa_loss(target_rsm, z):
+    return _loss(add_rsa_loss, target_rsm, z)
+
+
+def orthogonality_loss(z_llv, z_hlv):
+    return _loss(add_orthogonality_loss, z_llv, z_hlv)
+
+
 def test_criterion_5_loss_identities():
     rng = np.random.default_rng(5)
     z = rng.normal(size=(6, 5))
@@ -189,7 +203,8 @@ def test_criterion_5_loss_identities():
         assert orthogonality_loss(c * a, b) == pytest.approx(c**2 * base, rel=1e-10)
 
     y = rng.integers(0, 2, size=(5, 3)).astype(float)
-    assert bce_loss(np.full((5, 3), 0.5), y) == pytest.approx(np.log(2.0), abs=1e-12)
+    # probability 0.5 everywhere is logit 0
+    assert _loss(add_bce_loss, np.zeros((5, 3)), y) == pytest.approx(np.log(2.0), abs=1e-12)
     _report(5, "RSA zero-at-match and 0.5 hand case, x c^2 homogeneity, ln 2 uniform BCE")
 
 
@@ -299,10 +314,10 @@ def test_criterion_8_export_integrity(tmp_path):
     subjects = ["s0", "s1", "s2"]
     params = model.init_params(cfg, subjects, rng)
     patches = rng.normal(size=(4, 5, 4))
-    records = model.forward(params, cfg, patches, ["s0"] * 4, want_attention=True)["attention"]
-    for rec in records:
+    out = model.forward(params, cfg, patches, ["s0"] * 4, want_attention=True)
+    for layer in range(cfg.layers):
         for token in ("llv", "hlv"):
-            amap = model.extract_attention(rec, token)
+            amap = model.extract_attention(out[f"attn/{layer}"], token, cfg)
             assert np.abs(amap.sum(axis=1) - 1.0).max() < 1e-6
 
     r_llv, r_hlv = model.token_rsm(params, subjects)

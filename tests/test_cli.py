@@ -73,7 +73,7 @@ class TestGenSynth:
         "flag, value",
         [("--snr", "0"), ("--subjects", "0"), ("--samples", "0"), ("--classes", "0"), ("--patches", "0"),
          ("--patch-dim", "0"), ("--d-llv", "0"), ("--d-hlv", "-1"), ("--snr", "nan"), ("--scramble", "nan"),
-         ("--scramble", "inf"), ("--scramble", "-1")],
+         ("--scramble", "inf"), ("--scramble", "-1"), ("--seed", "-1")],
     )
     def test_bad_gen_synth_value_is_usage_error(self, tmp_path, capsys, flag, value):
         args = list(GEN_ARGS)
@@ -154,6 +154,23 @@ class TestTrainEval:
         assert code == cli.EXIT_DATA
         assert capsys.readouterr().err == f"data error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "where, code, message",
+        [("--seed", cli.EXIT_USAGE, "usage error: seed must be >= 0, got -1"),
+         ("split.seed", cli.EXIT_DATA, "data error: split seed must be >= 0, got -1")],
+        ids=["flag", "split"],
+    )
+    def test_negative_train_seed_is_rejected(self, workspace, capsys, where, code, message):
+        tmp_path, manifest_path, config_path = workspace
+        args = ["train", "--config", str(config_path), "--data", str(manifest_path), "--out", str(tmp_path / "run")]
+        if where == "--seed":
+            args += ["--seed", "-1"]
+        else:
+            config_path.write_text(json.dumps({**CONFIG, "split": {**CONFIG["split"], "seed": -1}}))
+        assert cli.main(args) == code
+        assert capsys.readouterr().err == message + "\n"
+        assert not (tmp_path / "run").exists()
+
     def test_train_override_method_and_seed(self, workspace, capsys):
         tmp_path, manifest_path, config_path = workspace
         code = cli.main(
@@ -229,6 +246,7 @@ class TestTrainEval:
             ("train.weights", {"lambda_llv": -0.1}, "loss weights must be non-negative"),
             ("train", {"max_epochs": 0}, "max_epochs must be >= 1"),
             ("train", {"grad_clip": -1.0}, "grad_clip must be positive"),
+            ("train", {"seed": -1}, "seed must be >= 0, got -1"),
         ],
     )
     def test_bad_config_value_is_usage_error(self, workspace, capsys, section, values, message):
@@ -377,6 +395,18 @@ class TestCompare:
         assert "repeated" in capsys.readouterr().err
         assert not (tmp_path / "cmp5").exists()
 
+    @pytest.mark.parametrize("seeds", ["-1,2", "1,-1"])
+    def test_negative_seed_is_usage_error(self, workspace, capsys, monkeypatch, seeds):
+        tmp_path, manifest_path, config_path = workspace
+        monkeypatch.setattr(trainer, "train", lambda *a, **k: pytest.fail("trained before the seeds were checked"))
+        code = cli.main(
+            ["compare", "--config", str(config_path), "--data", str(manifest_path),
+             "--methods", "clip-mused,ss-mlp", f"--seeds={seeds}", "--out", str(tmp_path / "cmp6")]
+        )
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err == "usage error: seed must be >= 0, got -1\n"
+        assert not (tmp_path / "cmp6").exists()
+
     def test_bad_seed_is_usage_error(self, workspace, capsys, monkeypatch):
         tmp_path, manifest_path, config_path = workspace
         monkeypatch.setattr(cli, "load_experiment", lambda path: pytest.fail("data loaded before the seeds were checked"))
@@ -474,6 +504,22 @@ class TestExports:
         assert "leaves a part empty" in capsys.readouterr().err
         assert not (tmp_path / "empty").exists()
 
+    @pytest.mark.parametrize(
+        "text",
+        ["5", "[[1], [2]]", "not json", '{"a": 1}', "[true, false]"],
+        ids=["number", "nested-lists", "not-json", "object", "bools"],
+    )
+    def test_malformed_stimulus_ids_is_data_error(self, trained, capsys, text):
+        tmp_path, manifest_path, config_path, ckpt = trained
+        ids_path = manifest_path.parent / "sub_00" / "stimulus_ids.json"
+        ids_path.write_text(text)
+        code = cli.main(["eval", "--checkpoint", str(ckpt), "--config", str(config_path),
+                         "--data", str(manifest_path), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {ids_path}: "), err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_roi_names_is_data_error(self, trained, capsys):
         tmp_path, manifest_path, config_path, ckpt = trained
         manifest = json.loads(manifest_path.read_text())
@@ -529,7 +575,15 @@ class TestExports:
         ("short-token", "export-rsm", "params/token/llv/sub_00 has shape (3,), expected (8,)"),
         ("map-rows", "export-rsm", "params/map/Pl has shape (7, 5); it needs d_model = 8 rows"),
         ("groups-differ", "eval", "m/map/Pl has shape (8, 3), expected (8, 5)"),
+        ("heads-bool", "eval", "config value model_cfg.heads = true is not an integer"),
+        ("d_model-float", "export-rsm", "config value model_cfg.d_model = 8.0 is not an integer"),
+        ("batch-float", "eval", "config value train_cfg.batch_size = 8.5 is not an integer"),
     ]
+    HEADER_VALUES = {
+        "heads-bool": ("model_cfg", "heads", True),
+        "d_model-float": ("model_cfg", "d_model", 8.0),
+        "batch-float": ("train_cfg", "batch_size", 8.5),
+    }
 
     @pytest.mark.parametrize(
         "case, command, message", MALFORMED_CHECKPOINTS, ids=[f"{case}-{cmd}" for case, cmd, _ in MALFORMED_CHECKPOINTS]
@@ -546,6 +600,10 @@ class TestExports:
         elif case == "extra-row":
             w2 = msed.read_tensor(ckpt / "best_params" / "head__W2.msed")
             msed.write_tensor(ckpt / "best_params" / "head__W2.msed", np.vstack([w2, w2[:1]]))
+        elif case in self.HEADER_VALUES:
+            section, key, value = self.HEADER_VALUES[case]
+            header[section][key] = value
+            header_path.write_text(json.dumps(header))
         elif case == "short-token":
             msed.write_tensor(ckpt / "params" / "token__llv__sub_00.msed", np.zeros(3))
         else:  # a mapping projection next to the model's parameters

@@ -5,21 +5,17 @@ from scipy.special import erf
 from musedec import diffcore, model, trainer
 from musedec.diffcore import cosine_similarity_matrix
 from musedec.model import (
-    AttentionRecord,
     EncoderConfig,
     ModelConfigError,
     UnknownSubject,
     build_forward_graph,
-    count_params,
     extract_attention,
     forward,
     init_params,
     param_shapes,
-    shared_param_count,
     subject_positions,
     token_rsm,
     token_subjects,
-    total_param_count,
 )
 from musedec.objectives import LossWeights
 
@@ -147,6 +143,10 @@ class TestParamCounts:
         assert shapes["embed/E_pos"] == (cfg.patch_count + 2, cfg.d_model)
         assert shapes["head/W1"] == (2 * cfg.d_model, cfg.head_hidden)
 
+    @staticmethod
+    def _count(cfg, subjects):
+        return sum(int(np.prod(shape)) for shape in param_shapes(cfg, subjects).values())
+
     def test_total_count_formula(self):
         # hand count for layers=1, heads=1, d=4, patch_dim=3, M=2, C=2:
         #   embed/E 12, E_pos (2+2)*4=16
@@ -154,21 +154,21 @@ class TestParamCounts:
         #   final_ln 8, head (8*4+4+4*2+2)=46
         cfg = tiny_cfg(layers=1, heads=1, d_model=4, patch_dim=3, patch_count=2, n_classes=2)
         expected_shared = 12 + 16 + 244 + 8 + 46
-        assert shared_param_count(cfg) == expected_shared
-        assert total_param_count(cfg, 3) == expected_shared + 2 * 3 * 4
+        assert self._count(cfg, []) == expected_shared
+        assert self._count(cfg, SUBJECTS) == expected_shared + 2 * 3 * 4
         rng = np.random.default_rng(0)
         params = init_params(cfg, SUBJECTS, rng)
-        assert count_params(params) == total_param_count(cfg, 3)
+        assert sum(v.size for v in params.values()) == expected_shared + 2 * 3 * 4
 
     def test_ms_emb_adds_one_token_per_subject(self):
         cfg = tiny_cfg(variant="ms-emb")
-        base = shared_param_count(cfg)
-        assert total_param_count(cfg, 4) == base + 4 * cfg.d_model
+        base = self._count(cfg, [])
+        assert self._count(cfg, ["a", "b", "c", "d"]) == base + 4 * cfg.d_model
 
     def test_shared_variants_add_nothing(self):
         for v in ("ss-vit", "ms-smodel", "ss-mlp"):
             cfg = tiny_cfg(variant=v)
-            assert total_param_count(cfg, 5) == shared_param_count(cfg)
+            assert self._count(cfg, [f"s{i}" for i in range(5)]) == self._count(cfg, [])
 
     def test_init_conventions(self):
         cfg = tiny_cfg()
@@ -426,9 +426,10 @@ def _assert_rows_alone(out, params, cfg, patches, idx, want_attention=False):
         if name in out:
             want = np.concatenate([a[name] for a in alone])
             np.testing.assert_allclose(out[name], want, rtol=1e-12, atol=1e-15, err_msg=name)
-    for l, rec in enumerate(out.get("attention", [])):
-        want = np.concatenate([a["attention"][l].weights for a in alone])
-        np.testing.assert_allclose(rec.weights, want, rtol=1e-12, atol=1e-15, err_msg=f"attention {l}")
+    for name in out:
+        if name.startswith("attn/"):
+            want = np.concatenate([a[name] for a in alone])
+            np.testing.assert_allclose(out[name], want, rtol=1e-12, atol=1e-15, err_msg=name)
 
 
 def test_one_loss_graph_serves_every_batch_size():
@@ -488,31 +489,31 @@ class TestAttention:
         cfg = tiny_cfg()
         params = init_params(cfg, SUBJECTS, np.random.default_rng(19))
         patches, idx = make_inputs(cfg, 3, seed=20)
-        records = forward(params, cfg, patches, idx, want_attention=True)["attention"]
-        assert len(records) == cfg.layers
+        out = forward(params, cfg, patches, idx, want_attention=True)
+        assert sorted(name for name in out if name.startswith("attn/")) == [f"attn/{l}" for l in range(cfg.layers)]
         t = cfg.seq_len
-        for rec in records:
-            assert rec.weights.shape == (3, cfg.heads, t, t)
-            np.testing.assert_allclose(rec.weights.sum(axis=-1), 1.0, atol=1e-12)
+        for l in range(cfg.layers):
+            assert out[f"attn/{l}"].shape == (3, cfg.heads, t, t)
+            np.testing.assert_allclose(out[f"attn/{l}"].sum(axis=-1), 1.0, atol=1e-12)
 
     def test_extract_attention_renormalized(self):
         cfg = tiny_cfg()
         params = init_params(cfg, SUBJECTS, np.random.default_rng(21))
         patches, idx = make_inputs(cfg, 2, seed=22)
-        records = forward(params, cfg, patches, idx, want_attention=True)["attention"]
-        amap = extract_attention(records[-1], "hlv")
+        weights = forward(params, cfg, patches, idx, want_attention=True)[f"attn/{cfg.layers - 1}"]
+        amap = extract_attention(weights, "hlv", cfg)
         assert amap.shape == (2, cfg.patch_count)
         np.testing.assert_allclose(amap.sum(axis=1), 1.0, atol=1e-12)
         # hand-check against the raw weights
-        raw = records[-1].weights[:, :, 1, 2:].mean(axis=1)
+        raw = weights[:, :, 1, 2:].mean(axis=1)
         np.testing.assert_allclose(amap, raw / raw.sum(axis=1, keepdims=True), atol=1e-12)
 
     def test_extract_attention_bad_token(self):
-        rec = AttentionRecord(0, np.full((1, 1, 4, 4), 0.25), 2)
+        weights = np.full((1, 1, 4, 4), 0.25)
         with pytest.raises(ModelConfigError):
-            extract_attention(rec, "class", variant="clip-mused")
+            extract_attention(weights, "class", tiny_cfg())
         with pytest.raises(ModelConfigError):
-            extract_attention(rec, "llv", variant="ss-vit")
+            extract_attention(weights, "llv", tiny_cfg(variant="ss-vit"))
 
 
 class TestTokenRsm:
