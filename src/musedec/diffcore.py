@@ -1,9 +1,10 @@
 """Deterministic reverse-mode differentiation over a fixed primitive set.
 
 A :class:`Graph` is a static, topologically ordered list of primitive nodes
-referencing named parameters and inputs.  ``evaluate`` runs the forward pass,
-``evaluate_with_gradient`` the forward and reverse passes, and ``grad_check``
-compares analytic gradients against central finite differences.  The
+referencing named parameters and inputs.  ``evaluate`` runs a forward-only
+pass that drops each value after its last use, ``evaluate_with_gradient`` the
+forward and reverse passes, and ``grad_check`` compares analytic gradients
+against central finite differences.  The
 primitive set holds exactly the kinds the model and loss graphs build; the
 sigmoid that turns logits into scores is the plain array function
 :func:`sigmoid`, outside any graph.  All arithmetic is plain numpy; float64 is
@@ -172,10 +173,17 @@ def _swap_last(x):
 
 
 def _normalize(x, eps):
-    """Layer norm over the last axis -> (xhat, 1/std)."""
-    xc = x - x.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
-    return xc * inv, inv
+    """Layer norm over the last axis -> (xhat, 1/std).
+
+    The means are sums divided by the count, as np.mean computes them.
+    """
+    n = x.shape[-1]
+    xc = x - x.sum(axis=-1, keepdims=True) / n
+    var = (xc * xc).sum(axis=-1, keepdims=True) / n
+    var += eps
+    inv = 1.0 / np.sqrt(var, out=var)
+    xc *= inv
+    return xc, inv
 
 
 def _normalize_adjoint(g, xhat, inv):
@@ -185,8 +193,15 @@ def _normalize_adjoint(g, xhat, inv):
 
 
 def _softmax(x):
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    # a running maximum over the last axis: exact, NaN-propagating like x.max,
+    # and faster than numpy's reduction over short rows
+    m = x[..., 0].copy()
+    for j in range(1, x.shape[-1]):
+        np.maximum(m, x[..., j], out=m)
+    e = x - m[..., None]
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _softmax_adjoint(g, s):
@@ -212,12 +227,14 @@ def _head_scale(q, heads):
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function of an array, without overflow in `exp`; keeps the dtype."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) is exp(-x) where x >= 0 and exp(x) elsewhere, and is at most 1
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    d = e + 1.0
+    np.divide(e, d, out=e)  # exp(x) / (1 + exp(x)) where x < 0
+    np.divide(1.0, d, out=e, where=x >= 0)  # 1 / (1 + exp(-x)) where x >= 0
+    return e
 
 
 def _cosine_sim_forward(z):
@@ -237,6 +254,7 @@ def _cosine_sim_forward(z):
 # rules: forward(ins, attrs) -> (out, saved); backward(g, ins, out, saved, attrs)
 # -> one adjoint per input.  `saved` is whatever the forward keeps for its
 # backward.  No rule writes into `g` or an input: adjoints may alias each other.
+# Rules mutate in place only arrays they allocated themselves.
 
 
 def _matmul_bwd(g, ins, out, saved, a):
@@ -249,7 +267,8 @@ def _matmul_bwd(g, ins, out, saved, a):
 
 def _linear_fwd(ins, a):
     x, w, b = ins
-    y = x.reshape(-1, w.shape[0]) @ w + b
+    y = x.reshape(-1, w.shape[0]) @ w
+    y += b
     return y.reshape(*x.shape[:-1], w.shape[1]), None
 
 
@@ -262,7 +281,9 @@ def _linear_bwd(g, ins, out, saved, a):
 def _affine_ln_fwd(ins, a):
     x, gamma, beta = ins
     xhat, inv = _normalize(x, a["eps"])
-    return xhat * gamma + beta, (xhat, inv)
+    out = xhat * gamma
+    out += beta
+    return out, (xhat, inv)
 
 
 def _affine_ln_bwd(g, ins, out, saved, a):
@@ -276,7 +297,8 @@ def _attention_probs_fwd(ins, a):
     q, k = ins
     h = a["heads"]
     scores = _split_heads(q, h) @ _swap_last(_split_heads(k, h))
-    return _softmax(scores * _head_scale(q, h)), None
+    scores *= _head_scale(q, h)
+    return _softmax(scores), None
 
 
 def _attention_probs_bwd(g, ins, p, saved, a):
@@ -312,7 +334,10 @@ def _rows_bwd(g, ins, out, saved, a):
 
 def _gelu_fwd(ins, a):
     x = ins[0]
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    cdf = x * _INV_SQRT2
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     return x * cdf, cdf
 
 
@@ -408,10 +433,34 @@ def _leaf_value(node: Node, bindings: dict):
     return np.asarray(bindings[name])
 
 
-def _run_forward(graph: Graph, bindings: dict):
-    """Values of every node, and what each rule saved for its backward."""
+def _last_uses(graph: Graph, keep) -> list:
+    """Per node i, the nodes whose value is not needed after node i runs.
+
+    A node's value is needed until its last consumer has run (until itself,
+    when nothing reads it), unless it is in `keep`.
+    """
+    last = list(range(len(graph.nodes)))
+    for i, node in enumerate(graph.nodes):
+        for j in node.inputs:
+            last[j] = i
+    drop = [[] for _ in graph.nodes]
+    for j, i in enumerate(last):
+        if j not in keep:
+            drop[i].append(j)
+    return drop
+
+
+def _run_forward(graph: Graph, bindings: dict, keep=None):
+    """Values of every node, and what each rule saved for its backward.
+
+    With `keep` (node ids) the pass is forward-only: it keeps no saved state
+    and drops each node's value after its last consumer has run, unless the
+    node is in `keep`.  A value may be a view of another (reshape, rows,
+    transpose), so rules mutate in place only arrays they allocated themselves.
+    """
     vals = [None] * len(graph.nodes)
     saved = [None] * len(graph.nodes)
+    drop = None if keep is None else _last_uses(graph, keep)
     for i, node in enumerate(graph.nodes):
         kind = node.kind
         if kind in _LEAVES:
@@ -421,7 +470,7 @@ def _run_forward(graph: Graph, bindings: dict):
         if rule is None:
             raise DiffcoreError(f"unknown primitive kind {kind!r}")
         try:
-            out, saved[i] = rule[0]([vals[j] for j in node.inputs], node.attrs)
+            out, state = rule[0]([vals[j] for j in node.inputs], node.attrs)
         except (ValueError, IndexError) as exc:
             raise ShapeMismatch(i, kind, str(exc)) from exc
         # per node, so the first non-finite node is named even when a later node
@@ -429,12 +478,17 @@ def _run_forward(graph: Graph, bindings: dict):
         if not np.isfinite(out).all():
             raise NonFiniteOutput(i, kind)
         vals[i] = out
+        if drop is None:
+            saved[i] = state
+        else:
+            for j in drop[i]:
+                vals[j] = None
     return vals, saved
 
 
 def evaluate(graph: Graph, bindings: dict) -> dict:
-    """Run the forward pass and return every marked output."""
-    vals, _ = _run_forward(graph, bindings)
+    """Run a forward-only pass (see `_run_forward`) and return every marked output."""
+    vals, _ = _run_forward(graph, bindings, keep=set(graph.outputs.values()))
     return {name: vals[nid] for name, nid in graph.outputs.items()}
 
 

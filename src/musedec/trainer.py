@@ -488,8 +488,12 @@ def load_checkpoint(ckpt_dir) -> Checkpoint:
                 check_section(section, header[section], cls)
             except TrainerError as exc:
                 raise CheckpointError(f"{path}: {exc}") from exc
-        header["train_cfg"] = parse_train_config(header["train_cfg"])
-        header["model_cfg"] = EncoderConfig(**header["model_cfg"])
+        # a well-typed value the config itself rejects is a fault of the file, not of the command line
+        for section, build in (("train_cfg", parse_train_config), ("model_cfg", lambda s: EncoderConfig(**s))):
+            try:
+                header[section] = build(header[section])
+            except (TrainerError, model.ModelConfigError, objectives.ObjectiveError) as exc:
+                raise CheckpointError(f"{path}: invalid value in {section}: {exc}") from exc
         # JSON round-trips the PCG64 state ints as Python ints; restore exactly
         header["rng_state"]["state"] = {k: int(v) for k, v in header["rng_state"]["state"].items()}
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

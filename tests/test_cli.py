@@ -578,11 +578,22 @@ class TestExports:
         ("heads-bool", "eval", "config value model_cfg.heads = true is not an integer"),
         ("d_model-float", "export-rsm", "config value model_cfg.d_model = 8.0 is not an integer"),
         ("batch-float", "eval", "config value train_cfg.batch_size = 8.5 is not an integer"),
+        # well-typed values that the configs themselves reject
+        ("batch-one", "eval", "header.json: invalid value in train_cfg: batch size must be >= 2"),
+        ("rate-negative", "export-rsm", "header.json: invalid value in train_cfg: learning rate must be positive"),
+        ("heads-three", "export-attn", "header.json: invalid value in model_cfg: d_model must be divisible by heads"),
+        ("variant-unknown", "eval", "header.json: invalid value in model_cfg: unknown variant 'nope'"),
+        ("weight-negative", "export-rsm", "header.json: invalid value in train_cfg: loss weights must be non-negative"),
     ]
     HEADER_VALUES = {
         "heads-bool": ("model_cfg", "heads", True),
         "d_model-float": ("model_cfg", "d_model", 8.0),
         "batch-float": ("train_cfg", "batch_size", 8.5),
+        "batch-one": ("train_cfg", "batch_size", 1),
+        "rate-negative": ("train_cfg", "learning_rate", -1.0),
+        "heads-three": ("model_cfg", "heads", 3),
+        "variant-unknown": ("model_cfg", "variant", "nope"),
+        "weight-negative": ("train_cfg", "weights", {"lambda_perp": -0.5}),
     }
 
     @pytest.mark.parametrize(

@@ -1,5 +1,8 @@
+import weakref
+
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from musedec import diffcore
 from musedec.diffcore import (
@@ -223,6 +226,88 @@ def test_sigmoid_saturates_without_overflow():
     y = diffcore.sigmoid(x)  # an `exp` overflow warning fails the suite
     np.testing.assert_allclose(y, [0.0, 1.0 / (1.0 + np.e), 0.5, 1.0 / (1.0 + np.exp(-1.0)), 1.0], rtol=1e-15, atol=0)
     assert diffcore.sigmoid(x.astype(np.float32)).dtype == np.float32
+
+
+def test_sigmoid_matches_the_masked_formula_bitwise():
+    rng = np.random.default_rng(7)
+    for dtype in (np.float64, np.float32):
+        x = np.concatenate([rng.normal(size=200) * 30, [0.0, -0.0, 1e-30, -1e-30, 700.0, -700.0]]).astype(dtype)
+        want = np.empty_like(x)
+        pos = x >= 0
+        want[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        want[~pos] = np.exp(x[~pos]) / (1.0 + np.exp(x[~pos]))
+        got = diffcore.sigmoid(x)
+        assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+
+def _softmax_rows(dtype):
+    """Random rows plus rows with ties, all-equal rows and large magnitudes, last axis 10."""
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(4, 3, 6, 10)) * 5
+    x[0, 0, 0] = 2.0
+    x[0, 0, 1] = [1.0, 3.0, 3.0, -1.0, 3.0, 0.0, 3.0, 2.0, 1.0, 3.0]
+    x[0, 0, 2] = 0.0
+    x[0, 0, 3] = -0.0
+    big = 1e300 if dtype == np.float64 else 1e30
+    x[1, 0, 0] = rng.normal(size=10) * big
+    x[1, 0, 1] = [big, -big, big, 0.0, -big, big, 1.0, -1.0, big, -big]
+    x[1, 0, 2] = -big
+    return x.astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_softmax_matches_the_reduction_formula_bitwise(dtype):
+    x = _softmax_rows(dtype)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    want = e / e.sum(axis=-1, keepdims=True)
+    got = diffcore._softmax(x)
+    assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("width", [12, 16, 37])
+def test_layer_norm_matches_the_mean_formula_bitwise(dtype, width):
+    # widths that are not powers of two, where dividing by n and multiplying by 1/n differ
+    x = (np.random.default_rng(width).normal(size=(5, 7, width)) * 3 + 1).astype(dtype)
+    xc = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5)
+    xhat, got_inv = diffcore._normalize(x, 1e-5)
+    assert xhat.dtype == got_inv.dtype == dtype
+    assert xhat.tobytes() == (xc * inv).tobytes() and got_inv.tobytes() == inv.tobytes()
+
+
+def test_marked_output_that_feeds_a_later_node_is_returned_intact():
+    g = Graph()
+    a = g.scale(g.input("x"), 2.0)
+    g.mark_output("a", a)
+    g.mark_output("c", g.add(g.gelu(a), a))
+    x = np.random.default_rng(5).normal(size=(3, 4))
+    out = evaluate(g, {"x": x})
+    assert out["a"].tobytes() == (x * 2.0).tobytes()
+    gelu = 2.0 * x * 0.5 * (1.0 + erf(2.0 * x / np.sqrt(2.0)))
+    np.testing.assert_allclose(out["c"], gelu + 2.0 * x, rtol=1e-15, atol=0)
+
+
+def test_forward_only_drops_each_value_after_its_last_use(monkeypatch):
+    """In x -> a -> b -> c, `evaluate` has dropped a when c runs (b was its last use);
+    the gradient pass keeps it for its backward."""
+    g = Graph()
+    g.mark_output("out", g.frobenius_sq(g.scale(g.scale(g.scale(g.input("x"), 2.0), 3.0), 5.0)))
+    fwd, bwd = diffcore._RULES["scale"]
+    refs, alive_at_c = [], []
+
+    def recording(ins, attrs):
+        if len(refs) == 2:  # c's turn: a and b are made
+            alive_at_c.append([ref() is not None for ref in refs])
+        out, saved = fwd(ins, attrs)
+        refs.append(weakref.ref(out))
+        return out, saved
+
+    monkeypatch.setitem(diffcore._RULES, "scale", (recording, bwd))
+    for run in (lambda: evaluate(g, {"x": np.ones(3)}), lambda: evaluate_with_gradient(g, {"x": np.ones(3)}, "out")):
+        refs.clear()
+        run()
+    assert alive_at_c == [[False, True], [True, True]]
 
 
 def _take_rows_graph(n_parts):

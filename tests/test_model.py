@@ -432,6 +432,21 @@ def _assert_rows_alone(out, params, cfg, patches, idx, want_attention=False):
             np.testing.assert_allclose(out[name], want, rtol=1e-12, atol=1e-15, err_msg=name)
 
 
+def _loss_bindings(cfg, params, patches, idx, rng):
+    """Every input a loss graph of `_package_graphs` may read, for the rows of `patches`."""
+    batch = len(patches)
+    return {
+        **params,
+        "patches": patches,
+        "subject_idx": subject_positions(cfg, SUBJECTS, idx),
+        "labels": rng.integers(0, 2, size=(batch, cfg.n_classes)).astype(float),
+        "m_llv": cosine_similarity_matrix(rng.normal(size=(batch, 3))),
+        "m_hlv": cosine_similarity_matrix(rng.normal(size=(batch, 4))),
+        "f_llv": rng.normal(size=(batch, 3)),
+        "f_hlv": rng.normal(size=(batch, 4)),
+    }
+
+
 def test_one_loss_graph_serves_every_batch_size():
     """One loss graph per model runs at B = 2 and B = 5: its rows match each row run alone,
     and its terms divide by the batch it was given."""
@@ -440,16 +455,7 @@ def test_one_loss_graph_serves_every_batch_size():
         rng = np.random.default_rng(k)
         for batch in (2, 5):
             patches, idx = make_inputs(cfg, batch, seed=batch + k)
-            bindings = {
-                **params,
-                "patches": patches,
-                "subject_idx": subject_positions(cfg, SUBJECTS, idx),
-                "labels": rng.integers(0, 2, size=(batch, cfg.n_classes)).astype(float),
-                "m_llv": cosine_similarity_matrix(rng.normal(size=(batch, 3))),
-                "m_hlv": cosine_similarity_matrix(rng.normal(size=(batch, 4))),
-                "f_llv": rng.normal(size=(batch, 3)),
-                "f_hlv": rng.normal(size=(batch, 4)),
-            }
+            bindings = _loss_bindings(cfg, params, patches, idx, rng)
             out, grads = diffcore.evaluate_with_gradient(g, bindings, "loss")
             assert sorted(grads) == sorted(params) and all(np.isfinite(v).all() for v in grads.values())
             assert out["logits"].shape == (batch, cfg.n_classes)
@@ -482,6 +488,61 @@ def test_one_forward_graph_serves_one_row_and_two_chunks(monkeypatch):
         assert calls == ["build", model.CHUNK, 300 - model.CHUNK]
         _assert_rows_alone(out, params, cfg, patches, idx, want_attention)
         monkeypatch.undo()
+
+
+def _read_only(a):
+    view = np.asarray(a).view()
+    view.flags.writeable = False
+    return view
+
+
+def test_rules_never_write_into_their_inputs(monkeypatch):
+    """Every rule gets read-only views of its inputs, its adjoint and its output; none may write into them."""
+    frozen = {
+        kind: (
+            lambda ins, a, fwd=fwd: fwd([_read_only(x) for x in ins], a),
+            lambda g, ins, out, saved, a, bwd=bwd: bwd(
+                _read_only(g), [_read_only(x) for x in ins], _read_only(out), saved, a
+            ),
+        )
+        for kind, (fwd, bwd) in diffcore._RULES.items()
+    }
+    monkeypatch.setattr(diffcore, "_RULES", frozen)
+    loss_graphs, forward_graphs = _package_graphs()
+    for k, (cfg, g) in enumerate(forward_graphs):
+        params = _guard_params(cfg, g, seed=k)
+        patches, idx = make_inputs(cfg, 5, seed=k)
+        forward(params, cfg, patches, idx, want_attention="attn/0" in g.outputs)
+    for k, (cfg, g) in enumerate(loss_graphs):
+        params = _guard_params(cfg, g, seed=k)
+        patches, idx = make_inputs(cfg, 5, seed=k)
+        diffcore.evaluate_with_gradient(g, _loss_bindings(cfg, params, patches, idx, np.random.default_rng(k)), "loss")
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_forward_only_outputs_equal_the_gradient_pass(dtype):
+    """`evaluate` drops values and saves nothing, yet returns what the forward of
+    `evaluate_with_gradient` returns, bit for bit, for every variant."""
+    pairs = _package_graphs()[0]
+    for variant in ("clip-mused", "ss-vit", "ms-smodel", "ms-emb"):  # with attention maps, marked and read on
+        cfg = tiny_cfg(variant=variant)
+        subjects = SUBJECTS if variant in model.SUBJECT_TOKEN else []
+        pairs.append((cfg, _forward_loss_graph(cfg, subjects, want_attention=True)[0]))
+    for k, (cfg, g) in enumerate(pairs):
+        params = _guard_params(cfg, g, seed=k)
+        patches, idx = make_inputs(cfg, 5, seed=k)
+        rng = np.random.default_rng(k)
+        bindings = _loss_bindings(cfg, params, patches, idx, rng)
+        for n in g.inputs:
+            if n.startswith("m/"):
+                bindings[n] = rng.normal(size=(5, cfg.n_classes if n == "m/logits" else cfg.d_model))
+        bindings = {n: v.astype(dtype) if v.dtype.kind == "f" else v for n, v in bindings.items()}
+        got = diffcore.evaluate(g, bindings)
+        want, _ = diffcore.evaluate_with_gradient(g, bindings, "loss")
+        assert sorted(got) == sorted(want) == sorted(g.outputs)
+        for n in want:
+            assert got[n].dtype == want[n].dtype == dtype, (k, n)
+            assert got[n].tobytes() == want[n].tobytes(), (k, n)
 
 
 class TestAttention:

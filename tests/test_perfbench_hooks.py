@@ -6,12 +6,17 @@ pytest catches it.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
+
+import numpy as np
+import scipy
 
 from musedec import cli, diffcore, metrics, model, msed, neurodata, objectives, stimfeat, trainer
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+DIGESTS = Path(__file__).resolve().parent / "workload_digests.json"
 MODULES = (cli, diffcore, metrics, model, msed, neurodata, objectives, trainer)
 
 
@@ -60,15 +65,51 @@ def test_tracer_sizes_count_adam_steps_and_scored_rows():
     assert values["trainer.predict_rows"] == val_rows + len(scores)
 
 
-def test_every_workload_runs_tiny(tmp_path):
-    """Each workload, shrunk, generates, sets up and runs twice without a failure and with the same digests."""
+def tiny_digests(work: Path) -> dict:
+    """Each workload at tiny size and seed 23, generated, set up and run once without a failure:
+    name -> [output_sha256, loss_sha256]."""
     workloads = _load("workloads")
+    digests = {}
     for name, full in workloads.WORKLOADS.items():
         w = workloads.sized(full, "tiny")
-        manifest = workloads.generate(w, 23, tmp_path / name / "experiment")
-        digests = []
-        for rep in range(2):
-            result = workloads.run(w, workloads.setup(w, 23, manifest), tmp_path / name / f"run{rep}")
-            assert not result.errors and result.failed == 0 and result.attempted >= 1, (name, result)
-            digests.append((result.output_sha256, result.loss_sha256))
-        assert digests[0] == digests[1], name
+        manifest = workloads.generate(w, 23, work / name / "experiment")
+        result = workloads.run(w, workloads.setup(w, 23, manifest), work / name / "run")
+        assert not result.errors and result.failed == 0 and result.attempted >= 1, (name, result)
+        digests[name] = [result.output_sha256, result.loss_sha256]
+    return digests
+
+
+def test_every_workload_runs_tiny(tmp_path):
+    """Each workload, shrunk, generates, sets up and runs twice without a failure and with the same digests."""
+    assert tiny_digests(tmp_path / "a") == tiny_digests(tmp_path / "b")
+
+
+def provenance() -> dict:
+    """The numerical stack the digests were computed on."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {"numpy": np.__version__, "scipy": scipy.__version__, "blas": f"{blas.get('name')} {blas.get('version')}"}
+
+
+def test_workload_digests_match_the_committed_ones(tmp_path):
+    """The numerics are pinned: a change to any workload's outputs fails here.
+
+    A change that alters the numerics on purpose rewrites the file with
+    `PYTHONPATH=src python tests/test_perfbench_hooks.py` and says why.
+    """
+    pinned = json.loads(DIGESTS.read_text())
+    digests = tiny_digests(tmp_path)
+    assert sorted(digests) == sorted(pinned["digests"])
+    for name, got in digests.items():
+        assert got == pinned["digests"][name], (
+            f"{name}: digests {got} differ from the committed {pinned['digests'][name]}; "
+            f"committed on {pinned['provenance']}, computed on {provenance()}"
+        )
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        record = {"provenance": provenance(), "digests": tiny_digests(Path(tmp))}
+    DIGESTS.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {DIGESTS}")
