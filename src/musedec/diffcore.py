@@ -66,12 +66,18 @@ class Graph:
     def __init__(self):
         self.nodes: list[Node] = []
         self.params: dict[str, int] = {}
+        self.shapes: dict[str, tuple] = {}  # declared parameter shapes; undeclared ones are unchecked
         self.inputs: dict[str, int] = {}
         self.outputs: dict[str, int] = {}
 
     # -- leaves ----------------------------------------------------------
 
-    def param(self, name: str) -> int:
+    def param(self, name: str, shape=None) -> int:
+        """The parameter leaf `name`; a given `shape` is declared, and a bound value must have it."""
+        if shape is not None:
+            shape = tuple(shape)
+            if self.shapes.setdefault(name, shape) != shape:
+                raise DiffcoreError(f"parameter {name!r} declared with shape {self.shapes[name]} and with {shape}")
         if name not in self.params:
             self.params[name] = self._push(Node("param", (), {"name": name}))
         return self.params[name]
@@ -426,11 +432,14 @@ _LEAVES = ("param", "input")
 # public operations
 
 
-def _leaf_value(node: Node, bindings: dict):
+def _leaf_value(graph: Graph, node_id: int, node: Node, bindings: dict):
     name = node.attrs["name"]
     if name not in bindings:
         raise UnboundParameter(f"{node.kind} {name!r} is not bound")
-    return np.asarray(bindings[name])
+    value = np.asarray(bindings[name])
+    if value.shape != graph.shapes.get(name, value.shape):  # inputs and undeclared parameters pass
+        raise ShapeMismatch(node_id, node.kind, f"parameter {name!r} has shape {value.shape}, declared {graph.shapes[name]}")
+    return value
 
 
 def _last_uses(graph: Graph, keep) -> list:
@@ -464,7 +473,7 @@ def _run_forward(graph: Graph, bindings: dict, keep=None):
     for i, node in enumerate(graph.nodes):
         kind = node.kind
         if kind in _LEAVES:
-            vals[i] = _leaf_value(node, bindings)
+            vals[i] = _leaf_value(graph, i, node, bindings)
             continue
         rule = _RULES.get(kind)
         if rule is None:

@@ -24,6 +24,9 @@ SUBJECT_TOKEN = {"clip-mused": "token/llv", "ms-emb": "token/emb"}
 INIT_STD = 0.02
 LN_EPS = 1e-5
 CHUNK = 256  # rows per graph evaluation in `forward`
+# `forward` evaluates a multiple of this many rows: BLAS sums the rows past its
+# kernel's last full block in another order, so a row's outputs would depend on its chunk
+ROW_ALIGN = 16
 
 
 class ModelConfigError(Exception):
@@ -75,62 +78,33 @@ class EncoderConfig:
 
 
 def param_shapes(cfg: EncoderConfig, subject_ids: list) -> dict:
-    """Shape of every named parameter; token rows are the only per-subject ones."""
-    d = cfg.d_model
-    shapes = {}
-    if cfg.variant == "ss-mlp":
-        flat = cfg.patch_count * cfg.patch_dim
-        shapes["mlp/W1"] = (flat, cfg.head_hidden)
-        shapes["mlp/b1"] = (cfg.head_hidden,)
-        shapes["mlp/W2"] = (cfg.head_hidden, cfg.n_classes)
-        shapes["mlp/b2"] = (cfg.n_classes,)
-        return shapes
+    """Shape of every named parameter, as the forward graph declares it.
 
-    shapes["embed/E"] = (cfg.patch_dim, d)
-    shapes["embed/E_pos"] = (cfg.seq_len, d)
-    for l in range(cfg.layers):
-        p = f"layer{l}"
-        shapes[f"{p}/ln1/gamma"] = (d,)
-        shapes[f"{p}/ln1/beta"] = (d,)
-        for w in ("Wq", "Wk", "Wv", "Wo"):
-            shapes[f"{p}/attn/{w}"] = (d, d)
-        for b in ("bq", "bk", "bv", "bo"):
-            shapes[f"{p}/attn/{b}"] = (d,)
-        shapes[f"{p}/ln2/gamma"] = (d,)
-        shapes[f"{p}/ln2/beta"] = (d,)
-        hidden = cfg.mlp_ratio * d
-        shapes[f"{p}/mlp/W1"] = (d, hidden)
-        shapes[f"{p}/mlp/b1"] = (hidden,)
-        shapes[f"{p}/mlp/W2"] = (hidden, d)
-        shapes[f"{p}/mlp/b2"] = (d,)
-    shapes["final_ln/gamma"] = (d,)
-    shapes["final_ln/beta"] = (d,)
+    In `init_params`' draw order: the shared parameters in graph order, then
+    'token/class', then each subject's token rows in `subject_ids` order (llv
+    before hlv), so a new subject leaves every shared initial value as it was.
+    """
+    shapes = build_forward_graph(cfg, subject_ids).shapes
+    rank = {sid: i for i, sid in enumerate(dict.fromkeys(subject_ids))}
 
-    head_in = 2 * d if cfg.variant == "clip-mused" else d
-    shapes["head/W1"] = (head_in, cfg.head_hidden)
-    shapes["head/b1"] = (cfg.head_hidden,)
-    shapes["head/W2"] = (cfg.head_hidden, cfg.n_classes)
-    shapes["head/b2"] = (cfg.n_classes,)
+    def order(name):  # sorted() is stable: graph order within each rank
+        parts = name.split("/", 2)
+        if parts[0] != "token":
+            return -2
+        return -1 if len(parts) == 2 else rank[parts[2]]
 
-    if cfg.variant in ("ss-vit", "ms-smodel", "ms-emb"):
-        shapes["token/class"] = (d,)
-    if cfg.variant == "clip-mused":
-        for sid in subject_ids:
-            shapes[f"token/llv/{sid}"] = (d,)
-            shapes[f"token/hlv/{sid}"] = (d,)
-    elif cfg.variant == "ms-emb":
-        for sid in subject_ids:
-            shapes[f"token/emb/{sid}"] = (d,)
-    return shapes
+    return {name: shapes[name] for name in sorted(shapes, key=order)}
 
 
 def init_params(cfg: EncoderConfig, subject_ids: list, rng: np.random.Generator) -> dict:
     """Gaussian std-0.02 weights and tokens, zero biases, unit LN gains."""
     params = {}
     for name, shape in param_shapes(cfg, subject_ids).items():
-        if name.endswith("/gamma"):
+        # a token row is named after its subject, so only other names say gain or bias
+        leaf = None if name.startswith("token/") else name.rsplit("/", 1)[-1]
+        if leaf == "gamma":
             params[name] = np.ones(shape)
-        elif name.endswith(("/beta", "b1", "b2", "bq", "bk", "bv", "bo")):
+        elif leaf in ("beta", "b1", "b2", "bq", "bk", "bv", "bo"):
             params[name] = np.zeros(shape)
         else:
             params[name] = rng.normal(0.0, INIT_STD, size=shape)
@@ -148,21 +122,26 @@ def init_mapping_params(d_model: int, d_l: int, d_h: int, rng: np.random.Generat
 # graph construction
 
 
-def _affine_ln(g: Graph, x, gamma_name, beta_name):
-    return g.affine_layer_norm(x, g.param(gamma_name), g.param(beta_name), eps=LN_EPS)
+def _affine_ln(g: Graph, x, prefix: str, d: int):
+    return g.affine_layer_norm(x, g.param(f"{prefix}/gamma", (d,)), g.param(f"{prefix}/beta", (d,)), eps=LN_EPS)
 
 
-def _linear(g: Graph, x, w_name, b_name):
-    return g.linear(x, g.param(w_name), g.param(b_name))
+def _linear(g: Graph, x, w_name, b_name, d_in: int, d_out: int):
+    return g.linear(x, g.param(w_name, (d_in, d_out)), g.param(b_name, (d_out,)))
 
 
 def _mhsa(g: Graph, x, prefix: str, cfg: EncoderConfig, rows=None):
     """Self-attention over (B, T, d) x; with `rows`, only the first `rows` queries."""
-    q = _linear(g, x if rows is None else g.rows(x, slice(rows)), f"{prefix}/Wq", f"{prefix}/bq")
-    k = _linear(g, x, f"{prefix}/Wk", f"{prefix}/bk")
-    v = _linear(g, x, f"{prefix}/Wv", f"{prefix}/bv")
+    d = cfg.d_model
+    # all weights before all biases: the parameter order sets the flat gradient's
+    # layout, and so the order in which the gradient-clip norm sums
+    w = [g.param(f"{prefix}/W{n}", (d, d)) for n in "qkvo"]
+    b = [g.param(f"{prefix}/b{n}", (d,)) for n in "qkvo"]
+    q = g.linear(x if rows is None else g.rows(x, slice(rows)), w[0], b[0])
+    k = g.linear(x, w[1], b[1])
+    v = g.linear(x, w[2], b[2])
     attn = g.attention_probs(q, k, cfg.heads)  # (B, H, rows or T, T)
-    out = _linear(g, g.attend(attn, v), f"{prefix}/Wo", f"{prefix}/bo")
+    out = g.linear(g.attend(attn, v), w[3], b[3])
     return out, attn
 
 
@@ -171,24 +150,26 @@ def _encoder_block(g: Graph, z_prev, layer: int, cfg: EncoderConfig, rows=None):
 
     Keys and values still come from every row of the block input.
     """
-    ln1 = _affine_ln(g, z_prev, f"layer{layer}/ln1/gamma", f"layer{layer}/ln1/beta")
-    attn_out, attn = _mhsa(g, ln1, f"layer{layer}/attn", cfg, rows)
+    p, d = f"layer{layer}", cfg.d_model
+    hidden = cfg.mlp_ratio * d
+    ln1 = _affine_ln(g, z_prev, f"{p}/ln1", d)
+    attn_out, attn = _mhsa(g, ln1, f"{p}/attn", cfg, rows)
     if rows is not None:
         z_prev = g.rows(z_prev, slice(rows))
     z_mid = g.add(attn_out, z_prev)
-    ln2 = _affine_ln(g, z_mid, f"layer{layer}/ln2/gamma", f"layer{layer}/ln2/beta")
-    h1 = g.gelu(_linear(g, ln2, f"layer{layer}/mlp/W1", f"layer{layer}/mlp/b1"))
-    mlp_out = _linear(g, h1, f"layer{layer}/mlp/W2", f"layer{layer}/mlp/b2")
+    ln2 = _affine_ln(g, z_mid, f"{p}/ln2", d)
+    h1 = g.gelu(_linear(g, ln2, f"{p}/mlp/W1", f"{p}/mlp/b1", d, hidden))
+    mlp_out = _linear(g, h1, f"{p}/mlp/W2", f"{p}/mlp/b2", hidden, d)
     # Eq-faithful residual routes the block input into the second residual;
     # "conventional" uses the attention output instead
     residual = z_prev if cfg.residual_variant == "paper" else z_mid
     return g.add(mlp_out, residual), attn
 
 
-def _classifier(g: Graph, x, prefix: str):
+def _classifier(g: Graph, x, prefix: str, d_in: int, cfg: EncoderConfig):
     """Two-layer GELU head under `prefix`; marks 'logits', returns the hidden layer."""
-    h = g.gelu(_linear(g, x, f"{prefix}/W1", f"{prefix}/b1"))
-    logits = _linear(g, h, f"{prefix}/W2", f"{prefix}/b2")
+    h = g.gelu(_linear(g, x, f"{prefix}/W1", f"{prefix}/b1", d_in, cfg.head_hidden))
+    logits = _linear(g, h, f"{prefix}/W2", f"{prefix}/b2", cfg.head_hidden, cfg.n_classes)
     g.mark_output("logits", logits)
     return h
 
@@ -208,24 +189,24 @@ def build_forward_graph(cfg: EncoderConfig, subjects: list, want_attention: bool
     patches = g.input("patches")
 
     if cfg.variant == "ss-mlp":
-        flat = g.reshape(patches, (-1, cfg.patch_count * cfg.patch_dim))
-        g.mark_output("z", _classifier(g, flat, "mlp"))
+        flat = cfg.patch_count * cfg.patch_dim
+        g.mark_output("z", _classifier(g, g.reshape(patches, (-1, flat)), "mlp", flat, cfg))
         return g
 
-    embedded = g.matmul(patches, g.param("embed/E"))  # (B, M, d)
+    embedded = g.matmul(patches, g.param("embed/E", (cfg.patch_dim, d)))  # (B, M, d)
 
     def subject_tokens(prefix):
-        rows = g.take_rows([g.param(f"{prefix}/{sid}") for sid in subjects], g.input("subject_idx"))
+        rows = g.take_rows([g.param(f"{prefix}/{sid}", (d,)) for sid in subjects], g.input("subject_idx"))
         return g.reshape(rows, (-1, 1, d))
 
     if cfg.variant == "clip-mused":
         lead = [subject_tokens("token/llv"), subject_tokens("token/hlv")]
     else:
-        lead = [g.reshape(g.repeat_rows(g.param("token/class"), patches), (-1, 1, d))]
+        lead = [g.reshape(g.repeat_rows(g.param("token/class", (d,)), patches), (-1, 1, d))]
         if cfg.variant == "ms-emb":
             lead.append(subject_tokens("token/emb"))
 
-    z = g.add(g.concat(lead + [embedded], axis=1), g.param("embed/E_pos"))
+    z = g.add(g.concat(lead + [embedded], axis=1), g.param("embed/E_pos", (cfg.seq_len, d)))
     # the read-out below uses rows 0-1 (clip-mused) or row 0 of the last block,
     # so that block runs on those rows only unless its attention map is wanted
     read_rows = 2 if cfg.variant == "clip-mused" else 1
@@ -236,15 +217,15 @@ def build_forward_graph(cfg: EncoderConfig, subjects: list, want_attention: bool
             g.mark_output(f"attn/{l}", attn)
 
     if cfg.variant == "clip-mused":
-        z_llv = _affine_ln(g, g.rows(z, 0), "final_ln/gamma", "final_ln/beta")
-        z_hlv = _affine_ln(g, g.rows(z, 1), "final_ln/gamma", "final_ln/beta")
+        z_llv = _affine_ln(g, g.rows(z, 0), "final_ln", d)
+        z_hlv = _affine_ln(g, g.rows(z, 1), "final_ln", d)
         g.mark_output("z_llv", z_llv)
         g.mark_output("z_hlv", z_hlv)
-        _classifier(g, g.concat([z_llv, z_hlv], axis=1), "head")
+        _classifier(g, g.concat([z_llv, z_hlv], axis=1), "head", 2 * d, cfg)
     else:
-        z_out = _affine_ln(g, g.rows(z, 0), "final_ln/gamma", "final_ln/beta")
+        z_out = _affine_ln(g, g.rows(z, 0), "final_ln", d)
         g.mark_output("z", z_out)
-        _classifier(g, z_out, "head")
+        _classifier(g, z_out, "head", d, cfg)
     return g
 
 
@@ -281,11 +262,16 @@ def forward(params: dict, cfg: EncoderConfig, x: np.ndarray, subject_index: list
     subjects = token_subjects(cfg, params)
     idx = subject_positions(cfg, subjects, subject_index)
     g = build_forward_graph(cfg, subjects, want_attention)
+    chunks = []
     # one evaluation even of zero rows, so every output has its shape
-    chunks = [
-        diffcore.evaluate(g, {**params, "patches": x[s : s + CHUNK], "subject_idx": idx[s : s + CHUNK]})
-        for s in range(0, max(len(x), 1), CHUNK)
-    ]
+    for s in range(0, max(len(x), 1), CHUNK):
+        rows, pos = x[s : s + CHUNK], idx[s : s + CHUNK]
+        n = len(rows)
+        if n % ROW_ALIGN:  # padded with copies of its own rows
+            take = np.arange(n + -n % ROW_ALIGN) % n
+            rows, pos = rows[take], pos[take]
+        out = diffcore.evaluate(g, {**params, "patches": rows, "subject_idx": pos})
+        chunks.append({name: value[:n] for name, value in out.items()})
     return {name: np.concatenate([c[name] for c in chunks]) for name in chunks[0]}
 
 

@@ -479,7 +479,7 @@ def load_checkpoint(ckpt_dir) -> Checkpoint:
         raise CheckpointError(f"{path}: param_names is not a list of strings")
     try:
         if header["model_cfg"].get("conv") is not None:  # null in headers that still carry it
-            raise model.ModelConfigError("checkpoint uses the removed 3-D conv front end")
+            raise CheckpointError(f"{path}: model_cfg.conv is set, but the 3-D conv front end was removed")
         for section, keys in _RETIRED.items():
             for key in keys:
                 header[section].pop(key, None)

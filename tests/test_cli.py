@@ -584,6 +584,7 @@ class TestExports:
         ("heads-three", "export-attn", "header.json: invalid value in model_cfg: d_model must be divisible by heads"),
         ("variant-unknown", "eval", "header.json: invalid value in model_cfg: unknown variant 'nope'"),
         ("weight-negative", "export-rsm", "header.json: invalid value in train_cfg: loss weights must be non-negative"),
+        ("conv-retired", "export-rsm", "header.json: model_cfg.conv is set, but the 3-D conv front end was removed"),
     ]
     HEADER_VALUES = {
         "heads-bool": ("model_cfg", "heads", True),
@@ -594,6 +595,7 @@ class TestExports:
         "heads-three": ("model_cfg", "heads", 3),
         "variant-unknown": ("model_cfg", "variant", "nope"),
         "weight-negative": ("train_cfg", "weights", {"lambda_perp": -0.5}),
+        "conv-retired": ("model_cfg", "conv", {"input_shape": [5, 5, 5], "channels": [2], "kernels": [3], "strides": [2]}),
     }
 
     @pytest.mark.parametrize(

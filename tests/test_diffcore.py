@@ -58,6 +58,19 @@ class TestEvaluate:
         with pytest.raises(UnboundParameter):
             evaluate(g, {})
 
+    def test_parameter_declared_with_two_shapes(self):
+        g = Graph()
+        assert g.param("w", (2, 3)) == g.param("w", [2, 3]) == g.param("w")
+        with pytest.raises(diffcore.DiffcoreError, match=r"'w' declared with shape \(2, 3\) and with \(3, 2\)"):
+            g.param("w", (3, 2))
+
+    def test_bound_parameter_must_have_its_declared_shape(self):
+        g = Graph()
+        g.mark_output("y", g.add(g.input("x"), g.param("b", (3,))))
+        assert evaluate(g, {"x": np.ones((2, 3)), "b": np.ones(3)})["y"].shape == (2, 3)
+        with pytest.raises(ShapeMismatch, match=r"node 1 \(param\): parameter 'b' has shape \(1,\), declared \(3,\)"):
+            evaluate(g, {"x": np.ones((2, 3)), "b": np.ones(1)})
+
     def test_shape_mismatch_names_node(self):
         g = Graph()
         g.mark_output("y", g.matmul(g.input("A"), g.input("B")))

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -177,6 +179,57 @@ class TestParamCounts:
         assert np.array_equal(params["layer0/attn/bq"], np.zeros(cfg.d_model))
         assert np.array_equal(params["head/b2"], np.zeros(cfg.n_classes))
         assert abs(params["embed/E"].std() - 0.02) < 0.01
+
+    @pytest.mark.parametrize("variant", sorted(model.SUBJECT_TOKEN))
+    def test_token_rows_do_not_depend_on_how_a_subject_is_named(self, variant):
+        """Ids that end like a gain or a bias name still get drawn token rows."""
+        ids = ["sub1", "sub2", "gamma", "b1", "lab1"]
+        params = init_params(tiny_cfg(variant=variant), ids, np.random.default_rng(3))
+        rows = [v for n, v in params.items() if n.startswith("token/") and n != "token/class"]
+        assert len(rows) == len(ids) * (2 if variant == "clip-mused" else 1)
+        assert all(np.any(r != 0.0) for r in rows)
+        assert len({r.tobytes() for r in rows}) == len(rows)
+
+    @pytest.mark.parametrize("want_attention", [False, True])
+    @pytest.mark.parametrize("variant", model.VARIANTS)
+    def test_shapes_are_the_forward_graph_declarations(self, variant, want_attention):
+        subjects = ["sub_02", "sub_00"]
+        cfg = tiny_cfg(variant=variant)
+        g = build_forward_graph(cfg, subjects, want_attention)
+        shapes = param_shapes(cfg, subjects)
+        assert sorted(shapes) == sorted(g.params) == sorted(g.shapes)
+        assert shapes == g.shapes
+
+    def test_init_params_are_pinned(self):
+        """Names in order, shapes and bytes of `init_params` over every variant and several subject orders.
+
+        A change of draw order, shape or initial value changes the digest.
+        """
+        h = hashlib.sha256()
+        for variant in model.VARIANTS:
+            for kw in ({}, {"layers": 1, "head_hidden": 5}, {"layers": 3, "mlp_ratio": 2}):
+                for k, subjects in enumerate((SUBJECTS, ["b", "a"], ["x"], [])):
+                    params = init_params(tiny_cfg(variant=variant, **kw), subjects, np.random.default_rng(k))
+                    for name, value in params.items():
+                        h.update(f"{name}{value.shape}".encode())
+                        h.update(value.tobytes())
+        assert h.hexdigest() == "617815537fab94a24c1d5203b0acf1f02e54e00e57fed4e396ba37d016f6961a"
+
+
+@pytest.mark.parametrize("name, shape", [("embed/E_pos", (1, 8)), ("layer0/ln1/gamma", (1,)), ("head/b2", (1,))])
+def test_a_parameter_unlike_its_declared_shape_is_rejected(name, shape):
+    """Shapes numpy would broadcast, through `forward` and through the clip-mused loss graph."""
+    cfg = tiny_cfg()
+    params = init_params(cfg, SUBJECTS, np.random.default_rng(0))
+    params[name] = np.ones(shape)
+    patches, idx = make_inputs(cfg, 5)
+    message = rf"parameter '{name}' has shape \(1,.*declared \("
+    with pytest.raises(diffcore.ShapeMismatch, match=message):
+        forward(params, cfg, patches, idx)
+    g = trainer._build_loss_graph(cfg, LossWeights(), SUBJECTS, False)
+    bindings = _loss_bindings(cfg, params, patches, idx, np.random.default_rng(1))
+    with pytest.raises(diffcore.ShapeMismatch, match=message):
+        diffcore.evaluate_with_gradient(g, bindings, "loss")
 
 
 class TestForwardOracle:
@@ -415,21 +468,21 @@ def _guard_params(cfg, g, seed):
     return params
 
 
-def _assert_rows_alone(out, params, cfg, patches, idx, want_attention=False):
+def _assert_rows_alone(out, params, cfg, patches, idx, want_attention=False, exact=False):
     """Each row of every output in `out` equals that row run through `forward` on its own.
 
-    The atol covers the last bit of a logit that cancels to about 1e-6, where a
-    one-row GEMM sums in another order than a many-row one.
+    `forward` output is `exact`ly equal.  Otherwise the atol covers the last bit
+    of a logit that cancels to about 1e-6, where a GEMM over a batch off the
+    BLAS kernel's block sums its last rows in another order.
     """
     alone = [forward(params, cfg, patches[i : i + 1], idx[i : i + 1], want_attention) for i in range(len(idx))]
-    for name in ("logits", "z", "z_llv", "z_hlv"):
-        if name in out:
-            want = np.concatenate([a[name] for a in alone])
-            np.testing.assert_allclose(out[name], want, rtol=1e-12, atol=1e-15, err_msg=name)
     for name in out:
-        if name.startswith("attn/"):
+        if name in ("logits", "z", "z_llv", "z_hlv") or name.startswith("attn/"):
             want = np.concatenate([a[name] for a in alone])
-            np.testing.assert_allclose(out[name], want, rtol=1e-12, atol=1e-15, err_msg=name)
+            if exact:
+                assert out[name].tobytes() == want.tobytes(), name
+            else:
+                np.testing.assert_allclose(out[name], want, rtol=1e-12, atol=1e-15, err_msg=name)
 
 
 def _loss_bindings(cfg, params, patches, idx, rng):
@@ -485,9 +538,33 @@ def test_one_forward_graph_serves_one_row_and_two_chunks(monkeypatch):
         monkeypatch.setattr(model, "build_forward_graph", built_once)
         monkeypatch.setattr(diffcore, "evaluate", counted)
         out = forward(params, cfg, patches, idx, want_attention)
-        assert calls == ["build", model.CHUNK, 300 - model.CHUNK]
-        _assert_rows_alone(out, params, cfg, patches, idx, want_attention)
+        assert calls == ["build", model.CHUNK, 48]  # 44 rows padded to a multiple of ROW_ALIGN
+        _assert_rows_alone(out, params, cfg, patches, idx, want_attention, exact=True)
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("variant", model.VARIANTS)
+def test_a_rows_outputs_do_not_depend_on_its_chunk(variant):
+    """Rows forwarded in chunks of random sizes, positions and subject mixes equal, bit for bit, a 300-row forward;
+    zero rows give every output with its shape.
+
+    Ten classes: with a head that wide, a GEMM over a row count off the BLAS
+    kernel's block sums the last rows in another order.
+    """
+    cfg = tiny_cfg(variant=variant, n_classes=10)
+    rng = np.random.default_rng(7)
+    params = {k: v + 0.1 * rng.normal(size=v.shape) for k, v in init_params(cfg, SUBJECTS, rng).items()}
+    patches = rng.normal(size=(300, cfg.patch_count, cfg.patch_dim))
+    idx = list(rng.choice(SUBJECTS, size=300))
+    want_attention = variant != "ss-mlp"
+    full = forward(params, cfg, patches, idx, want_attention)
+    for n in [0, 1, 2, 3] + list(rng.integers(4, 60, size=5)):
+        s = int(rng.integers(0, 300 - n))
+        part = forward(params, cfg, patches[s : s + n], idx[s : s + n], want_attention)
+        assert sorted(part) == sorted(full)
+        for name in full:
+            want = full[name][s : s + n]
+            assert part[name].shape == want.shape and part[name].tobytes() == want.tobytes(), (n, s, name)
 
 
 def _read_only(a):
