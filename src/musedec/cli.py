@@ -8,6 +8,7 @@ keeps runs deterministic).
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import math
@@ -104,12 +105,17 @@ def _model_cfg(section, data: TrainData, variant) -> EncoderConfig:
     )
 
 
+def _write_csv(path: Path, rows):
+    """`rows` as CSV lines, its directory created if missing; a field holding a comma, quote or newline is quoted."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
 def _write_metrics_csv(out: Path, rows):
     """metrics.csv of (seed, method, split, {map, auc, hamming}) rows, run id = out's name."""
-    with open(out / "metrics.csv", "w") as fh:
-        fh.write("run_id,seed,method,split,map,auc,hamming\n")
-        for seed, method, split, m in rows:
-            fh.write(f"{out.name},{seed},{method},{split},{m['map']},{m['auc']},{m['hamming']}\n")
+    table = [[out.name, seed, method, split, m["map"], m["auc"], m["hamming"]] for seed, method, split, m in rows]
+    _write_csv(out / "metrics.csv", [["run_id", "seed", "method", "split", "map", "auc", "hamming"], *table])
 
 
 # ---------------------------------------------------------------------------
@@ -161,11 +167,9 @@ def cmd_train(args):
 
 def cmd_eval(args):
     state, _, data = _load_run(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     results = {s: trainer.evaluate_split(state.best_params, state.model_cfg, data, s) for s in ("val", "test")}
     seed, method = state.train_cfg.seed, state.train_cfg.method
-    _write_metrics_csv(out, [(seed, method, split, res.as_dict()) for split, res in results.items()])
+    _write_metrics_csv(Path(args.out), [(seed, method, split, res.as_dict()) for split, res in results.items()])
     for split, res in results.items():
         print(f"{split}: map={res.map:.4f} auc={res.auc:.4f} hamming={res.hamming:.4f}")
     return EXIT_OK
@@ -200,23 +204,21 @@ def cmd_export_attn(args):
     if not tokens:
         print(f"variant {mcfg.variant!r} has no exportable tokens", file=sys.stderr)
         return EXIT_DATA
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     roi_names = manifest.get("roi_names") or [f"roi_{i}" for i in range(mcfg.patch_count)]
-    with open(out / "attention.csv", "w") as fh:
-        fh.write("subject,token,patch_index,roi,mean_weight\n")
-        for ds in data.datasets:
-            rows = data.splits[ds.subject_id]["test"]
-            out_b = model.forward(
-                state.best_params, mcfg, ds.responses[rows], [ds.subject_id] * len(rows), want_attention=True
-            )
-            weights = out_b[f"attn/{mcfg.layers - 1}"]
-            for token in tokens:
-                w = model.extract_attention(weights, token, mcfg).mean(axis=0)
-                w = w / w.sum()
-                for i, value in enumerate(w):
-                    fh.write(f"{ds.subject_id},{token},{i},{roi_names[i]},{value}\n")
-    print(f"wrote {out / 'attention.csv'}")
+    table = [["subject", "token", "patch_index", "roi", "mean_weight"]]
+    for ds in data.datasets:
+        rows = data.splits[ds.subject_id]["test"]
+        out_b = model.forward(
+            state.best_params, mcfg, ds.responses[rows], [ds.subject_id] * len(rows), want_attention=True
+        )
+        weights = out_b[f"attn/{mcfg.layers - 1}"]
+        for token in tokens:
+            w = model.extract_attention(weights, token, mcfg).mean(axis=0)
+            w = w / w.sum()
+            table += ([ds.subject_id, token, i, roi_names[i], value] for i, value in enumerate(w))
+    path = Path(args.out) / "attention.csv"
+    _write_csv(path, table)
+    print(f"wrote {path}")
     return EXIT_OK
 
 
@@ -232,12 +234,9 @@ def cmd_export_rsm(args):
         return EXIT_DATA
     llv, hlv = model.token_rsm(state.best_params, subject_ids)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     for name, mat in (("token_rsm_llv.csv", llv), ("token_rsm_hlv.csv", hlv)):
-        with open(out / name, "w") as fh:
-            fh.write("subject," + ",".join(subject_ids) + "\n")
-            for sid, row in zip(subject_ids, mat):
-                fh.write(sid + "," + ",".join(repr(float(v)) for v in row) + "\n")
+        rsm_rows = [[sid, *(repr(float(v)) for v in row)] for sid, row in zip(subject_ids, mat)]
+        _write_csv(out / name, [["subject", *subject_ids], *rsm_rows])
     print(f"wrote token RSMs for {len(subject_ids)} subjects to {out}")
     return EXIT_OK
 
@@ -309,7 +308,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (msed.MsedError, msed.ManifestError, neurodata.NeuroDataError, stimfeat.StimFeatError,
-            metrics.MetricsError, model.UnknownSubject, trainer.CheckpointError, FileNotFoundError) as exc:
+            metrics.MetricsError, model.UnknownSubject, trainer.CheckpointError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import typing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -269,11 +270,16 @@ def evaluate_split(params, cfg, data: TrainData, split: str) -> metrics.EvalResu
 # training
 
 
+def _views(flat, shapes: dict) -> dict:
+    """Each name of `shapes` bound to its reshaped view of `flat`, which holds them raveled end to end in order."""
+    parts = np.split(flat, np.cumsum([math.prod(shape) for shape in shapes.values()])[:-1])
+    return {name: part.reshape(shape) for (name, shape), part in zip(shapes.items(), parts)}
+
+
 def _arena(group: dict):
     """(flat, views): one 1-D buffer holding `group`'s tensors in order, and each name bound to its reshaped view."""
     flat = np.concatenate([a.ravel() for a in group.values()])
-    parts = np.split(flat, np.cumsum([a.size for a in group.values()])[:-1])
-    return flat, {name: part.reshape(a.shape) for (name, a), part in zip(group.items(), parts)}
+    return flat, _views(flat, {name: a.shape for name, a in group.items()})
 
 
 def _pack_state(state: Checkpoint, graph: diffcore.Graph) -> list:
@@ -430,26 +436,18 @@ def _write_run_dir(out_dir: Path, cfg, model_cfg, state: Checkpoint, report: Run
     save_checkpoint(out_dir / "checkpoint", state)
 
 
-def _safe_name(name: str) -> str:
-    return name.replace("/", "__")
-
-
-TENSOR_GROUPS = ("params", "m", "v", "best_params")  # Checkpoint fields saved as <group>/<name>.msed
-# keys of removed options that older headers still carry: grid was always null, interleave_conv always false
-_RETIRED = {"train_cfg": ("grid",), "model_cfg": ("interleave_conv", "conv")}
+TENSOR_GROUPS = ("params", "m", "v", "best_params")  # Checkpoint fields saved as <group>.msed
 
 
 def save_checkpoint(ckpt_dir, state: Checkpoint):
-    """Each tensor group as one MSED file per parameter; every other field, plus `param_names`, in header.json."""
+    """Each tensor group as one 1-D MSED file in `state.params` order; other fields and `param_shapes` in header.json"""
     ckpt_dir = Path(ckpt_dir)
-    header = {"param_names": list(state.params)}
+    ckpt_dir.mkdir(parents=True, exist_ok=True)
+    header = {"param_shapes": {name: list(a.shape) for name, a in state.params.items()}}
     for f in dataclasses.fields(state):
         value = getattr(state, f.name)
         if f.name in TENSOR_GROUPS:
-            gdir = ckpt_dir / f.name
-            gdir.mkdir(parents=True, exist_ok=True)
-            for name, arr in value.items():
-                msed.write_tensor(gdir / f"{_safe_name(name)}.msed", arr)
+            msed.write_tensor(ckpt_dir / f"{f.name}.msed", np.concatenate([value[name].ravel() for name in state.params]))
         else:
             header[f.name] = dataclasses.asdict(value) if dataclasses.is_dataclass(value) else value
     with open(ckpt_dir / "header.json", "w") as fh:
@@ -466,23 +464,24 @@ def load_checkpoint(ckpt_dir) -> Checkpoint:
         raise CheckpointError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(header, dict):
         raise CheckpointError(f"{path} does not hold a JSON object")
+    if "param_names" in header:  # every musedec before param_shapes wrote one MSED file per parameter
+        raise CheckpointError(f"{path}: param_names marks an older musedec's per-parameter layout, which is not read")
     fields = {f.name: f for f in dataclasses.fields(Checkpoint) if f.name not in TENSOR_GROUPS}
-    required = ["param_names"] + [
+    required = ["param_shapes"] + [
         name for name, f in fields.items() if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
     ]
     missing = [name for name in required if name not in header]
-    unknown = sorted(header.keys() - fields.keys() - {"param_names"})
+    unknown = sorted(header.keys() - fields.keys() - {"param_shapes"})
     if missing or unknown:
         raise CheckpointError(f"{path}: missing field(s) {missing}, unknown field(s) {unknown}")
-    names = header.pop("param_names")
-    if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
-        raise CheckpointError(f"{path}: param_names is not a list of strings")
+    shapes = header.pop("param_shapes")
+    if not (
+        isinstance(shapes, dict)
+        and all(isinstance(dims, list) and all(_fits(n, int) and n >= 0 for n in dims) for dims in shapes.values())
+    ):
+        raise CheckpointError(f"{path}: param_shapes is not a JSON object of lists of non-negative integers")
+    shapes = {name: tuple(dims) for name, dims in shapes.items()}
     try:
-        if header["model_cfg"].get("conv") is not None:  # null in headers that still carry it
-            raise CheckpointError(f"{path}: model_cfg.conv is set, but the 3-D conv front end was removed")
-        for section, keys in _RETIRED.items():
-            for key in keys:
-                header[section].pop(key, None)
         for section, cls in (("train_cfg", TrainConfig), ("model_cfg", EncoderConfig)):
             try:
                 check_section(section, header[section], cls)
@@ -498,31 +497,30 @@ def load_checkpoint(ckpt_dir) -> Checkpoint:
         header["rng_state"]["state"] = {k: int(v) for k, v in header["rng_state"]["state"].items()}
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: malformed field: {exc!r}") from exc
+    _check_tensor_shapes(path, header["model_cfg"], shapes)
+    size = sum(math.prod(shape) for shape in shapes.values())
     for group in TENSOR_GROUPS:
-        header[group] = {name: msed.read_tensor(ckpt_dir / group / f"{_safe_name(name)}.msed") for name in names}
-    _check_tensor_shapes(ckpt_dir, header["model_cfg"], {group: header[group] for group in TENSOR_GROUPS})
+        flat = msed.read_tensor(ckpt_dir / f"{group}.msed")
+        if flat.shape != (size,):
+            raise CheckpointError(f"{ckpt_dir / group}.msed holds shape {flat.shape}; param_shapes needs ({size},)")
+        header[group] = _views(flat, shapes)
     return Checkpoint(**header)
 
 
-def _check_tensor_shapes(ckpt_dir, model_cfg: EncoderConfig, groups: dict):
-    """Every group holds the model's parameters, each with the shape `model.param_shapes` gives it."""
-    params = groups["params"]
-    want = model.param_shapes(model_cfg, model.token_subjects(model_cfg, params))
+def _check_tensor_shapes(path, model_cfg: EncoderConfig, shapes: dict):
+    """`shapes` names the model's parameters, each with the shape `model.param_shapes` gives it."""
+    want = model.param_shapes(model_cfg, model.token_subjects(model_cfg, shapes))
     for name in ("map/Pl", "map/Ph"):  # their widths are the stimulus features', which the header does not record
-        if name in params:
-            shape = params[name].shape
+        if name in shapes:
+            shape = shapes[name]
             if len(shape) != 2 or shape[0] != model_cfg.d_model:
                 raise CheckpointError(
-                    f"{ckpt_dir}: params/{name} has shape {shape}; it needs d_model = {model_cfg.d_model} rows"
+                    f"{path}: param_shapes {name} is {shape}; it needs d_model = {model_cfg.d_model} rows"
                 )
             want[name] = shape
-    odd = sorted(set(params) ^ set(want))
-    if odd:
-        raise CheckpointError(f"{ckpt_dir}: param_names differ from the model's parameters in {odd}")
-    for group, tensors in groups.items():
-        for name, a in tensors.items():
-            if a.shape != want[name]:
-                raise CheckpointError(f"{ckpt_dir}: {group}/{name} has shape {a.shape}, expected {want[name]}")
+    for name in sorted(shapes.keys() | want.keys()):
+        if shapes.get(name) != want.get(name):  # None for a name that only one side has
+            raise CheckpointError(f"{path}: param_shapes {name} is {shapes.get(name)}, expected {want.get(name)}")
 
 
 # ---------------------------------------------------------------------------

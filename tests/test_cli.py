@@ -1,3 +1,4 @@
+import csv
 import json
 import filecmp
 import subprocess
@@ -570,11 +571,16 @@ class TestExports:
     MALFORMED_CHECKPOINTS = [
         ("header-not-json", "eval", "header.json is not valid JSON"),
         ("header-lacks-field", "export-rsm", "missing field(s) ['best_epoch']"),
-        ("extra-row", "eval", "best_params/head/W2 has shape (9, 4), expected (8, 4)"),
-        ("extra-row", "export-attn", "best_params/head/W2 has shape (9, 4), expected (8, 4)"),
-        ("short-token", "export-rsm", "params/token/llv/sub_00 has shape (3,), expected (8,)"),
-        ("map-rows", "export-rsm", "params/map/Pl has shape (7, 5); it needs d_model = 8 rows"),
-        ("groups-differ", "eval", "m/map/Pl has shape (8, 3), expected (8, 5)"),
+        ("extra-row", "eval", "header.json: param_shapes head/W2 is (9, 4), expected (8, 4)"),
+        ("extra-row", "export-attn", "header.json: param_shapes head/W2 is (9, 4), expected (8, 4)"),
+        ("short-token", "export-rsm", "header.json: param_shapes token/llv/sub_00 is (3,), expected (8,)"),
+        ("map-rows", "export-rsm", "header.json: param_shapes map/Pl is (7, 5); it needs d_model = 8 rows"),
+        ("groups-differ", "eval", "m.msed holds shape (1212,); param_shapes needs (1228,)"),
+        ("file-short", "export-rsm", "v.msed holds shape (1187,); param_shapes needs (1188,)"),
+        ("shape-negative", "eval", "header.json: param_shapes is not a JSON object of lists of non-negative integers"),
+        ("shape-bool", "export-rsm", "header.json: param_shapes is not a JSON object of lists of non-negative integers"),
+        ("shape-string", "export-attn", "header.json: param_shapes is not a JSON object of lists of non-negative integers"),
+        ("old-layout", "eval", "header.json: param_names marks an older musedec's per-parameter layout, which is not read"),
         ("heads-bool", "eval", "config value model_cfg.heads = true is not an integer"),
         ("d_model-float", "export-rsm", "config value model_cfg.d_model = 8.0 is not an integer"),
         ("batch-float", "eval", "config value train_cfg.batch_size = 8.5 is not an integer"),
@@ -584,7 +590,7 @@ class TestExports:
         ("heads-three", "export-attn", "header.json: invalid value in model_cfg: d_model must be divisible by heads"),
         ("variant-unknown", "eval", "header.json: invalid value in model_cfg: unknown variant 'nope'"),
         ("weight-negative", "export-rsm", "header.json: invalid value in train_cfg: loss weights must be non-negative"),
-        ("conv-retired", "export-rsm", "header.json: model_cfg.conv is set, but the 3-D conv front end was removed"),
+        ("conv-retired", "export-rsm", "header.json: unknown key(s) 'conv' in config section 'model_cfg'"),
     ]
     HEADER_VALUES = {
         "heads-bool": ("model_cfg", "heads", True),
@@ -596,6 +602,9 @@ class TestExports:
         "variant-unknown": ("model_cfg", "variant", "nope"),
         "weight-negative": ("train_cfg", "weights", {"lambda_perp": -0.5}),
         "conv-retired": ("model_cfg", "conv", {"input_shape": [5, 5, 5], "channels": [2], "kernels": [3], "strides": [2]}),
+        "shape-negative": ("param_shapes", "head/W2", [-1]),
+        "shape-bool": ("param_shapes", "head/W2", [True]),
+        "shape-string": ("param_shapes", "head/W2", "8"),
     }
 
     @pytest.mark.parametrize(
@@ -610,20 +619,27 @@ class TestExports:
         elif case == "header-lacks-field":
             del header["best_epoch"]
             header_path.write_text(json.dumps(header))
-        elif case == "extra-row":
-            w2 = msed.read_tensor(ckpt / "best_params" / "head__W2.msed")
-            msed.write_tensor(ckpt / "best_params" / "head__W2.msed", np.vstack([w2, w2[:1]]))
         elif case in self.HEADER_VALUES:
             section, key, value = self.HEADER_VALUES[case]
             header[section][key] = value
             header_path.write_text(json.dumps(header))
-        elif case == "short-token":
-            msed.write_tensor(ckpt / "params" / "token__llv__sub_00.msed", np.zeros(3))
-        else:  # a mapping projection next to the model's parameters
-            header_path.write_text(json.dumps({**header, "param_names": header["param_names"] + ["map/Pl"]}))
+        elif case == "old-layout":  # the header every earlier musedec wrote next to one file per parameter
+            header["param_names"] = list(header.pop("param_shapes"))
+            header_path.write_text(json.dumps(header))
+        elif case == "file-short":
+            msed.write_tensor(ckpt / "v.msed", msed.read_tensor(ckpt / "v.msed")[:-1])
+        else:  # a saved state whose param_shapes or group files are not the model's
+            state = trainer.load_checkpoint(ckpt)
             for group in trainer.TENSOR_GROUPS:
-                cols = 3 if case == "groups-differ" and group == "m" else 5
-                msed.write_tensor(ckpt / group / "map__Pl.msed", np.zeros((7 if case == "map-rows" else 8, cols)))
+                tensors = getattr(state, group)
+                if case == "extra-row":
+                    tensors["head/W2"] = np.vstack([tensors["head/W2"], tensors["head/W2"][:1]])
+                elif case == "short-token":
+                    tensors["token/llv/sub_00"] = np.zeros(3)
+                else:  # a mapping projection next to the model's parameters
+                    cols = 3 if case == "groups-differ" and group == "m" else 5
+                    tensors["map/Pl"] = np.zeros((7 if case == "map-rows" else 8, cols))
+            trainer.save_checkpoint(ckpt, state)
         args = [command, "--checkpoint", str(ckpt), "--out", str(tmp_path / "out")]
         if command != "export-rsm":
             args += ["--config", str(config_path), "--data", str(manifest_path)]
@@ -631,6 +647,56 @@ class TestExports:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and message in err, err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "compare", "export-rsm"])
+    def test_out_that_is_a_file_is_data_error(self, trained, capsys, command):
+        tmp_path, manifest_path, config_path, ckpt = trained
+        out = tmp_path / "taken"
+        out.write_text("a file, not a directory")
+        args = [command, "--out", str(out)]
+        if command != "export-rsm":
+            args += ["--config", str(config_path), "--data", str(manifest_path)]
+        args += ["--methods", "ss-mlp", "--seeds", "0"] if command == "compare" else ["--checkpoint", str(ckpt)]
+        assert cli.main(args) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(out) in err and "Traceback" not in err, err
+
+    def test_exports_quote_ids_and_roi_names(self, workspace):
+        """Subject ids, ROI names and a run id holding a comma, a quote and a newline read back as single fields."""
+        tmp_path, manifest_path, config_path = workspace
+        ids = ["a,b", 'say "hi"\nthen']
+        rois = ["v1,left", 'q"uote', "two\nlines", "plain"]
+        manifest = json.loads(manifest_path.read_text())
+        for sub, sid in zip(manifest["subjects"], ids):
+            sub["id"] = sid
+        manifest["roi_names"] = rois
+        manifest_path.write_text(json.dumps(manifest))
+        run = tmp_path / "run"
+        assert cli.main(["train", "--config", str(config_path), "--data", str(manifest_path), "--out", str(run)]) == 0
+        ckpt = str(run / "checkpoint")
+        out = tmp_path / 'ev,"al"\nx'
+        run_args = ["--checkpoint", ckpt, "--config", str(config_path), "--data", str(manifest_path), "--out", str(out)]
+        for args in (["eval", *run_args], ["export-attn", *run_args], ["export-rsm", "--checkpoint", ckpt, "--out", str(out)]):
+            assert cli.main(args) == cli.EXIT_OK, args
+
+        def read(name):
+            with open(out / name, newline="") as fh:
+                return list(csv.reader(fh))
+
+        metrics_rows = read("metrics.csv")
+        assert metrics_rows[0] == ["run_id", "seed", "method", "split", "map", "auc", "hamming"]
+        assert [row[:4] for row in metrics_rows[1:]] == [[out.name, "0", "clip-mused", s] for s in ("val", "test")]
+        attention = read("attention.csv")
+        assert attention[0] == ["subject", "token", "patch_index", "roi", "mean_weight"]
+        want = [[sid, token, str(i), roi] for sid in ids for token in ("llv", "hlv") for i, roi in enumerate(rois)]
+        assert [row[:4] for row in attention[1:]] == want
+        assert all(0.0 <= float(row[4]) <= 1.0 for row in attention[1:])
+        for name in ("token_rsm_llv.csv", "token_rsm_hlv.csv"):
+            rsm = read(name)
+            assert rsm[0] == ["subject", *sorted(ids)]
+            assert [row[0] for row in rsm[1:]] == sorted(ids)
+            mat = np.array([[float(v) for v in row[1:]] for row in rsm[1:]])
+            np.testing.assert_allclose(np.diag(mat), 1.0, atol=1e-12)
 
 
 def test_import_leaves_scipy_stats_unloaded():

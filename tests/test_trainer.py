@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -49,6 +50,17 @@ def small_cfg(**kw):
     )
     defaults.update(kw)
     return TrainConfig(**defaults)
+
+
+def renamed_data(ids):
+    """small_data with one subject per id of `ids`, named by it."""
+    data = small_data(n_sub=len(ids))
+    names = dict(zip((d.subject_id for d in data.datasets), ids))
+    return TrainData(
+        [neurodata.SubjectDataset(names[d.subject_id], d.responses, d.stimulus_ids) for d in data.datasets],
+        data.features,
+        {names[sid]: parts for sid, parts in data.splits.items()},
+    )
 
 
 class TestAdam:
@@ -410,23 +422,56 @@ def test_float32_training_stays_float32(method):
     assert scores.dtype == np.float32
 
 
+# sha256 of each file of the checkpoint that `TestCheckpoint.test_checkpoint_files_are_pinned` saves
+PINNED_CHECKPOINT = {
+    "header.json": "0fcef052c2d0e30b06602f9b1f1fc578241996c6f9c92d70283c16f1636916e1",
+    "params.msed": "aaf5d921295deb2af909ab41e6262f393d534c6a1fea8ee74e174b163fb2d96d",
+    "m.msed": "9815745bc2b82cda8f5c34e9cd6324afc5297d52c7d9ef5f370daaa4588aa0f4",
+    "v.msed": "c5aac60a0818c7ac78b7c40ae0e6eb922fa2cd3cb495891b8a8e57cb12e07e52",
+    "best_params.msed": "aaf5d921295deb2af909ab41e6262f393d534c6a1fea8ee74e174b163fb2d96d",
+}
+
+
 class TestCheckpoint:
-    def test_legacy_header_keys_are_dropped(self, tmp_path):
+    def test_an_old_layout_header_is_rejected(self, tmp_path):
+        """A header of the per-parameter layout, and the keys only such headers carried, are CheckpointErrors."""
         state, _ = train(small_cfg(max_epochs=1), small_model(), small_data())
         save_checkpoint(tmp_path / "ck", state)
         header_path = tmp_path / "ck" / "header.json"
         header = json.loads(header_path.read_text())
-        header["train_cfg"]["grid"] = None
-        header["model_cfg"]["interleave_conv"] = False
-        header["model_cfg"]["conv"] = None
-        header_path.write_text(json.dumps(header))
-        loaded = load_checkpoint(tmp_path / "ck")
-        assert loaded.train_cfg == state.train_cfg
-        assert loaded.model_cfg == state.model_cfg
-        header["model_cfg"]["conv"] = {"input_shape": [5, 5, 5], "channels": [2], "kernels": [3], "strides": [2]}
-        header_path.write_text(json.dumps(header))
-        with pytest.raises(trainer.CheckpointError, match=r"header\.json: model_cfg\.conv is set"):
+        old = {**header, "param_names": list(header["param_shapes"])}
+        del old["param_shapes"]
+        old["train_cfg"] = {**header["train_cfg"], "grid": None}
+        old["model_cfg"] = {**header["model_cfg"], "interleave_conv": False, "conv": None}
+        header_path.write_text(json.dumps(old))
+        with pytest.raises(trainer.CheckpointError, match=r"header\.json: param_names marks an older musedec's"):
             load_checkpoint(tmp_path / "ck")
+        for section, key, value in (("train_cfg", "grid", None), ("model_cfg", "interleave_conv", False),
+                                    ("model_cfg", "conv", None)):
+            header_path.write_text(json.dumps({**header, section: {**header[section], key: value}}))
+            with pytest.raises(trainer.CheckpointError, match=rf"header\.json: unknown key\(s\) '{key}' in config section"):
+                load_checkpoint(tmp_path / "ck")
+
+    @pytest.mark.parametrize("ids", [["a/b", "a__b"], ["s" * 250, "sub_01"]], ids=["slash-or-underscores", "250-chars"])
+    def test_subject_ids_never_reach_the_file_system(self, tmp_path, ids):
+        """Ids that an old per-parameter file name merged or could not hold load back their own token rows."""
+        state, _ = train(small_cfg(max_epochs=1), small_model(), renamed_data(ids))
+        tokens = [name for name in state.params if name.startswith("token/") and name != "token/class"]
+        assert len(tokens) == 2 * len(ids)
+        save_checkpoint(tmp_path / "ck", state)
+        loaded = load_checkpoint(tmp_path / "ck")
+        for group in trainer.TENSOR_GROUPS:
+            for name in tokens:
+                assert getattr(loaded, group)[name].tobytes() == getattr(state, group)[name].tobytes(), (group, name)
+
+    def test_checkpoint_files_are_pinned(self, tmp_path):
+        """A seeded fresh state saves exactly header.json and one flat file per tensor group, byte for byte."""
+        state = trainer._init_state(small_cfg(), small_model(), small_data())
+        state.m = {name: p * 0.5 for name, p in state.params.items()}  # moments unlike zeros pin their order too
+        state.v = {name: p * p for name, p in state.params.items()}
+        save_checkpoint(tmp_path / "ck", state)
+        digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in (tmp_path / "ck").iterdir()}
+        assert digests == PINNED_CHECKPOINT
 
     def test_every_field_round_trips(self, tmp_path):
         """Each Checkpoint field, set away from its default, loads back equal; tensors bit for bit."""
@@ -537,7 +582,8 @@ class TestCheckpoint:
         train(small_cfg(), small_model(), data, out_dir=out)
         for name in ("config.json", "losses.csv", "metrics.csv", "report.json"):
             assert (out / name).exists()
-        assert (out / "checkpoint" / "header.json").exists()
+        want = ["header.json", "params.msed", "m.msed", "v.msed", "best_params.msed"]
+        assert sorted(f.name for f in (out / "checkpoint").iterdir()) == sorted(want)
         lines = (out / "metrics.csv").read_text().strip().splitlines()
         assert lines[0] == "epoch,map,auc,hamming"
         assert len(lines) == 3
