@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 usage error, 3 data validation error, 4 numeric
 failure.  MUSEDEC_THREADS caps intra-run BLAS parallelism (default 1, which
-keeps runs deterministic).
+keeps runs deterministic).  It also sets how many processes `compare` runs
+its trainings on: CPUs // MUSEDEC_THREADS, at most one per training.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -106,10 +108,18 @@ def _model_cfg(section, data: TrainData, variant) -> EncoderConfig:
 
 
 def _write_csv(path: Path, rows):
-    """`rows` as CSV lines, its directory created if missing; a field holding a comma, quote or newline is quoted."""
+    """`rows` as CSV lines, its directory created if missing; a field holding a comma, quote or newline is quoted.
+
+    A row with a field holding a bare carriage return has every field quoted: with a
+    newline line terminator `csv.writer` leaves that field bare, and `csv.reader` would
+    split the row there.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(rows)
+        plain = csv.writer(fh, lineterminator="\n")
+        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        for row in rows:
+            (quoted if any("\r" in str(field) for field in row) else plain).writerow(row)
 
 
 def _write_metrics_csv(out: Path, rows):
@@ -181,8 +191,12 @@ def cmd_compare(args):
     methods, seeds = args.methods.split(","), args.seeds
     train_cfg = trainer.parse_train_config(cfg["train"])
     model_cfg = _model_cfg(cfg["model"], data, "clip-mused")
-    report = trainer.compare(methods, train_cfg, model_cfg, data, seeds)
     out = Path(args.out)
+    # a file in --out's way fails before the sweep trains; the directory is made once compare has checked its arguments
+    in_the_way = next(p for p in (out, *out.parents) if p.exists())
+    if not in_the_way.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(in_the_way))
+    report = trainer.compare(methods, train_cfg, model_cfg, data, seeds)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "report.json", "w") as fh:
         json.dump(report, fh, indent=2, default=str)

@@ -27,13 +27,19 @@ class DiffcoreError(Exception):
 class ShapeMismatch(DiffcoreError):
     def __init__(self, node_id, kind, msg):
         super().__init__(f"node {node_id} ({kind}): {msg}")
-        self.node_id = node_id
+        self.node_id, self.kind, self.msg = node_id, kind, msg
+
+    def __reduce__(self):  # pickle the constructor's arguments, not the formatted message
+        return type(self), (self.node_id, self.kind, self.msg)
 
 
 class NonFiniteOutput(DiffcoreError):
     def __init__(self, node_id, kind):
         super().__init__(f"node {node_id} ({kind}) produced non-finite values")
-        self.node_id = node_id
+        self.node_id, self.kind = node_id, kind
+
+    def __reduce__(self):  # pickle the constructor's arguments, not the formatted message
+        return type(self), (self.node_id, self.kind)
 
 
 class UnboundParameter(DiffcoreError):

@@ -7,9 +7,14 @@ float64 mode, and a saved checkpoint resumes bitwise-identically.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import itertools
 import json
 import math
+import os
+import traceback
+import types
 import typing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -527,6 +532,130 @@ def _check_tensor_shapes(path, model_cfg: EncoderConfig, shapes: dict):
 # comparison
 
 
+def _worker_count(n_cells: int) -> int:
+    """Processes that share `n_cells` compare cells: min(n_cells, CPUs // MUSEDEC_THREADS), at least 1.
+
+    MUSEDEC_THREADS is read as `cli._cap_threads` reads it (default 1); a value that is not a
+    positive integer counts as 1.  Without `os.sched_getaffinity` or `os.fork` the caller runs alone.
+    """
+    if not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
+        return 1
+    try:
+        threads = max(1, int(os.environ.get("MUSEDEC_THREADS", "1")))
+    except ValueError:
+        threads = 1
+    return max(1, min(n_cells, len(os.sched_getaffinity(0)) // threads))
+
+
+def _claim(next_cell, lock) -> int:
+    with lock:
+        i = next_cell.value
+        next_cell.value += 1
+    return i
+
+
+class _ChildTraceback(Exception):
+    """The traceback of an exception raised in a compare child, set as that exception's cause in the caller."""
+
+
+def _serve_cells(run_cell, cells, next_cell, lock, outbox):
+    """A forked child's share of `_run_cells`: send (index, result, error, traceback) per claimed cell, then None."""
+    while (i := _claim(next_cell, lock)) < len(cells):
+        try:
+            msg = (i, run_cell(cells[i]), None, None)
+        except Exception as exc:
+            with lock:
+                next_cell.value = len(cells)  # no cell after a failed one needs to start
+            msg = (i, None, exc, traceback.format_exc())
+        with lock:
+            outbox.send(msg)
+    with lock:
+        outbox.send(None)
+
+
+def _run_cells(run_cell, cells: list) -> list:
+    """[run_cell(cell) for cell in cells], shared between the calling process and forked children.
+
+    Every process claims the next unrun cell from one shared counter; children
+    inherit `run_cell` and `cells` through fork and send each result back on
+    one pipe.  With one worker (see `_worker_count`) no child starts and the
+    caller runs the cells in order.  As in that serial run, the first failing
+    cell's exception is raised, once every cell before it is done; a child
+    that ends without sending its results raises TrainerError.  No child
+    outlives the call.
+    """
+    n = len(cells)
+    results, errors, done = [None] * n, {}, [False] * n
+    workers = _worker_count(n)
+    next_cell, lock, children = types.SimpleNamespace(value=0), contextlib.nullcontext(), []
+    if workers > 1:
+        # fork, not Pool or ProcessPoolExecutor: those start threads in the caller
+        import multiprocessing.connection
+
+        ctx = multiprocessing.get_context("fork")
+        next_cell, lock = ctx.RawValue("q", 0), ctx.Lock()
+        inbox, outbox = ctx.Pipe(duplex=False)
+        children = [
+            ctx.Process(target=_serve_cells, args=(run_cell, cells, next_cell, lock, outbox))
+            for _ in range(workers - 1)
+        ]
+    try:
+        for child in children:
+            child.start()
+        live, finished, mine = list(children), 0, True
+        while not all(done[: min(errors, default=n)]):
+            i = _claim(next_cell, lock) if mine else n
+            if i < n:
+                try:
+                    results[i] = run_cell(cells[i])
+                except Exception as exc:
+                    errors[i] = exc
+                    with lock:
+                        next_cell.value = n
+                done[i] = True
+            mine = i < n
+            if not children:
+                continue
+            # between its own cells the caller only polls; once it has none left it blocks
+            ready = multiprocessing.connection.wait([inbox, *(c.sentinel for c in live)], timeout=0 if mine else None)
+            while inbox.poll():
+                msg = inbox.recv()
+                if msg is None:
+                    finished += 1
+                    continue
+                j, results[j], exc, child_tb = msg  # j is bound before results[j]
+                if exc is not None:
+                    exc.__cause__ = _ChildTraceback(child_tb)
+                    errors[j] = exc
+                done[j] = True
+            ended = [c for c in live if c.sentinel in ready]
+            for child in ended:
+                child.join()
+                live.remove(child)
+            if len(children) - len(live) > finished:
+                codes = [c.exitcode for c in ended]
+                raise TrainerError(f"a compare worker process ended without sending its results (exit code {codes})")
+        if errors:
+            raise errors[min(errors)]
+        return results
+    finally:
+        for child in children:
+            if child.is_alive():
+                child.terminate()
+            if child.pid is not None:
+                child.join()
+        if children:
+            inbox.close()
+            outbox.close()
+
+
+def _run_cell(cell) -> dict:
+    """Test-split metrics of one compare cell: (run config, model config, TrainData)."""
+    run_cfg, mcfg, data = cell
+    state, _ = train(run_cfg, mcfg, data)
+    return evaluate_split(state.best_params, mcfg, data, "test").as_dict()
+
+
 def compare(
     methods: list,
     cfg: TrainConfig,
@@ -537,7 +666,11 @@ def compare(
 ):
     """Train each method per seed; aggregate test-split metrics and test the
     significance of clip-mused against every other method (paired t-tests,
-    Holm-corrected per metric at alpha 0.05)."""
+    Holm-corrected per metric at alpha 0.05).
+
+    Each (method, seed), and each subject of a single-subject method, is one
+    cell; `_run_cells` shares the cells between processes, and the report is
+    bitwise the same for any number of them."""
     # every run's config up front, so TrainConfig rejects a bad method or seed before anything trains
     run_cfgs = {m_name: [replace(cfg, method=m_name, seed=seed) for seed in seeds] for m_name in methods}
     for name, values in (("method", methods), ("seed", seeds)):
@@ -546,28 +679,26 @@ def compare(
     if "clip-mused" in methods and len(methods) > 1 and len(seeds) < 2:
         raise TrainerError("comparing clip-mused with another method needs at least two seeds for its t-tests")
     method_overrides = method_overrides or {}
-    per_method: dict = {}
+    owners, cells = [], []  # owners[i] = (method, seed position) of cells[i]
     for m_name in methods:
-        variant = METHOD_VARIANT[m_name]
-        mcfg = replace(model_cfg, variant=variant)
-        rows = []
-        for run_cfg in run_cfgs[m_name]:
-            if m_name in SINGLE_SUBJECT_METHODS:
-                limit = method_overrides.get(m_name, {}).get("train_limit")
-                subj_results = []
-                for ds in data.datasets:
-                    sub_data = data.restrict(ds.subject_id, train_limit=limit)
-                    state, _ = train(run_cfg, mcfg, sub_data)
-                    res = evaluate_split(state.best_params, mcfg, sub_data, "test")
-                    subj_results.append(res.as_dict())
-                rows.append(
-                    {k: float(np.mean([r[k] for r in subj_results])) for k in ("map", "auc", "hamming")}
-                )
-            else:
-                state, _ = train(run_cfg, mcfg, data)
-                res = evaluate_split(state.best_params, mcfg, data, "test")
-                rows.append(res.as_dict())
-        per_method[m_name] = rows
+        mcfg = replace(model_cfg, variant=METHOD_VARIANT[m_name])
+        parts = [data]
+        if m_name in SINGLE_SUBJECT_METHODS:
+            limit = method_overrides.get(m_name, {}).get("train_limit")
+            parts = [data.restrict(ds.subject_id, train_limit=limit) for ds in data.datasets]
+        for k, run_cfg in enumerate(run_cfgs[m_name]):
+            for part in parts:
+                owners.append((m_name, k))
+                cells.append((run_cfg, mcfg, part))
+    results = _run_cells(_run_cell, cells)
+
+    per_method: dict = {m_name: [] for m_name in methods}
+    for (m_name, _), group in itertools.groupby(zip(owners, results), key=lambda pair: pair[0]):
+        runs = [res for _, res in group]
+        if m_name in SINGLE_SUBJECT_METHODS:  # one row per seed: the mean over subjects
+            per_method[m_name].append({k: float(np.mean([r[k] for r in runs])) for k in ("map", "auc", "hamming")})
+        else:
+            per_method[m_name] += runs
 
     summary = {}
     for m_name, rows in per_method.items():

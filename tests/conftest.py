@@ -1,0 +1,87 @@
+import multiprocessing
+import os
+import signal
+
+# cli caps BLAS at one thread before numpy loads, so the test process has no BLAS thread pool
+# when compare forks (Python 3.12+ warns about forking a process that has threads)
+from musedec import cli  # noqa: F401, I001
+
+import numpy as np
+import pytest
+
+from musedec import diffcore, trainer
+
+
+def diverge(train, *args, **kwargs):
+    """`train` with every GELU output NaN: training raises TrainingDiverged.
+
+    It rewrites diffcore's rule table for the rest of the process, so only a forked child may call it.
+    """
+    _, gelu_backward = diffcore._RULES["gelu"]
+    diffcore._RULES["gelu"] = (lambda ins, attrs: (np.full_like(ins[0], np.nan), None), gelu_backward)
+    return train(*args, **kwargs)
+
+
+def nan_params(train, *args, **kwargs):
+    """`train` whose best parameters come back NaN: evaluating them raises NonFiniteOutput."""
+    state, report = train(*args, **kwargs)
+    for a in state.best_params.values():
+        a[...] = np.nan
+    return state, report
+
+
+@pytest.fixture(params=["diverge", "nan-params"])
+def numeric_failure(request):
+    """(child_train, the error compare raises, its message pattern) of a numeric failure in a training run."""
+    return {
+        "diverge": (diverge, trainer.TrainingDiverged, r"epoch 0: node \d+ \(gelu\) produced non-finite values"),
+        "nan-params": (nan_params, diffcore.NonFiniteOutput, r"node \d+ \(\S+\) produced non-finite values"),
+    }[request.param]
+
+
+@pytest.fixture()
+def time_limit():
+    """`time_limit(seconds)` makes the test fail, instead of hang, once it has run `seconds` longer."""
+
+    def expire(signum, frame):
+        raise AssertionError("the test ran past its time limit")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    yield signal.alarm
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture()
+def compare_workers(monkeypatch):
+    """`compare_workers(cpus)` makes `os.sched_getaffinity` report `cpus` CPUs, so compare runs on that many processes."""
+
+    def patch(cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+    return patch
+
+
+@pytest.fixture()
+def in_compare_children(monkeypatch, compare_workers):
+    """`in_compare_children(child_train)` runs compare on three processes; in the forked children
+    `trainer.train(*args)` becomes `child_train(train, *args)`.
+
+    The calling process's first cell waits until a child has started one, so
+    some cell always runs in a child, then trains as usual.
+    """
+
+    def patch(child_train):
+        compare_workers(3)
+        parent, started, train = os.getpid(), multiprocessing.get_context("fork").Event(), trainer.train
+
+        def patched(*args, **kwargs):
+            if os.getpid() != parent:
+                started.set()
+                return child_train(train, *args, **kwargs)
+            assert started.wait(30), "no compare child started a cell"
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "train", patched)
+
+    return patch

@@ -1,6 +1,7 @@
 import csv
 import json
 import filecmp
+import multiprocessing
 import subprocess
 import sys
 from pathlib import Path
@@ -362,6 +363,30 @@ class TestCompare:
         printed = capsys.readouterr().out
         assert "clip-mused: map=" in printed
 
+    def test_artifacts_are_bitwise_equal_on_one_and_three_workers(self, workspace, compare_workers):
+        tmp_path, manifest_path, config_path = workspace
+        for cpus in (1, 3):
+            compare_workers(cpus)
+            code = cli.main(
+                ["compare", "--config", str(config_path), "--data", str(manifest_path),
+                 "--methods", "clip-mused,ms-smodel,ss-mlp", "--seeds", "0,1", "--out", str(tmp_path / f"{cpus}" / "cmp")]
+            )
+            assert code == cli.EXIT_OK
+            assert multiprocessing.active_children() == []
+        for name in ("metrics.csv", "report.json"):
+            assert (tmp_path / "1" / "cmp" / name).read_bytes() == (tmp_path / "3" / "cmp" / name).read_bytes(), name
+
+    def test_numeric_failure_in_a_child_exits_4(self, workspace, capsys, in_compare_children, numeric_failure):
+        tmp_path, manifest_path, config_path = workspace
+        in_compare_children(numeric_failure[0])
+        code = cli.main(
+            ["compare", "--config", str(config_path), "--data", str(manifest_path),
+             "--methods", "ms-smodel,ms-emb", "--seeds", "0,1", "--out", str(tmp_path / "cmp7")]
+        )
+        assert code == cli.EXIT_NUMERIC == 4
+        assert "non-finite values" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+
     def test_unknown_method(self, workspace):
         tmp_path, manifest_path, config_path = workspace
         code = cli.main(
@@ -649,8 +674,9 @@ class TestExports:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["eval", "compare", "export-rsm"])
-    def test_out_that_is_a_file_is_data_error(self, trained, capsys, command):
+    def test_out_that_is_a_file_is_data_error(self, trained, capsys, monkeypatch, command):
         tmp_path, manifest_path, config_path, ckpt = trained
+        monkeypatch.setattr(trainer, "train", lambda *a, **k: pytest.fail("trained before --out was checked"))
         out = tmp_path / "taken"
         out.write_text("a file, not a directory")
         args = [command, "--out", str(out)]
@@ -662,10 +688,11 @@ class TestExports:
         assert err.startswith("data error:") and str(out) in err and "Traceback" not in err, err
 
     def test_exports_quote_ids_and_roi_names(self, workspace):
-        """Subject ids, ROI names and a run id holding a comma, a quote and a newline read back as single fields."""
+        """Subject ids and ROI names holding a comma, a quote, a newline or a bare \\r, and a run id holding the
+        first three, read back as single fields."""
         tmp_path, manifest_path, config_path = workspace
-        ids = ["a,b", 'say "hi"\nthen']
-        rois = ["v1,left", 'q"uote', "two\nlines", "plain"]
+        ids = ["car\rriage", 'say, "hi"\nthen']
+        rois = ["v1,left", 'q"uote\ntwo lines', "re\rturn", "plain"]
         manifest = json.loads(manifest_path.read_text())
         for sub, sid in zip(manifest["subjects"], ids):
             sub["id"] = sid

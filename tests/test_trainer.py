@@ -1,7 +1,14 @@
 import dataclasses
 import hashlib
+import importlib
+import inspect
 import json
+import multiprocessing
+import os
+import pickle
+import pkgutil
 
+import musedec
 import numpy as np
 import pytest
 
@@ -639,6 +646,77 @@ class TestCompare:
         assert result["significance"] == {}
         assert [len(rows) for rows in result["per_run"].values()] == [1, 1]
 
+    def test_report_is_bitwise_equal_on_one_and_five_workers(self, compare_workers, time_limit):
+        # five processes on ten cells: more workers than most test hosts have CPUs
+        data = small_data(n_sub=3)
+        reports = []
+        time_limit(60)
+        for cpus in (1, 5):
+            compare_workers(cpus)
+            assert trainer._worker_count(10) == cpus
+            reports.append(json.dumps(compare(
+                ["clip-mused", "ms-smodel", "ss-mlp"], small_cfg(max_epochs=2), small_model(), data, seeds=[0, 1],
+                method_overrides={"ss-mlp": {"train_limit": 20}},
+            )))
+            assert multiprocessing.active_children() == []
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize(
+        "cpus, threads, cells, workers",
+        [(4, "1", 10, 4), (4, "2", 10, 2), (4, "3", 10, 1), (8, None, 3, 3), (4, "0", 10, 4), (4, "x", 10, 4), (1, "1", 5, 1)],
+    )
+    def test_worker_count(self, monkeypatch, compare_workers, cpus, threads, cells, workers):
+        compare_workers(cpus)
+        if threads is None:
+            monkeypatch.delenv("MUSEDEC_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("MUSEDEC_THREADS", threads)
+        assert trainer._worker_count(cells) == workers
+
+    @pytest.mark.parametrize("missing", [None, "sched_getaffinity", "fork"])
+    def test_one_worker_makes_no_multiprocessing_object(self, monkeypatch, compare_workers, missing):
+        compare_workers(1 if missing is None else 4)
+        if missing:
+            monkeypatch.delattr(os, missing)
+        assert trainer._worker_count(10) == 1
+        monkeypatch.setattr(multiprocessing, "get_context", lambda *a: pytest.fail("one worker made a context"))
+        result = compare(["ms-smodel", "ss-mlp"], small_cfg(max_epochs=1), small_model(), small_data(), seeds=[0])
+        assert [len(rows) for rows in result["per_run"].values()] == [1, 1]
+
+    def test_child_that_dies_raises_trainer_error(self, in_compare_children, time_limit):
+        in_compare_children(lambda train, *a, **k: os._exit(1))
+        time_limit(20)
+        with pytest.raises(TrainerError, match=r"ended without sending its results \(exit code \[1"):
+            compare(["ms-smodel", "ms-emb"], small_cfg(max_epochs=1), small_model(), small_data(), seeds=[0, 1])
+        assert multiprocessing.active_children() == []
+
+    def test_numeric_failure_in_a_child_keeps_its_type(self, in_compare_children, numeric_failure):
+        child_train, error, message = numeric_failure
+        in_compare_children(child_train)
+        with pytest.raises(error, match=message) as info:
+            compare(["ms-smodel", "ms-emb"], small_cfg(max_epochs=1), small_model(), small_data(), seeds=[0, 1])
+        assert "Traceback" in str(info.value.__cause__)  # the child's, where it failed
+        assert multiprocessing.active_children() == []
+
+    def test_first_failing_cell_is_raised_as_in_a_serial_run(self, monkeypatch, compare_workers):
+        """Cells of seed 1 fail; any number of workers raises the first one's error, as a serial run does."""
+        train = trainer.train
+
+        def fail_seed_1(cfg, *args, **kwargs):
+            if cfg.seed == 1:
+                raise diffcore.NonFiniteOutput(7, f"{cfg.method}-cell")
+            return train(cfg, *args, **kwargs)
+
+        monkeypatch.setattr(trainer, "train", fail_seed_1)
+        raised = []
+        for cpus in (1, 3):
+            compare_workers(cpus)
+            with pytest.raises(diffcore.NonFiniteOutput) as info:
+                compare(["ms-smodel", "ss-mlp"], small_cfg(max_epochs=1), small_model(), small_data(), seeds=[0, 1])
+            raised.append((type(info.value), str(info.value), info.value.node_id))
+            assert multiprocessing.active_children() == []
+        assert raised[0] == raised[1] == (diffcore.NonFiniteOutput, "node 7 (ms-smodel-cell) produced non-finite values", 7)
+
     def test_restrict_limits_train_rows(self):
         data = small_data()
         sid = data.datasets[0].subject_id
@@ -651,3 +729,22 @@ class TestCompare:
         data = small_data()
         with pytest.raises(TrainerError):
             data.restrict("nobody")
+
+
+def _exception_classes():
+    for info in pkgutil.iter_modules(musedec.__path__):
+        module = importlib.import_module(f"musedec.{info.name}")
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            if issubclass(cls, BaseException) and cls.__module__ == module.__name__:
+                yield cls
+
+
+def test_every_exception_survives_pickling():
+    # compare's forked children send their cells' exceptions back pickled
+    args = {diffcore.ShapeMismatch: (3, "matmul", "(2, 3) @ (4, 5)"), diffcore.NonFiniteOutput: (3, "gelu")}
+    classes = list(_exception_classes())
+    assert {trainer.TrainingDiverged, trainer.CheckpointError, *args} <= set(classes)
+    for cls in classes:
+        exc = cls(*args.get(cls, ("a message",)))
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is cls and str(back) == str(exc) and vars(back) == vars(exc), cls
