@@ -1,9 +1,15 @@
 """Command-line surface: synthesis, training, evaluation, comparison, exports.
 
-Exit codes: 0 success, 2 usage error, 3 data validation error, 4 numeric
-failure.  MUSEDEC_THREADS caps intra-run BLAS parallelism (default 1, which
-keeps runs deterministic).  It also sets how many processes `compare` runs
-its trainings on: CPUs // MUSEDEC_THREADS, at most one per training.
+Exit codes: 0 success, 1 system error (a `compare` worker process that died,
+killed say, without sending its results), 2 usage error, 3 data validation
+error, 4 numeric failure.  MUSEDEC_THREADS caps intra-run BLAS parallelism
+(default 1, which keeps runs deterministic).  It also sets how many processes
+`compare` runs its trainings on, and how many threads a forward pass (as in
+`eval`'s and `predict`'s scoring) runs its 256-row chunks on: CPUs //
+MUSEDEC_THREADS, at most one per training or chunk.  Scores are bitwise those
+of a serial run.  Each forward thread holds about one chunk's activations and
+a malloc arena of its own; a forward inside a parallel `compare` is not
+throttled further.  There is deliberately no `--threads` or `--jobs` flag.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from .neurodata import SplitSpec, load_experiment, write_experiment  # noqa: E40
 from .trainer import METHOD_VARIANT, TrainConfig, TrainData  # noqa: E402
 
 EXIT_OK = 0
+EXIT_SYSTEM = 1
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
@@ -318,6 +325,9 @@ def main(argv=None) -> int:
     except diffcore.NonFiniteOutput as exc:  # a forward outside training, e.g. of NaN params
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except trainer.WorkerDied as exc:
+        print(f"system error: {exc}", file=sys.stderr)
+        return EXIT_SYSTEM
     except (UsageError, trainer.TrainerError, model.ModelConfigError, objectives.ObjectiveError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -11,6 +11,7 @@ one graph serves every subject mix and every number of rows.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -251,6 +252,23 @@ def subject_positions(cfg: EncoderConfig, subjects: list, subject_index: list) -
     return np.array([pos[sid] for sid in subject_index], dtype=np.intp)
 
 
+def _worker_count(n: int) -> int:
+    """Workers that share `n` independent tasks: min(n, CPUs // MUSEDEC_THREADS), at least 1.
+
+    `forward`'s threads share its chunks and `trainer.compare`'s processes its
+    cells.  MUSEDEC_THREADS is read as `cli._cap_threads` reads it (default 1);
+    a value that is not a positive integer counts as 1.  Without
+    `os.sched_getaffinity` or `os.fork` the caller works alone.
+    """
+    if not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
+        return 1
+    try:
+        threads = max(1, int(os.environ.get("MUSEDEC_THREADS", "1")))
+    except ValueError:
+        threads = 1
+    return max(1, min(n, len(os.sched_getaffinity(0)) // threads))
+
+
 def forward(params: dict, cfg: EncoderConfig, x: np.ndarray, subject_index: list, want_attention: bool = False) -> dict:
     """Run the model on patches (B, M, d_in) of any B; returns every marked output by name, B rows each.
 
@@ -258,20 +276,36 @@ def forward(params: dict, cfg: EncoderConfig, x: np.ndarray, subject_index: list
     `CHUNK` rows at a time, so the chunks, and not B, bound the size of the
     activations.  `subject_index` names each row's subject.  With
     `want_attention`, 'attn/<layer>' holds that layer's (B, H, T, T) weights.
+
+    The chunks run on `_worker_count(chunks)` threads (numpy and BLAS release
+    the GIL), which are joined before `forward` returns or raises; one worker
+    runs them in a loop on the calling thread.  Outputs are assembled in chunk
+    order, so they are bitwise those of a serial run, and a failure raises
+    the first failing chunk's error.
     """
     subjects = token_subjects(cfg, params)
     idx = subject_positions(cfg, subjects, subject_index)
     g = build_forward_graph(cfg, subjects, want_attention)
-    chunks = []
-    # one evaluation even of zero rows, so every output has its shape
-    for s in range(0, max(len(x), 1), CHUNK):
+
+    def chunk(s):
         rows, pos = x[s : s + CHUNK], idx[s : s + CHUNK]
         n = len(rows)
         if n % ROW_ALIGN:  # padded with copies of its own rows
             take = np.arange(n + -n % ROW_ALIGN) % n
             rows, pos = rows[take], pos[take]
         out = diffcore.evaluate(g, {**params, "patches": rows, "subject_idx": pos})
-        chunks.append({name: value[:n] for name, value in out.items()})
+        return {name: value[:n] for name, value in out.items()}
+
+    starts = range(0, max(len(x), 1), CHUNK)  # one evaluation even of zero rows, so every output has its shape
+    workers = _worker_count(len(starts))
+    if workers == 1:
+        chunks = [chunk(s) for s in starts]
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        # `map` yields in chunk order and cancels the chunks not yet started once one raises
+        with ThreadPoolExecutor(workers) as pool:
+            chunks = list(pool.map(chunk, starts))
     return {name: np.concatenate([c[name] for c in chunks]) for name in chunks[0]}
 
 

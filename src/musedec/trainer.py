@@ -12,7 +12,6 @@ import dataclasses
 import itertools
 import json
 import math
-import os
 import traceback
 import types
 import typing
@@ -45,6 +44,10 @@ class TrainerError(Exception):
 
 class TrainingDiverged(TrainerError):
     pass
+
+
+class WorkerDied(Exception):
+    """A compare worker process ended without sending its results: killed, say, and not a fault of the input."""
 
 
 class CheckpointError(Exception):
@@ -256,14 +259,22 @@ def _batch_bindings(batch: Batch, cfg: EncoderConfig, subjects, mapping: bool, r
 
 
 def predict(params, cfg: EncoderConfig, data: TrainData, split: str):
-    """Scores/labels over one split, pooled across subjects (row-aligned); labels come from the feature set."""
-    scores, labels = [], []
-    for ds in data.datasets:
-        rows = data.splits[ds.subject_id][split]
+    """Scores/labels over one split, pooled across subjects (row-aligned); labels come from the feature set.
+
+    One `model.forward` call per subject writes its scores into one array for
+    the whole split, in the logits' dtype.
+    """
+    parts = [(ds, data.splits[ds.subject_id][split]) for ds in data.datasets]
+    index = data.features.index
+    labels = data.features.labels[[index[ds.stimulus_ids[r]] for ds, rows in parts for r in rows]]
+    scores, start = None, 0
+    for ds, rows in parts:
         logits = model.forward(params, cfg, ds.responses[rows], [ds.subject_id] * len(rows))["logits"]
-        scores.append(diffcore.sigmoid(logits))
-        labels.append(data.features.rows([ds.stimulus_ids[r] for r in rows])[2])
-    return np.concatenate(scores), np.concatenate(labels)
+        if scores is None:
+            scores = np.empty((len(labels), logits.shape[1]), logits.dtype)
+        scores[start : start + len(rows)] = diffcore.sigmoid(logits)
+        start += len(rows)
+    return scores, labels
 
 
 def evaluate_split(params, cfg, data: TrainData, split: str) -> metrics.EvalResult:
@@ -532,21 +543,6 @@ def _check_tensor_shapes(path, model_cfg: EncoderConfig, shapes: dict):
 # comparison
 
 
-def _worker_count(n_cells: int) -> int:
-    """Processes that share `n_cells` compare cells: min(n_cells, CPUs // MUSEDEC_THREADS), at least 1.
-
-    MUSEDEC_THREADS is read as `cli._cap_threads` reads it (default 1); a value that is not a
-    positive integer counts as 1.  Without `os.sched_getaffinity` or `os.fork` the caller runs alone.
-    """
-    if not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
-        return 1
-    try:
-        threads = max(1, int(os.environ.get("MUSEDEC_THREADS", "1")))
-    except ValueError:
-        threads = 1
-    return max(1, min(n_cells, len(os.sched_getaffinity(0)) // threads))
-
-
 def _claim(next_cell, lock) -> int:
     with lock:
         i = next_cell.value
@@ -559,7 +555,11 @@ class _ChildTraceback(Exception):
 
 
 def _serve_cells(run_cell, cells, next_cell, lock, outbox):
-    """A forked child's share of `_run_cells`: send (index, result, error, traceback) per claimed cell, then None."""
+    """A forked child's share of `_run_cells`: send (index, result, error, traceback) per claimed cell, then None.
+
+    The lock guards only the shared counter: a send may block until the caller
+    reads, and the caller may be waiting for the lock to claim a cell.
+    """
     while (i := _claim(next_cell, lock)) < len(cells):
         try:
             msg = (i, run_cell(cells[i]), None, None)
@@ -567,10 +567,8 @@ def _serve_cells(run_cell, cells, next_cell, lock, outbox):
             with lock:
                 next_cell.value = len(cells)  # no cell after a failed one needs to start
             msg = (i, None, exc, traceback.format_exc())
-        with lock:
-            outbox.send(msg)
-    with lock:
-        outbox.send(None)
+        outbox.send(msg)
+    outbox.send(None)
 
 
 def _run_cells(run_cell, cells: list) -> list:
@@ -578,31 +576,31 @@ def _run_cells(run_cell, cells: list) -> list:
 
     Every process claims the next unrun cell from one shared counter; children
     inherit `run_cell` and `cells` through fork and send each result back on
-    one pipe.  With one worker (see `_worker_count`) no child starts and the
-    caller runs the cells in order.  As in that serial run, the first failing
-    cell's exception is raised, once every cell before it is done; a child
-    that ends without sending its results raises TrainerError.  No child
-    outlives the call.
+    a pipe of their own.  With one worker (see `model._worker_count`) no child
+    starts and the caller runs the cells in order.  As in that serial run, the
+    first failing cell's exception is raised, once every cell before it is
+    done; a child that ends without sending its results raises WorkerDied.
+    No child outlives the call.
     """
     n = len(cells)
     results, errors, done = [None] * n, {}, [False] * n
-    workers = _worker_count(n)
-    next_cell, lock, children = types.SimpleNamespace(value=0), contextlib.nullcontext(), []
+    workers = model._worker_count(n)
+    next_cell, lock, children, pipes = types.SimpleNamespace(value=0), contextlib.nullcontext(), [], []
     if workers > 1:
         # fork, not Pool or ProcessPoolExecutor: those start threads in the caller
         import multiprocessing.connection
 
         ctx = multiprocessing.get_context("fork")
         next_cell, lock = ctx.RawValue("q", 0), ctx.Lock()
-        inbox, outbox = ctx.Pipe(duplex=False)
+        pipes = [ctx.Pipe(duplex=False) for _ in range(workers - 1)]
         children = [
-            ctx.Process(target=_serve_cells, args=(run_cell, cells, next_cell, lock, outbox))
-            for _ in range(workers - 1)
+            ctx.Process(target=_serve_cells, args=(run_cell, cells, next_cell, lock, outbox)) for _, outbox in pipes
         ]
     try:
         for child in children:
             child.start()
-        live, finished, mine = list(children), 0, True
+        inbox = {child: reader for child, (reader, _) in zip(children, pipes)}
+        live, finished, mine = list(children), set(), True
         while not all(done[: min(errors, default=n)]):
             i = _claim(next_cell, lock) if mine else n
             if i < n:
@@ -617,24 +615,28 @@ def _run_cells(run_cell, cells: list) -> list:
             if not children:
                 continue
             # between its own cells the caller only polls; once it has none left it blocks
-            ready = multiprocessing.connection.wait([inbox, *(c.sentinel for c in live)], timeout=0 if mine else None)
-            while inbox.poll():
-                msg = inbox.recv()
-                if msg is None:
-                    finished += 1
-                    continue
-                j, results[j], exc, child_tb = msg  # j is bound before results[j]
-                if exc is not None:
-                    exc.__cause__ = _ChildTraceback(child_tb)
-                    errors[j] = exc
-                done[j] = True
-            ended = [c for c in live if c.sentinel in ready]
-            for child in ended:
-                child.join()
-                live.remove(child)
-            if len(children) - len(live) > finished:
-                codes = [c.exitcode for c in ended]
-                raise TrainerError(f"a compare worker process ended without sending its results (exit code {codes})")
+            ready = multiprocessing.connection.wait(
+                [*(inbox[c] for c in live), *(c.sentinel for c in live)], timeout=0 if mine else None
+            )
+            for child in list(live):
+                # a child that has ended wrote all it sent, so draining its pipe here reads its last message
+                while inbox[child].poll():
+                    msg = inbox[child].recv()
+                    if msg is None:
+                        finished.add(child)
+                        continue
+                    j, results[j], exc, child_tb = msg  # j is bound before results[j]
+                    if exc is not None:
+                        exc.__cause__ = _ChildTraceback(child_tb)
+                        errors[j] = exc
+                    done[j] = True
+                if child.sentinel in ready:
+                    child.join()
+                    live.remove(child)
+                    if child not in finished:
+                        raise WorkerDied(
+                            f"a compare worker process ended without sending its results (exit code {child.exitcode})"
+                        )
         if errors:
             raise errors[min(errors)]
         return results
@@ -644,9 +646,8 @@ def _run_cells(run_cell, cells: list) -> list:
                 child.terminate()
             if child.pid is not None:
                 child.join()
-        if children:
-            inbox.close()
-            outbox.close()
+        for conn in itertools.chain.from_iterable(pipes):
+            conn.close()
 
 
 def _run_cell(cell) -> dict:

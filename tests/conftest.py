@@ -1,3 +1,4 @@
+import concurrent.futures
 import multiprocessing
 import os
 import signal
@@ -39,22 +40,30 @@ def numeric_failure(request):
     }[request.param]
 
 
-@pytest.fixture()
-def time_limit():
-    """`time_limit(seconds)` makes the test fail, instead of hang, once it has run `seconds` longer."""
+@pytest.fixture(autouse=True)
+def hang_guard():
+    """Every test fails, instead of stalling the suite, once it has run 120 s; `time_limit` sets a tighter limit."""
 
     def expire(signum, frame):
         raise AssertionError("the test ran past its time limit")
 
     previous = signal.signal(signal.SIGALRM, expire)
-    yield signal.alarm
+    signal.alarm(120)
+    yield
     signal.alarm(0)
     signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture()
-def compare_workers(monkeypatch):
-    """`compare_workers(cpus)` makes `os.sched_getaffinity` report `cpus` CPUs, so compare runs on that many processes."""
+def time_limit():
+    """`time_limit(seconds)` makes the test fail, instead of hang, once it has run `seconds` longer."""
+    return signal.alarm
+
+
+@pytest.fixture()
+def patch_cpus(monkeypatch):
+    """`patch_cpus(cpus)` makes `os.sched_getaffinity` report `cpus` CPUs, so compare runs on that many processes
+    and `model.forward` on that many threads (see `model._worker_count`)."""
 
     def patch(cpus):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
@@ -63,7 +72,20 @@ def compare_workers(monkeypatch):
 
 
 @pytest.fixture()
-def in_compare_children(monkeypatch, compare_workers):
+def thread_pools(monkeypatch):
+    """The worker count of every `concurrent.futures.ThreadPoolExecutor` made, in order."""
+    made, executor = [], concurrent.futures.ThreadPoolExecutor
+
+    def recording(workers):
+        made.append(workers)
+        return executor(workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording)
+    return made
+
+
+@pytest.fixture()
+def in_compare_children(monkeypatch, patch_cpus):
     """`in_compare_children(child_train)` runs compare on three processes; in the forked children
     `trainer.train(*args)` becomes `child_train(train, *args)`.
 
@@ -72,7 +94,7 @@ def in_compare_children(monkeypatch, compare_workers):
     """
 
     def patch(child_train):
-        compare_workers(3)
+        patch_cpus(3)
         parent, started, train = os.getpid(), multiprocessing.get_context("fork").Event(), trainer.train
 
         def patched(*args, **kwargs):

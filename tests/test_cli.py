@@ -2,6 +2,7 @@ import csv
 import json
 import filecmp
 import multiprocessing
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -363,10 +364,10 @@ class TestCompare:
         printed = capsys.readouterr().out
         assert "clip-mused: map=" in printed
 
-    def test_artifacts_are_bitwise_equal_on_one_and_three_workers(self, workspace, compare_workers):
+    def test_artifacts_are_bitwise_equal_on_one_and_three_workers(self, workspace, patch_cpus):
         tmp_path, manifest_path, config_path = workspace
         for cpus in (1, 3):
-            compare_workers(cpus)
+            patch_cpus(cpus)
             code = cli.main(
                 ["compare", "--config", str(config_path), "--data", str(manifest_path),
                  "--methods", "clip-mused,ms-smodel,ss-mlp", "--seeds", "0,1", "--out", str(tmp_path / f"{cpus}" / "cmp")]
@@ -385,6 +386,20 @@ class TestCompare:
         )
         assert code == cli.EXIT_NUMERIC == 4
         assert "non-finite values" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+
+    def test_child_that_dies_is_a_system_error(self, workspace, capsys, in_compare_children, time_limit):
+        tmp_path, manifest_path, config_path = workspace
+        in_compare_children(lambda train, *a, **k: os._exit(1))
+        time_limit(20)
+        code = cli.main(
+            ["compare", "--config", str(config_path), "--data", str(manifest_path),
+             "--methods", "ms-smodel,ms-emb", "--seeds", "0,1", "--out", str(tmp_path / "cmp8")]
+        )
+        assert code == cli.EXIT_SYSTEM == 1
+        assert capsys.readouterr().err == (
+            "system error: a compare worker process ended without sending its results (exit code 1)\n"
+        )
         assert multiprocessing.active_children() == []
 
     def test_unknown_method(self, workspace):
@@ -569,6 +584,32 @@ class TestExports:
         )
         assert code == cli.EXIT_NUMERIC
         assert capsys.readouterr().err.startswith("numeric failure: node 2 (matmul) produced non-finite values")
+
+    def test_non_finite_tokens_in_a_threaded_forward_are_numeric_error(self, trained, capsys, patch_cpus, thread_pools):
+        """300-row val splits take two chunks each; the second subject's NaN tokens fail its forward
+        with the same message on 1 and 3 workers."""
+        tmp_path, _, config_path, ckpt = trained
+        big = tmp_path / "big"
+        assert cli.main([*GEN_ARGS, "--samples", "600", "--out", str(big)]) == cli.EXIT_OK
+        config = json.loads(config_path.read_text())
+        config["split"]["counts"] = [40, 300, 10]
+        (tmp_path / "big.json").write_text(json.dumps(config))
+        state = trainer.load_checkpoint(ckpt)
+        sid = sorted(ds["id"] for ds in json.loads((big / "manifest.json").read_text())["subjects"])[1]
+        state.best_params[f"token/llv/{sid}"][:] = np.nan
+        trainer.save_checkpoint(tmp_path / "nan_ckpt", state)
+        errors = []
+        for cpus in (1, 3):
+            patch_cpus(cpus)
+            code = cli.main(
+                ["eval", "--checkpoint", str(tmp_path / "nan_ckpt"), "--config", str(tmp_path / "big.json"),
+                 "--data", str(big / "manifest.json"), "--out", str(tmp_path / f"nan_eval{cpus}")]
+            )
+            assert code == cli.EXIT_NUMERIC == 4
+            errors.append(capsys.readouterr().err)
+        assert thread_pools == [2, 2]  # on 3 workers: the first subject's two chunks, then the second's
+        assert errors[0] == errors[1] and errors[0].startswith("numeric failure: node ")
+        assert "(take-rows) produced non-finite values" in errors[0]
 
     def test_export_rsm_properties(self, trained):
         tmp_path, _, _, ckpt = trained

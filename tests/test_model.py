@@ -1,4 +1,8 @@
+import concurrent.futures
 import hashlib
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -518,10 +522,11 @@ def test_one_loss_graph_serves_every_batch_size():
                 np.testing.assert_allclose(out["loss_perp"], [want], rtol=1e-12)
 
 
-def test_one_forward_graph_serves_one_row_and_two_chunks(monkeypatch):
+def test_one_forward_graph_serves_one_row_and_two_chunks(monkeypatch, patch_cpus):
     """`forward` runs its one graph over any number of rows: 300 rows take two chunks of it,
     and every row matches the row run alone."""
     for k, (cfg, g) in enumerate(_package_graphs()[1]):
+        patch_cpus(1)  # one worker: the chunks are recorded in the order they run; undone below with the rest
         want_attention = "attn/0" in g.outputs
         params = _guard_params(cfg, g, seed=80 + k)
         patches, idx = make_inputs(cfg, 300, seed=k)
@@ -565,6 +570,110 @@ def test_a_rows_outputs_do_not_depend_on_its_chunk(variant):
         for name in full:
             want = full[name][s : s + n]
             assert part[name].shape == want.shape and part[name].tobytes() == want.tobytes(), (n, s, name)
+
+
+class TestThreadedForward:
+    """`forward` runs its chunks on `model._worker_count(chunks)` threads; `patch_cpus` sets how many."""
+
+    @pytest.mark.parametrize("variant", model.VARIANTS)
+    def test_outputs_are_bitwise_equal_on_one_and_three_workers(self, patch_cpus, thread_pools, variant):
+        cfg = tiny_cfg(variant=variant, n_classes=10)
+        params = init_params(cfg, SUBJECTS, np.random.default_rng(11))
+        patches, idx = make_inputs(cfg, 700, seed=12)
+        before = threading.active_count()
+        for dtype in (np.float64, np.float32):
+            typed = {k: v.astype(dtype) for k, v in params.items()}
+            for want_attention in (False, True):
+                for n in (0, 1, 257, 700):
+                    outs = []
+                    for cpus in (1, 3):
+                        patch_cpus(cpus)
+                        outs.append(forward(typed, cfg, patches[:n].astype(dtype), idx[:n], want_attention))
+                        assert threading.active_count() == before  # no thread outlives the call
+                    serial, threaded = outs
+                    assert sorted(serial) == sorted(threaded)
+                    for name, want in serial.items():
+                        got = threaded[name]
+                        assert got.dtype == want.dtype == dtype, (dtype, want_attention, n, name)
+                        assert got.shape[0] == n and got.shape == want.shape, (dtype, want_attention, n, name)
+                        assert got.tobytes() == want.tobytes(), (dtype, want_attention, n, name)
+        assert thread_pools == [2, 3] * 4  # 257 rows are two chunks, 700 rows three; fewer rows start no thread
+
+    def test_a_failing_later_chunk_raises_as_in_a_serial_run(self, patch_cpus):
+        """NaN tokens of the subject whose rows start in chunk 1 raise the same NonFiniteOutput on 1 and 3 workers,
+        and no thread outlives the call."""
+        cfg = tiny_cfg()
+        params = init_params(cfg, SUBJECTS, np.random.default_rng(13))
+        params["token/llv/sub_02"][:] = np.nan
+        patches, _ = make_inputs(cfg, 700, seed=14)
+        idx = ["sub_00"] * 300 + ["sub_02"] * 400
+        raised = []
+        for cpus in (1, 3):
+            patch_cpus(cpus)
+            before = threading.active_count()
+            with pytest.raises(diffcore.NonFiniteOutput) as info:
+                forward(params, cfg, patches, idx)
+            assert threading.active_count() == before
+            raised.append((type(info.value), str(info.value), info.value.node_id, info.value.kind))
+        assert raised[0] == raised[1]
+        assert raised[0][3] == "take-rows"
+
+    def test_the_first_failing_chunk_in_chunk_order_is_raised(self, monkeypatch, patch_cpus):
+        """Chunks 1 and 2 of three fail, chunk 2 first in time: three workers raise chunk 1's error, as one does."""
+        evaluate, started = diffcore.evaluate, set()
+
+        def failing(g, bindings):
+            k = int(bindings["patches"][0, 0, 0])  # the chunk's number, written into its rows below
+            started.add(k)
+            if k == 0:
+                return evaluate(g, bindings)
+            time.sleep(0.2 if k == 1 else 0.0)
+            raise diffcore.NonFiniteOutput(k, f"chunk-{k}")
+
+        monkeypatch.setattr(diffcore, "evaluate", failing)
+        cfg = tiny_cfg()
+        params = init_params(cfg, SUBJECTS, np.random.default_rng(15))
+        patches, idx = make_inputs(cfg, 700, seed=16)
+        patches[:, 0, 0] = np.arange(700) // model.CHUNK
+        for cpus in (1, 3):
+            patch_cpus(cpus)
+            started.clear()
+            before = threading.active_count()
+            with pytest.raises(diffcore.NonFiniteOutput, match=r"^node 1 \(chunk-1\) produced non-finite values$"):
+                forward(params, cfg, patches, idx)
+            assert threading.active_count() == before
+            assert started == ({0, 1} if cpus == 1 else {0, 1, 2})
+
+    @pytest.mark.parametrize("cpus, rows", [(3, 0), (3, 1), (3, model.CHUNK), (1, 700)])
+    def test_one_worker_makes_no_executor(self, monkeypatch, patch_cpus, cpus, rows):
+        patch_cpus(cpus)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", lambda *a: pytest.fail("made an executor"))
+        monkeypatch.setattr(threading.Thread, "start", lambda self: pytest.fail("started a thread"))
+        cfg = tiny_cfg()
+        params = init_params(cfg, SUBJECTS, np.random.default_rng(19))
+        patches, idx = make_inputs(cfg, rows, seed=20)
+        assert forward(params, cfg, patches, idx)["logits"].shape == (rows, cfg.n_classes)
+
+    def test_threaded_forwards_at_the_eval_infer_shape_are_deterministic(self, patch_cpus):
+        """200 forwards of three chunks on three threads (more than most test hosts have CPUs) equal the serial
+        forward bitwise: here, BLAS calls made at once from several threads give what one thread's calls give."""
+        cfg = EncoderConfig(layers=2, heads=4, d_model=16, patch_dim=32, patch_count=8, n_classes=80)
+        subjects = [f"sub_{i}" for i in range(8)]
+        rng = np.random.default_rng(21)
+        params = init_params(cfg, subjects, rng)
+        patches = rng.normal(size=(3 * model.CHUNK, cfg.patch_count, cfg.patch_dim))
+        idx = [subjects[i % 8] for i in range(len(patches))]
+        patch_cpus(1)
+        want = forward(params, cfg, patches, idx)
+        patch_cpus(3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # the threads trade the GIL far more often than they would
+        try:
+            for _ in range(200):
+                got = forward(params, cfg, patches, idx)
+                assert all(got[name].tobytes() == value.tobytes() for name, value in want.items())
+        finally:
+            sys.setswitchinterval(interval)
 
 
 def _read_only(a):

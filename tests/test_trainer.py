@@ -7,6 +7,8 @@ import multiprocessing
 import os
 import pickle
 import pkgutil
+import threading
+import time
 
 import musedec
 import numpy as np
@@ -314,8 +316,9 @@ class TestTrainLoop:
         assert len(mixes) > 1, "batches should mix subjects differently"
         assert len(built) == 1 and used == {id(built[0])}
 
-    def test_predict_scores_forward_in_chunks_of_256_rows(self, monkeypatch):
+    def test_predict_scores_forward_in_chunks_of_256_rows(self, monkeypatch, patch_cpus):
         """A 300-row split scores, bitwise, as the sigmoid of `forward` on rows[:256] and on rows[256:]."""
+        patch_cpus(1)  # one worker: the chunks are recorded in the order they run
         data, mcfg = small_data(n_s=300, n_sub=1), small_model()
         ds = data.datasets[0]
         rows = np.random.default_rng(3).permutation(300)
@@ -333,6 +336,48 @@ class TestTrainLoop:
         parts = [model.forward(params, mcfg, ds.responses[r], [ds.subject_id] * len(r))["logits"]
                  for r in (rows[:256], rows[256:])]
         assert scores.tobytes() == diffcore.sigmoid(np.concatenate(parts)).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_predict_is_bitwise_equal_on_one_and_three_workers(self, patch_cpus, dtype):
+        """Subjects of 600, 0 and 300 rows score as the serial per-subject forwards concatenated, in their dtypes;
+        a split of zero rows gives (0, C) arrays, as it always has."""
+        base, mcfg = small_data(n_s=600, n_sub=3), small_model()
+        data = TrainData(
+            [neurodata.SubjectDataset(d.subject_id, d.responses.astype(dtype), d.stimulus_ids) for d in base.datasets],
+            base.features,
+            base.splits,
+        )
+        rows = np.random.default_rng(5).permutation(600)
+        parts = list(zip(data.datasets, (rows, rows[:0], rows[:300])))
+        for ds, part in parts:
+            data.splits[ds.subject_id]["test"] = part
+            data.splits[ds.subject_id]["val"] = part[:0]
+        params = {k: v.astype(dtype) for k, v in trainer._init_state(small_cfg(), mcfg, data).params.items()}
+        patch_cpus(1)
+        want = np.concatenate([
+            diffcore.sigmoid(model.forward(params, mcfg, ds.responses[r], [ds.subject_id] * len(r))["logits"])
+            for ds, r in parts
+        ])
+        want_labels = np.concatenate([data.features.rows([ds.stimulus_ids[i] for i in r])[2] for ds, r in parts])
+        for cpus in (1, 3):
+            patch_cpus(cpus)
+            scores, labels = predict(params, mcfg, data, "test")
+            assert scores.dtype == want.dtype == dtype and labels.dtype == want_labels.dtype
+            assert scores.shape == (900, mcfg.n_classes) and scores.tobytes() == want.tobytes()
+            assert labels.shape == want_labels.shape and labels.tobytes() == want_labels.tobytes()
+            scores, labels = predict(params, mcfg, data, "val")
+            assert scores.shape == labels.shape == (0, mcfg.n_classes)
+            assert scores.dtype == dtype and labels.dtype == data.features.labels.dtype
+
+    def test_training_and_its_predicts_start_no_thread(self, monkeypatch, patch_cpus):
+        """Splits under model.CHUNK rows are one chunk each, so a train, a predict and a compare of
+        pooled-train's size start no thread, however many CPUs there are."""
+        patch_cpus(4)
+        monkeypatch.setattr(threading.Thread, "start", lambda self: pytest.fail("a thread was started"))
+        data, mcfg = small_data(), small_model()
+        state, _ = train(small_cfg(max_epochs=2), mcfg, data)
+        predict(state.best_params, mcfg, data, "test")
+        compare(["clip-mused", "ss-vit"], small_cfg(max_epochs=1), mcfg, data, seeds=[0, 1])
 
     def test_token_isolation_during_training(self):
         # training on one subject's data must not move another's tokens
@@ -646,14 +691,14 @@ class TestCompare:
         assert result["significance"] == {}
         assert [len(rows) for rows in result["per_run"].values()] == [1, 1]
 
-    def test_report_is_bitwise_equal_on_one_and_five_workers(self, compare_workers, time_limit):
+    def test_report_is_bitwise_equal_on_one_and_five_workers(self, patch_cpus, time_limit):
         # five processes on ten cells: more workers than most test hosts have CPUs
         data = small_data(n_sub=3)
         reports = []
         time_limit(60)
         for cpus in (1, 5):
-            compare_workers(cpus)
-            assert trainer._worker_count(10) == cpus
+            patch_cpus(cpus)
+            assert model._worker_count(10) == cpus
             reports.append(json.dumps(compare(
                 ["clip-mused", "ms-smodel", "ss-mlp"], small_cfg(max_epochs=2), small_model(), data, seeds=[0, 1],
                 method_overrides={"ss-mlp": {"train_limit": 20}},
@@ -665,30 +710,47 @@ class TestCompare:
         "cpus, threads, cells, workers",
         [(4, "1", 10, 4), (4, "2", 10, 2), (4, "3", 10, 1), (8, None, 3, 3), (4, "0", 10, 4), (4, "x", 10, 4), (1, "1", 5, 1)],
     )
-    def test_worker_count(self, monkeypatch, compare_workers, cpus, threads, cells, workers):
-        compare_workers(cpus)
+    def test_worker_count(self, monkeypatch, patch_cpus, cpus, threads, cells, workers):
+        patch_cpus(cpus)
         if threads is None:
             monkeypatch.delenv("MUSEDEC_THREADS", raising=False)
         else:
             monkeypatch.setenv("MUSEDEC_THREADS", threads)
-        assert trainer._worker_count(cells) == workers
+        assert model._worker_count(cells) == workers
 
     @pytest.mark.parametrize("missing", [None, "sched_getaffinity", "fork"])
-    def test_one_worker_makes_no_multiprocessing_object(self, monkeypatch, compare_workers, missing):
-        compare_workers(1 if missing is None else 4)
+    def test_one_worker_makes_no_multiprocessing_object(self, monkeypatch, patch_cpus, missing):
+        patch_cpus(1 if missing is None else 4)
         if missing:
             monkeypatch.delattr(os, missing)
-        assert trainer._worker_count(10) == 1
+        assert model._worker_count(10) == 1
         monkeypatch.setattr(multiprocessing, "get_context", lambda *a: pytest.fail("one worker made a context"))
         result = compare(["ms-smodel", "ss-mlp"], small_cfg(max_epochs=1), small_model(), small_data(), seeds=[0])
         assert [len(rows) for rows in result["per_run"].values()] == [1, 1]
 
-    def test_child_that_dies_raises_trainer_error(self, in_compare_children, time_limit):
+    def test_child_that_dies_raises_worker_died(self, in_compare_children, time_limit):
         in_compare_children(lambda train, *a, **k: os._exit(1))
         time_limit(20)
-        with pytest.raises(TrainerError, match=r"ended without sending its results \(exit code \[1"):
+        with pytest.raises(trainer.WorkerDied, match=r"ended without sending its results \(exit code 1\)"):
             compare(["ms-smodel", "ms-emb"], small_cfg(max_epochs=1), small_model(), small_data(), seeds=[0, 1])
         assert multiprocessing.active_children() == []
+
+    def test_results_larger_than_a_pipe_buffer_do_not_hang(self, patch_cpus, time_limit):
+        """64 cells of 128 KB results on three processes, 20 rounds, equal the serial run's: a child that waits
+        for the caller to read its result never holds the lock the caller claims its next cell with."""
+
+        def cell(k):
+            time.sleep((k * 7 % 10) / 5000)  # under 2 ms, so the processes interleave
+            return np.full(16384, float(k))
+
+        cells = list(range(64))
+        patch_cpus(1)
+        want = b"".join(r.tobytes() for r in trainer._run_cells(cell, cells))
+        patch_cpus(3)
+        time_limit(60)
+        for _ in range(20):
+            assert b"".join(r.tobytes() for r in trainer._run_cells(cell, cells)) == want
+            assert multiprocessing.active_children() == []
 
     def test_numeric_failure_in_a_child_keeps_its_type(self, in_compare_children, numeric_failure):
         child_train, error, message = numeric_failure
@@ -698,7 +760,7 @@ class TestCompare:
         assert "Traceback" in str(info.value.__cause__)  # the child's, where it failed
         assert multiprocessing.active_children() == []
 
-    def test_first_failing_cell_is_raised_as_in_a_serial_run(self, monkeypatch, compare_workers):
+    def test_first_failing_cell_is_raised_as_in_a_serial_run(self, monkeypatch, patch_cpus):
         """Cells of seed 1 fail; any number of workers raises the first one's error, as a serial run does."""
         train = trainer.train
 
@@ -710,7 +772,7 @@ class TestCompare:
         monkeypatch.setattr(trainer, "train", fail_seed_1)
         raised = []
         for cpus in (1, 3):
-            compare_workers(cpus)
+            patch_cpus(cpus)
             with pytest.raises(diffcore.NonFiniteOutput) as info:
                 compare(["ms-smodel", "ss-mlp"], small_cfg(max_epochs=1), small_model(), small_data(), seeds=[0, 1])
             raised.append((type(info.value), str(info.value), info.value.node_id))
