@@ -7,13 +7,12 @@ float64 mode, and a saved checkpoint resumes bitwise-identically.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import itertools
 import json
 import math
+import sys
 import traceback
-import types
 import typing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -91,7 +90,9 @@ def parse_train_config(section: dict) -> TrainConfig:
 
 
 # what a config value of each annotated field type must be in JSON
-_JSON_KINDS = {int: "an integer", float: "a number", str: "a string", tuple: "a list of 3 numbers", type(None): "null"}
+_JSON_KINDS = {
+    int: "an integer", float: "a finite number", str: "a string", tuple: "a list of 3 numbers", type(None): "null"
+}
 
 
 def _fits(value, kind) -> bool:
@@ -100,8 +101,8 @@ def _fits(value, kind) -> bool:
         return value is None
     if isinstance(value, bool):
         return False
-    if kind is float:
-        return isinstance(value, (int, float))
+    if kind is float:  # not the NaN and ±Infinity Python's json parses, nor an integer too large for a float
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
     if kind is tuple:  # split counts and fractions: (train, val, test)
         return isinstance(value, list) and len(value) == 3 and all(_fits(v, float) for v in value)
     return isinstance(value, kind)
@@ -543,100 +544,71 @@ def _check_tensor_shapes(path, model_cfg: EncoderConfig, shapes: dict):
 # comparison
 
 
-def _claim(next_cell, lock) -> int:
-    with lock:
-        i = next_cell.value
-        next_cell.value += 1
-    return i
-
-
 class _ChildTraceback(Exception):
     """The traceback of an exception raised in a compare child, set as that exception's cause in the caller."""
 
 
-def _serve_cells(run_cell, cells, next_cell, lock, outbox):
-    """A forked child's share of `_run_cells`: send (index, result, error, traceback) per claimed cell, then None.
-
-    The lock guards only the shared counter: a send may block until the caller
-    reads, and the caller may be waiting for the lock to claim a cell.
-    """
-    while (i := _claim(next_cell, lock)) < len(cells):
+def _serve_cells(run_cell, cells, conn):
+    """A forked child of `_run_cells`: answer each cell index it receives with (result, error, traceback) until None."""
+    while (i := conn.recv()) is not None:
         try:
-            msg = (i, run_cell(cells[i]), None, None)
+            msg = (run_cell(cells[i]), None, None)
         except Exception as exc:
-            with lock:
-                next_cell.value = len(cells)  # no cell after a failed one needs to start
-            msg = (i, None, exc, traceback.format_exc())
-        outbox.send(msg)
-    outbox.send(None)
+            msg = (None, exc, traceback.format_exc())
+        conn.send(msg)
 
 
 def _run_cells(run_cell, cells: list) -> list:
-    """[run_cell(cell) for cell in cells], shared between the calling process and forked children.
+    """[run_cell(cell) for cell in cells], run by forked children when there is more than one worker.
 
-    Every process claims the next unrun cell from one shared counter; children
-    inherit `run_cell` and `cells` through fork and send each result back on
-    a pipe of their own.  With one worker (see `model._worker_count`) no child
-    starts and the caller runs the cells in order.  As in that serial run, the
-    first failing cell's exception is raised, once every cell before it is
-    done; a child that ends without sending its results raises WorkerDied.
-    No child outlives the call.
+    With one worker (see `model._worker_count`) the caller runs the cells in a
+    loop.  Otherwise each child holds one duplex pipe: the caller sends it a
+    cell index, reads back that cell's result, and sends it the next index, or
+    None once the cells are used up or a cell has failed; the caller runs no
+    cell itself.  Children inherit `run_cell` and `cells` through fork.  As in
+    the serial run, the first failing cell's exception is raised, with the
+    child's traceback as its cause, once every cell before it is done; a child
+    that ends while it holds a cell raises WorkerDied.  No child outlives the
+    call.
     """
     n = len(cells)
-    results, errors, done = [None] * n, {}, [False] * n
     workers = model._worker_count(n)
-    next_cell, lock, children, pipes = types.SimpleNamespace(value=0), contextlib.nullcontext(), [], []
-    if workers > 1:
-        # fork, not Pool or ProcessPoolExecutor: those start threads in the caller
-        import multiprocessing.connection
+    if workers == 1:
+        return [run_cell(cell) for cell in cells]
+    # fork, not Pool or ProcessPoolExecutor: those start threads in the caller
+    import multiprocessing.connection
 
-        ctx = multiprocessing.get_context("fork")
-        next_cell, lock = ctx.RawValue("q", 0), ctx.Lock()
-        pipes = [ctx.Pipe(duplex=False) for _ in range(workers - 1)]
-        children = [
-            ctx.Process(target=_serve_cells, args=(run_cell, cells, next_cell, lock, outbox)) for _, outbox in pipes
-        ]
+    ctx = multiprocessing.get_context("fork")
+    pipes = [ctx.Pipe() for _ in range(workers)]
+    children = [ctx.Process(target=_serve_cells, args=(run_cell, cells, theirs)) for _, theirs in pipes]
+    conn = {child: ours for child, (ours, _) in zip(children, pipes)}
+    results, errors, held, unsent = [None] * n, {}, {}, iter(range(n))
+
+    def hand(child):  # the caller keeps every child's end open, so this send cannot meet a closed pipe
+        i = None if errors else next(unsent, None)
+        conn[child].send(i)
+        if i is not None:
+            held[child] = i
+
     try:
         for child in children:
             child.start()
-        inbox = {child: reader for child, (reader, _) in zip(children, pipes)}
-        live, finished, mine = list(children), set(), True
-        while not all(done[: min(errors, default=n)]):
-            i = _claim(next_cell, lock) if mine else n
-            if i < n:
-                try:
-                    results[i] = run_cell(cells[i])
-                except Exception as exc:
-                    errors[i] = exc
-                    with lock:
-                        next_cell.value = n
-                done[i] = True
-            mine = i < n
-            if not children:
-                continue
-            # between its own cells the caller only polls; once it has none left it blocks
-            ready = multiprocessing.connection.wait(
-                [*(inbox[c] for c in live), *(c.sentinel for c in live)], timeout=0 if mine else None
-            )
-            for child in list(live):
-                # a child that has ended wrote all it sent, so draining its pipe here reads its last message
-                while inbox[child].poll():
-                    msg = inbox[child].recv()
-                    if msg is None:
-                        finished.add(child)
-                        continue
-                    j, results[j], exc, child_tb = msg  # j is bound before results[j]
+            hand(child)
+        while any(i < min(errors, default=n) for i in held.values()):
+            ready = multiprocessing.connection.wait([*(conn[c] for c in held), *(c.sentinel for c in held)])
+            for child in list(held):
+                if conn[child].poll():  # before the sentinel: a child may send its last result and then end
+                    i = held.pop(child)
+                    results[i], exc, child_tb = conn[child].recv()
                     if exc is not None:
                         exc.__cause__ = _ChildTraceback(child_tb)
-                        errors[j] = exc
-                    done[j] = True
-                if child.sentinel in ready:
+                        errors[i] = exc
+                    hand(child)
+                elif child.sentinel in ready:
                     child.join()
-                    live.remove(child)
-                    if child not in finished:
-                        raise WorkerDied(
-                            f"a compare worker process ended without sending its results (exit code {child.exitcode})"
-                        )
+                    raise WorkerDied(
+                        f"a compare worker process ended without sending its results (exit code {child.exitcode})"
+                    )
         if errors:
             raise errors[min(errors)]
         return results
@@ -646,8 +618,8 @@ def _run_cells(run_cell, cells: list) -> list:
                 child.terminate()
             if child.pid is not None:
                 child.join()
-        for conn in itertools.chain.from_iterable(pipes):
-            conn.close()
+        for end in itertools.chain.from_iterable(pipes):
+            end.close()
 
 
 def _run_cell(cell) -> dict:
@@ -670,7 +642,7 @@ def compare(
     Holm-corrected per metric at alpha 0.05).
 
     Each (method, seed), and each subject of a single-subject method, is one
-    cell; `_run_cells` shares the cells between processes, and the report is
+    cell; `_run_cells` hands the cells to worker processes, and the report is
     bitwise the same for any number of them."""
     # every run's config up front, so TrainConfig rejects a bad method or seed before anything trains
     run_cfgs = {m_name: [replace(cfg, method=m_name, seed=seed) for seed in seeds] for m_name in methods}

@@ -1,5 +1,4 @@
 import concurrent.futures
-import multiprocessing
 import os
 import signal
 
@@ -86,23 +85,16 @@ def thread_pools(monkeypatch):
 
 @pytest.fixture()
 def in_compare_children(monkeypatch, patch_cpus):
-    """`in_compare_children(child_train)` runs compare on three processes; in the forked children
-    `trainer.train(*args)` becomes `child_train(train, *args)`.
-
-    The calling process's first cell waits until a child has started one, so
-    some cell always runs in a child, then trains as usual.
-    """
+    """`in_compare_children(child_train)` runs compare on three worker processes, in which
+    `trainer.train(*args)` becomes `child_train(train, *args)`; the calling process runs no cell."""
 
     def patch(child_train):
         patch_cpus(3)
-        parent, started, train = os.getpid(), multiprocessing.get_context("fork").Event(), trainer.train
+        parent, train = os.getpid(), trainer.train
 
         def patched(*args, **kwargs):
-            if os.getpid() != parent:
-                started.set()
-                return child_train(train, *args, **kwargs)
-            assert started.wait(30), "no compare child started a cell"
-            return train(*args, **kwargs)
+            assert os.getpid() != parent, "the calling process ran a compare cell"
+            return child_train(train, *args, **kwargs)
 
         monkeypatch.setattr(trainer, "train", patched)
 

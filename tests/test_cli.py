@@ -273,9 +273,19 @@ class TestTrainEval:
             ("model", {"layers": 1.5}, "config value model.layers = 1.5 is not an integer"),
             ("split", {"counts": [40, 10]}, "config value split.counts = [40, 10] is not a list of 3 numbers or null"),
             ("split", {"counts": "abc"}, 'config value split.counts = "abc" is not a list of 3 numbers or null'),
+            # Python's json reads NaN and Infinity, which once trained into "diverged" or a traceback
+            ("train", {"learning_rate": float("nan")}, "config value train.learning_rate = NaN is not a finite number"),
+            ("train", {"weights": {"lambda_perp": float("nan")}},
+             "config value train.weights.lambda_perp = NaN is not a finite number"),
+            ("split", {"counts": None, "fractions": [float("nan"), 0.2, 0.2]},
+             "config value split.fractions = [NaN, 0.2, 0.2] is not a list of 3 numbers or null"),
+            ("split", {"counts": None, "fractions": [float("inf"), 0.2, 0.2]},
+             "config value split.fractions = [Infinity, 0.2, 0.2] is not a list of 3 numbers or null"),
+            ("train", {"learning_rate": 10**400}, f"config value train.learning_rate = {10**400} is not a finite number"),
         ],
         ids=["train-int", "weights-int", "epochs-str", "batch-float", "d_model-str", "layers-float",
-             "counts-short", "counts-str"],
+             "counts-short", "counts-str", "learning-rate-nan", "weight-nan", "fraction-nan", "fraction-infinity",
+             "learning-rate-beyond-float"],
     )
     def test_config_value_of_wrong_json_type_is_usage_error(self, workspace, capsys, section, values, message):
         tmp_path, manifest_path, _ = workspace

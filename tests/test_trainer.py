@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import pickle
 import pkgutil
+import signal
 import threading
 import time
 
@@ -735,9 +736,46 @@ class TestCompare:
             compare(["ms-smodel", "ms-emb"], small_cfg(max_epochs=1), small_model(), small_data(), seeds=[0, 1])
         assert multiprocessing.active_children() == []
 
+    def test_child_killed_mid_cell_raises_worker_died(self, in_compare_children, time_limit):
+        # SIGKILL, as the OOM killer sends it
+        in_compare_children(lambda train, *a, **k: os.kill(os.getpid(), signal.SIGKILL))
+        time_limit(20)
+        with pytest.raises(trainer.WorkerDied, match=r"ended without sending its results \(exit code -9\)"):
+            compare(["ms-smodel", "ms-emb"], small_cfg(max_epochs=1), small_model(), small_data(), seeds=[0, 1])
+        assert multiprocessing.active_children() == []
+
+    def test_child_that_ends_after_sending_a_result_raises_worker_died(self, monkeypatch, patch_cpus, time_limit):
+        """A child that ends right after a result, with cells left, is handed its next cell and never
+        answers: the caller raises WorkerDied, not BrokenPipeError, and does not hang."""
+
+        def serve_one(run_cell, cells, conn):
+            conn.send((run_cell(cells[conn.recv()]), None, None))
+            os._exit(0)
+
+        monkeypatch.setattr(trainer, "_serve_cells", serve_one)
+        patch_cpus(3)
+        time_limit(20)
+        with pytest.raises(trainer.WorkerDied, match=r"ended without sending its results \(exit code 0\)"):
+            trainer._run_cells(lambda k: k, range(8))
+        assert multiprocessing.active_children() == []
+
+    def test_the_caller_runs_no_cell_on_more_than_one_worker(self, patch_cpus, time_limit):
+        def pid(k):
+            time.sleep(0.01)  # long enough that a caller taking its own share would get a cell
+            return os.getpid()
+
+        time_limit(20)
+        patch_cpus(3)
+        pids = trainer._run_cells(pid, range(8))
+        assert os.getpid() not in pids
+        assert len(set(pids)) <= 3
+        assert multiprocessing.active_children() == []
+        patch_cpus(1)
+        assert trainer._run_cells(pid, range(8)) == [os.getpid()] * 8
+
     def test_results_larger_than_a_pipe_buffer_do_not_hang(self, patch_cpus, time_limit):
         """64 cells of 128 KB results on three processes, 20 rounds, equal the serial run's: a child that waits
-        for the caller to read its result never holds the lock the caller claims its next cell with."""
+        for the caller to read its result never stalls the sweep."""
 
         def cell(k):
             time.sleep((k * 7 % 10) / 5000)  # under 2 ms, so the processes interleave
