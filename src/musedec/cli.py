@@ -4,12 +4,14 @@ Exit codes: 0 success, 1 system error (a `compare` worker process that died,
 killed say, without sending its results), 2 usage error, 3 data validation
 error, 4 numeric failure.  MUSEDEC_THREADS caps intra-run BLAS parallelism
 (default 1, which keeps runs deterministic).  It also sets how many processes
-`compare` runs its trainings on, and how many threads a forward pass (as in
-`eval`'s and `predict`'s scoring) runs its 256-row chunks on: CPUs //
-MUSEDEC_THREADS, at most one per training or chunk.  Scores are bitwise those
-of a serial run.  Each forward thread holds about one chunk's activations and
-a malloc arena of its own; a forward inside a parallel `compare` is not
-throttled further.  There is deliberately no `--threads` or `--jobs` flag.
+`compare` runs its trainings on, how many threads a forward pass (as in
+`eval`'s and `predict`'s scoring) runs its 256-row chunks on, and how many
+threads training splits its large rules over: CPUs // MUSEDEC_THREADS, at
+most one per training, chunk or batch row.  Results stay bitwise those of a
+serial run.  Each forward thread holds about one chunk's activations and a
+malloc arena of its own; a `compare` child works alone.  Small models, whose
+rules stay under `diffcore.SPLIT_MIN` elements, start no training thread.
+There is deliberately no `--threads` or `--jobs` flag.
 """
 
 from __future__ import annotations

@@ -9,11 +9,25 @@ primitive set holds exactly the kinds the model and loss graphs build; the
 sigmoid that turns logits into scores is the plain array function
 :func:`sigmoid`, outside any graph.  All arithmetic is plain numpy; float64 is
 the default and float32 is accepted with identical semantics.
+
+Inside :func:`splitting`, as `trainer.train` runs its steps and validation
+forwards, a rule whose tensors hold at least `SPLIT_MIN` elements splits its
+row-independent work over CPUs // MUSEDEC_THREADS threads: `linear`'s GEMMs,
+`gelu`, `affine-layer-norm` (forward, and its input's adjoint),
+`attention-probs` and `attend`.  Every part writes its own rows of outputs
+the calling thread allocates, GEMM parts start on multiples of `ROW_ALIGN`
+rows, and every sum over the batch axis stays whole on the calling thread,
+so results are bitwise those of one thread.  Small models start no thread,
+and there is no `--threads` flag.
 """
 
 from __future__ import annotations
 
+import collections
+import contextlib
+import contextvars
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +63,23 @@ class UnboundParameter(DiffcoreError):
 class NotAScalar(DiffcoreError):
     pass
 
+
+# BLAS sums the rows past a GEMM kernel's last full block in another order, so
+# a GEMM split into parts that start on multiples of this many rows gives
+# every row the bits of the whole GEMM
+ROW_ALIGN = 16
+# a rule splits its rows only when its tensors hold this many elements.  On a
+# wide-train step (d_model 64, batch 64) this splits every block's rules but
+# the last block's query rows: 72 splits, ~0.70-0.81 of the step's time on two
+# free CPUs, ~1.02-1.12 on one.  131072 splits only the MLP blocks (18
+# splits): ~0.76-0.88 on two, ~1.00-1.13 on one.  pooled-train's largest
+# tensor holds 20480 elements and never splits.
+SPLIT_MIN = 65536
+# OpenBLAS's SkylakeX kernels run a GEMM of at most 100**3 multiply-adds on a
+# small-matrix kernel that sums in another order: a 32-row part of the
+# (128, 666) @ (666, 32) weight adjoint of a batch of 37 differs from the
+# whole GEMM's rows in the last bits
+_SMALL_GEMM = 100**3
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -184,52 +215,55 @@ def _swap_last(x):
     return np.swapaxes(x, -1, -2)
 
 
-def _normalize(x, eps):
-    """Layer norm over the last axis -> (xhat, 1/std).
+def _normalize(x, eps, xhat=None, inv=None, sq=None):
+    """Layer norm over the last axis -> (xhat, 1/std), written into `xhat` and `inv` when given.
 
-    The means are sums divided by the count, as np.mean computes them.
+    `sq`, when given, holds the squares on the way.  The means are sums
+    divided by the count, as np.mean computes them.
     """
     n = x.shape[-1]
-    xc = x - x.sum(axis=-1, keepdims=True) / n
-    var = (xc * xc).sum(axis=-1, keepdims=True) / n
+    xhat = np.subtract(x, x.sum(axis=-1, keepdims=True) / n, out=xhat)
+    var = np.multiply(xhat, xhat, out=sq).sum(axis=-1, keepdims=True) / n
     var += eps
-    inv = 1.0 / np.sqrt(var, out=var)
-    xc *= inv
-    return xc, inv
+    inv = np.divide(1.0, np.sqrt(var, out=var), out=inv)
+    xhat *= inv
+    return xhat, inv
 
 
-def _normalize_adjoint(g, xhat, inv):
-    gm = g.mean(axis=-1, keepdims=True)
-    gxm = (g * xhat).mean(axis=-1, keepdims=True)
-    return inv * (g - gm - xhat * gxm)
+def _normalize_adjoint(g, xhat, inv, out):
+    """inv * (g - mean(g) - xhat * mean(g * xhat)) over the last axis, into `out`; `g` is overwritten."""
+    n = g.shape[-1]
+    gm = g.sum(axis=-1, keepdims=True) / n
+    gxm = np.multiply(g, xhat, out=out).sum(axis=-1, keepdims=True) / n
+    np.multiply(xhat, gxm, out=out)
+    g -= gm
+    np.subtract(g, out, out=out)
+    out *= inv
 
 
-def _softmax(x):
+def _softmax(x, out=None):
     # a running maximum over the last axis: exact, NaN-propagating like x.max,
     # and faster than numpy's reduction over short rows
     m = x[..., 0].copy()
     for j in range(1, x.shape[-1]):
         np.maximum(m, x[..., j], out=m)
-    e = x - m[..., None]
+    e = np.subtract(x, m[..., None], out=out)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
 
 
 def _softmax_adjoint(g, s):
-    return s * (g - (g * s).sum(axis=-1, keepdims=True))
+    t = g * s
+    np.subtract(g, t.sum(axis=-1, keepdims=True), out=t)
+    t *= s
+    return t
 
 
 def _split_heads(x, heads):
-    """(B, T, d) -> (B, H, T, d/H)."""
+    """(B, T, d) -> (B, H, T, d/H); of a contiguous x a view, so a matmul into it merges the heads."""
     b, t, d = x.shape
     return x.reshape(b, t, heads, d // heads).transpose(0, 2, 1, 3)
-
-
-def _merge_heads(x):
-    """(B, H, T, dh) -> (B, T, H*dh)."""
-    b, h, t, dh = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
 
 
 def _head_scale(q, heads):
@@ -263,10 +297,88 @@ def _cosine_sim_forward(z):
 
 
 # ---------------------------------------------------------------------------
+# row splits
+
+# `width` and `pool` of a thread inside `splitting`; other threads, among them
+# the pool's own and `model.forward`'s, have neither and never split
+_local = threading.local()
+
+
+@contextlib.contextmanager
+def splitting(width: int):
+    """Rules that this thread runs inside split large work over `width` workers: itself and `width` - 1 threads.
+
+    The threads start at the first split and are joined on exit.
+    """
+    _local.width, _local.pool = width, None
+    try:
+        yield
+    finally:
+        if _local.pool is not None:
+            _local.pool.shutdown(cancel_futures=True)
+        del _local.width, _local.pool
+
+
+def _split(size, *jobs):
+    """Run each job (part, rows, macs) as part(s) over slices s of axis 0 that cover range(rows).
+
+    Below `SPLIT_MIN` elements (`size`) or outside `splitting`, each job is
+    one part, run on the calling thread.  Otherwise a job splits into up to
+    one part per worker.  A job with `macs`, the multiply-adds per row of a
+    GEMM, splits on multiples of `ROW_ALIGN` rows into parts of more than
+    `_SMALL_GEMM` multiply-adds, so each part runs the whole GEMM's kernel.
+    The threads take parts from the front and the caller from the back, so
+    a thread without a CPU holds up at most the part it has started.  Once
+    all started parts are done, the lowest-index failing part's exception is
+    raised; a part after a failed one may be skipped.
+    """
+    width = getattr(_local, "width", 1) if size >= SPLIT_MIN else 1
+    if width == 1:
+        for part, rows, _ in jobs:
+            part(slice(0, rows))
+        return
+    parts = []
+    for part, rows, macs in jobs:
+        align, least = (ROW_ALIGN, max(ROW_ALIGN, _SMALL_GEMM // macs + 1)) if macs else (1, 1)
+        n = max(1, min(width, rows // (least + align - 1)))  # so that every part holds `least` rows
+        bounds = [i * rows // n // align * align for i in range(n)] + [rows]
+        parts += [(part, slice(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+    if len(parts) == 1:
+        parts[0][0](parts[0][1])
+        return
+    if _local.pool is None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        _local.pool = ThreadPoolExecutor(width - 1)
+    todo, errors = collections.deque(enumerate(parts)), {}
+
+    def drain(take):
+        while todo:
+            try:
+                i, (part, s) = take()
+            except IndexError:  # another worker took the last part
+                return
+            if i < min(errors, default=i + 1):
+                try:
+                    part(s)
+                except Exception as exc:
+                    errors[i] = exc
+
+    # each thread drains in a copy of the caller's context, so that numpy's error state holds in it
+    futures = [_local.pool.submit(contextvars.copy_context().run, drain, todo.popleft) for _ in range(width - 1)]
+    drain(todo.pop)
+    for future in futures:
+        future.cancel() or future.result()  # a thread that has not started drains nothing
+    if errors:
+        raise errors[min(errors)]
+
+
+# ---------------------------------------------------------------------------
 # rules: forward(ins, attrs) -> (out, saved); backward(g, ins, out, saved, attrs)
 # -> one adjoint per input.  `saved` is whatever the forward keeps for its
 # backward.  No rule writes into `g` or an input: adjoints may alias each other.
-# Rules mutate in place only arrays they allocated themselves.
+# Rules mutate in place only arrays they allocated themselves.  A rule that
+# splits (`_split`) allocates its outputs whole; each part writes its own rows.
 
 
 def _matmul_bwd(g, ins, out, saved, a):
@@ -279,57 +391,104 @@ def _matmul_bwd(g, ins, out, saved, a):
 
 def _linear_fwd(ins, a):
     x, w, b = ins
-    y = x.reshape(-1, w.shape[0]) @ w
-    y += b
+    x2 = x.reshape(-1, w.shape[0])
+    y = np.empty((len(x2), w.shape[1]), np.result_type(x2, w))
+
+    def part(s):
+        np.matmul(x2[s], w, out=y[s])
+        y[s] += b
+
+    _split(max(x.size, y.size), (part, len(x2), w.size))
     return y.reshape(*x.shape[:-1], w.shape[1]), None
 
 
 def _linear_bwd(g, ins, out, saved, a):
     x, w, _ = ins
-    g2 = g.reshape(-1, w.shape[1])
-    return (g2 @ w.T).reshape(x.shape), x.reshape(-1, w.shape[0]).T @ g2, g2.sum(axis=0)
+    x2, g2 = x.reshape(-1, w.shape[0]), g.reshape(-1, w.shape[1])
+    gx, gw = np.empty(x2.shape, np.result_type(g2, w)), np.empty(w.shape, np.result_type(x2, g2))
+
+    def gx_part(s):
+        np.matmul(g2[s], w.T, out=gx[s])
+
+    def gw_part(s):  # rows of the weight's adjoint: each sums over every batch row
+        np.matmul(x2[:, s].T, g2, out=gw[s])
+
+    _split(max(x.size, g.size), (gx_part, len(x2), w.size), (gw_part, len(w), g2.size))
+    return gx.reshape(x.shape), gw, g2.sum(axis=0)
 
 
 def _affine_ln_fwd(ins, a):
     x, gamma, beta = ins
-    xhat, inv = _normalize(x, a["eps"])
-    out = xhat * gamma
-    out += beta
+    xhat, inv = np.empty(x.shape, x.dtype), np.empty((*x.shape[:-1], 1), x.dtype)
+    out = np.empty(x.shape, np.result_type(x, gamma, beta))
+
+    def part(s):
+        _normalize(x[s], a["eps"], xhat[s], inv[s], out[s])
+        np.multiply(xhat[s], gamma, out=out[s])
+        out[s] += beta
+
+    _split(x.size, (part, len(x), 0))
     return out, (xhat, inv)
 
 
 def _affine_ln_bwd(g, ins, out, saved, a):
     xhat, inv = saved
+    gamma = ins[1]
     d = g.shape[-1]
-    gx = _normalize_adjoint(g * ins[1], xhat, inv)
+    gx = np.empty(g.shape, np.result_type(g, gamma, xhat))
+    _split(g.size, (lambda s: _normalize_adjoint(g[s] * gamma, xhat[s], inv[s], gx[s]), len(g), 0))
     return gx, (g * xhat).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0)
 
 
 def _attention_probs_fwd(ins, a):
     q, k = ins
     h = a["heads"]
-    scores = _split_heads(q, h) @ _swap_last(_split_heads(k, h))
-    scores *= _head_scale(q, h)
-    return _softmax(scores), None
+    p = np.empty((len(q), h, q.shape[1], k.shape[1]), np.result_type(q, k))
+
+    def part(s):
+        np.matmul(_split_heads(q[s], h), _swap_last(_split_heads(k[s], h)), out=p[s])
+        p[s] *= _head_scale(q, h)
+        _softmax(p[s], out=p[s])
+
+    _split(p.size, (part, len(q), 0))
+    return p, None
 
 
 def _attention_probs_bwd(g, ins, p, saved, a):
     q, k = ins
     h = a["heads"]
-    gs = _softmax_adjoint(g, p) * _head_scale(q, h)
-    return _merge_heads(gs @ _split_heads(k, h)), _merge_heads(_swap_last(gs) @ _split_heads(q, h))
+    gq, gk = np.empty(q.shape, np.result_type(g, k)), np.empty(k.shape, np.result_type(g, q))
+
+    def part(s):
+        gs = _softmax_adjoint(g[s], p[s])
+        gs *= _head_scale(q, h)
+        np.matmul(gs, _split_heads(k[s], h), out=_split_heads(gq[s], h))
+        np.matmul(_swap_last(gs), _split_heads(q[s], h), out=_split_heads(gk[s], h))
+
+    _split(g.size, (part, len(q), 0))
+    return gq, gk
 
 
 def _attend_fwd(ins, a):
     p, v = ins
-    return _merge_heads(p @ _split_heads(v, p.shape[1])), None
+    h = p.shape[1]
+    out = np.empty((len(p), p.shape[2], v.shape[2]), np.result_type(p, v))
+    _split(p.size, (lambda s: np.matmul(p[s], _split_heads(v[s], h), out=_split_heads(out[s], h)), len(p), 0))
+    return out, None
 
 
 def _attend_bwd(g, ins, out, saved, a):
     p, v = ins
     h = p.shape[1]
-    gctx = _split_heads(g, h)
-    return gctx @ _swap_last(_split_heads(v, h)), _merge_heads(_swap_last(p) @ gctx)
+    gp, gv = np.empty(p.shape, np.result_type(g, v)), np.empty(v.shape, np.result_type(g, p))
+
+    def part(s):
+        gctx = _split_heads(g[s], h)
+        np.matmul(gctx, _swap_last(_split_heads(v[s], h)), out=gp[s])
+        np.matmul(_swap_last(p[s]), gctx, out=_split_heads(gv[s], h))
+
+    _split(p.size, (part, len(p), 0))
+    return gp, gv
 
 
 def _concat_bwd(g, ins, out, saved, a):
@@ -346,17 +505,34 @@ def _rows_bwd(g, ins, out, saved, a):
 
 def _gelu_fwd(ins, a):
     x = ins[0]
-    cdf = x * _INV_SQRT2
-    erf(cdf, out=cdf)
-    cdf += 1.0
-    cdf *= 0.5
-    return x * cdf, cdf
+    y, cdf = np.empty_like(x), np.empty_like(x)
+
+    def part(s):
+        c = np.multiply(x[s], _INV_SQRT2, out=cdf[s])
+        erf(c, out=c)
+        c += 1.0
+        c *= 0.5
+        np.multiply(x[s], c, out=y[s])
+
+    _split(x.size, (part, len(x), 0))
+    return y, cdf
 
 
 def _gelu_bwd(g, ins, out, cdf, a):
     x = ins[0]
-    pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-    return (g * (cdf + x * pdf),)
+    gx = np.empty(x.shape, np.result_type(g, x))
+
+    def part(s):
+        xs, t = x[s], np.multiply(-0.5, x[s], out=gx[s])
+        t *= xs
+        np.exp(t, out=t)
+        t *= _INV_SQRT_2PI  # the normal pdf
+        t *= xs
+        t += cdf[s]
+        t *= g[s]
+
+    _split(x.size, (part, len(x), 0))
+    return (gx,)
 
 
 def _cosine_sim_fwd(ins, a):

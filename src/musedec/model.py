@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffcore
-from .diffcore import Graph, cosine_similarity_matrix
+from .diffcore import ROW_ALIGN, Graph, cosine_similarity_matrix
 
 VARIANTS = ("clip-mused", "ss-vit", "ms-smodel", "ms-emb", "ss-mlp")
 # param-name prefix of each variant's per-subject token rows
@@ -25,9 +25,6 @@ SUBJECT_TOKEN = {"clip-mused": "token/llv", "ms-emb": "token/emb"}
 INIT_STD = 0.02
 LN_EPS = 1e-5
 CHUNK = 256  # rows per graph evaluation in `forward`
-# `forward` evaluates a multiple of this many rows: BLAS sums the rows past its
-# kernel's last full block in another order, so a row's outputs would depend on its chunk
-ROW_ALIGN = 16
 
 
 class ModelConfigError(Exception):
@@ -252,15 +249,20 @@ def subject_positions(cfg: EncoderConfig, subjects: list, subject_index: list) -
     return np.array([pos[sid] for sid in subject_index], dtype=np.intp)
 
 
+_alone = False  # set in a compare child
+
+
 def _worker_count(n: int) -> int:
     """Workers that share `n` independent tasks: min(n, CPUs // MUSEDEC_THREADS), at least 1.
 
-    `forward`'s threads share its chunks and `trainer.compare`'s processes its
-    cells.  MUSEDEC_THREADS is read as `cli._cap_threads` reads it (default 1);
-    a value that is not a positive integer counts as 1.  Without
-    `os.sched_getaffinity` or `os.fork` the caller works alone.
+    `forward`'s threads share its chunks, `trainer.train`'s threads the rows of
+    its large rules and `trainer.compare`'s processes its cells.
+    MUSEDEC_THREADS is read as `cli._cap_threads` reads it (default 1); a value
+    that is not a positive integer counts as 1.  A compare child, whose
+    siblings hold the other CPUs, and a process without `os.sched_getaffinity`
+    or `os.fork` work alone.
     """
-    if not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
+    if _alone or not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
         return 1
     try:
         threads = max(1, int(os.environ.get("MUSEDEC_THREADS", "1")))
@@ -290,7 +292,7 @@ def forward(params: dict, cfg: EncoderConfig, x: np.ndarray, subject_index: list
     def chunk(s):
         rows, pos = x[s : s + CHUNK], idx[s : s + CHUNK]
         n = len(rows)
-        if n % ROW_ALIGN:  # padded with copies of its own rows
+        if n % ROW_ALIGN:  # padded with copies of its own rows, so a row's outputs do not depend on its chunk
             take = np.arange(n + -n % ROW_ALIGN) % n
             rows, pos = rows[take], pos[take]
         out = diffcore.evaluate(g, {**params, "patches": rows, "subject_idx": pos})

@@ -355,7 +355,9 @@ def train(
     """Train one model; returns (final Checkpoint, RunReport).
 
     Passing a loaded `state` resumes that checkpoint bitwise-identically;
-    a `stopped` one (early stopping met) runs no further epochs.
+    a `stopped` one (early stopping met) runs no further epochs.  The steps
+    and validation forwards split large rules over `model._worker_count`
+    threads (see `diffcore.splitting`), bitwise as on one.
     """
     if METHOD_VARIANT[cfg.method] != model_cfg.variant:
         raise TrainerError(
@@ -372,46 +374,48 @@ def train(
     params, m, v, best = _pack_state(state, g)
     rsm_warnings = [0]
 
-    for epoch in range(state.epoch, state.epoch if state.stopped else cfg.max_epochs):
-        try:
-            batches = neurodata.make_batches(
-                data.datasets, data.features, data.splits, cfg.batch_size, rng
-            )
-            part_sums: dict = {}
-            for batch in batches:
-                bindings = {**state.params, **_batch_bindings(batch, model_cfg, subjects, mapping, rsm_warnings)}
-                outputs, grads = diffcore.evaluate_with_gradient(g, bindings, "loss")
-                grad = np.concatenate([grads[name].ravel() for name in state.params])
-                if cfg.grad_clip is not None:
-                    _clip_grads(grad, cfg.grad_clip)
-                state.t += 1
-                _, _, skipped = adam_step(params, grad, (m, v), cfg.learning_rate, t=state.t)
-                if skipped:
-                    state.events.append({"epoch": epoch, "step": state.t, "event": "nonfinite-grad-skip"})
-                for name in outputs:
-                    if name.startswith("loss"):
-                        part_sums[name] = part_sums.get(name, 0.0) + float(outputs[name][0])
-        except diffcore.NonFiniteOutput as exc:
-            raise TrainingDiverged(f"epoch {epoch}: {exc}") from exc
+    # the threads that split large rules start at the first split and are joined when the loop ends
+    with diffcore.splitting(model._worker_count(cfg.batch_size)):
+        for epoch in range(state.epoch, state.epoch if state.stopped else cfg.max_epochs):
+            try:
+                batches = neurodata.make_batches(
+                    data.datasets, data.features, data.splits, cfg.batch_size, rng
+                )
+                part_sums: dict = {}
+                for batch in batches:
+                    bindings = {**state.params, **_batch_bindings(batch, model_cfg, subjects, mapping, rsm_warnings)}
+                    outputs, grads = diffcore.evaluate_with_gradient(g, bindings, "loss")
+                    grad = np.concatenate([grads[name].ravel() for name in state.params])
+                    if cfg.grad_clip is not None:
+                        _clip_grads(grad, cfg.grad_clip)
+                    state.t += 1
+                    _, _, skipped = adam_step(params, grad, (m, v), cfg.learning_rate, t=state.t)
+                    if skipped:
+                        state.events.append({"epoch": epoch, "step": state.t, "event": "nonfinite-grad-skip"})
+                    for name in outputs:
+                        if name.startswith("loss"):
+                            part_sums[name] = part_sums.get(name, 0.0) + float(outputs[name][0])
+            except diffcore.NonFiniteOutput as exc:
+                raise TrainingDiverged(f"epoch {epoch}: {exc}") from exc
 
-        n_batches = max(1, len(batches))
-        state.loss_history.append(
-            {"epoch": epoch, **{k: s / n_batches for k, s in part_sums.items()}}
-        )
-        val = evaluate_split(state.params, model_cfg, data, "val")
-        state.val_history.append({"epoch": epoch, **val.as_dict()})
-        if val.map > state.best_val_map:
-            state.best_val_map = val.map
-            state.best_epoch = epoch
-            best[...] = params
-            state.epochs_since_improve = 0
-        else:
-            state.epochs_since_improve += 1
-        state.epoch = epoch + 1
-        state.rng_state = rng.bit_generator.state
-        if state.epochs_since_improve >= cfg.patience:
-            state.stopped = True
-            break
+            n_batches = max(1, len(batches))
+            state.loss_history.append(
+                {"epoch": epoch, **{k: s / n_batches for k, s in part_sums.items()}}
+            )
+            val = evaluate_split(state.params, model_cfg, data, "val")
+            state.val_history.append({"epoch": epoch, **val.as_dict()})
+            if val.map > state.best_val_map:
+                state.best_val_map = val.map
+                state.best_epoch = epoch
+                best[...] = params
+                state.epochs_since_improve = 0
+            else:
+                state.epochs_since_improve += 1
+            state.epoch = epoch + 1
+            state.rng_state = rng.bit_generator.state
+            if state.epochs_since_improve >= cfg.patience:
+                state.stopped = True
+                break
 
     if rsm_warnings[0]:
         state.events.append({"event": "degenerate-rsm-rows", "count": rsm_warnings[0]})
@@ -549,7 +553,11 @@ class _ChildTraceback(Exception):
 
 
 def _serve_cells(run_cell, cells, conn):
-    """A forked child of `_run_cells`: answer each cell index it receives with (result, error, traceback) until None."""
+    """A forked child of `_run_cells`: answer each cell index it receives with (result, error, traceback) until None.
+
+    The child works alone (`model._worker_count` is 1 in it): its siblings hold the other CPUs.
+    """
+    model._alone = True
     while (i := conn.recv()) is not None:
         try:
             msg = (run_cell(cells[i]), None, None)
@@ -568,8 +576,8 @@ def _run_cells(run_cell, cells: list) -> list:
     cell itself.  Children inherit `run_cell` and `cells` through fork.  As in
     the serial run, the first failing cell's exception is raised, with the
     child's traceback as its cause, once every cell before it is done; a child
-    that ends while it holds a cell raises WorkerDied.  No child outlives the
-    call.
+    that ends while it holds a cell, even partway through sending its result,
+    raises WorkerDied.  No child outlives the call.
     """
     n = len(cells)
     workers = model._worker_count(n)
@@ -579,46 +587,56 @@ def _run_cells(run_cell, cells: list) -> list:
     import multiprocessing.connection
 
     ctx = multiprocessing.get_context("fork")
-    pipes = [ctx.Pipe() for _ in range(workers)]
-    children = [ctx.Process(target=_serve_cells, args=(run_cell, cells, theirs)) for _, theirs in pipes]
-    conn = {child: ours for child, (ours, _) in zip(children, pipes)}
-    results, errors, held, unsent = [None] * n, {}, {}, iter(range(n))
+    conn, results, errors, held, unsent = {}, [None] * n, {}, {}, iter(range(n))
 
-    def hand(child):  # the caller keeps every child's end open, so this send cannot meet a closed pipe
+    def died(child):
+        child.join()
+        return WorkerDied(f"a compare worker process ended without sending its results (exit code {child.exitcode})")
+
+    def hand(child):
         i = None if errors else next(unsent, None)
-        conn[child].send(i)
+        try:
+            conn[child].send(i)
+        except ConnectionError:  # the child has ended; that loses a cell only when it was handed one
+            if i is not None:
+                raise died(child) from None
+            return
         if i is not None:
             held[child] = i
 
     try:
-        for child in children:
-            child.start()
+        for _ in range(workers):
+            # only this child holds the other end once it has started, so its end reads EOF once it ends
+            ours, theirs = ctx.Pipe()
+            child = ctx.Process(target=_serve_cells, args=(run_cell, cells, theirs))
+            conn[child] = ours
+            try:
+                child.start()
+            finally:
+                theirs.close()
             hand(child)
         while any(i < min(errors, default=n) for i in held.values()):
-            ready = multiprocessing.connection.wait([*(conn[c] for c in held), *(c.sentinel for c in held)])
+            multiprocessing.connection.wait([conn[c] for c in held])
             for child in list(held):
-                if conn[child].poll():  # before the sentinel: a child may send its last result and then end
+                if conn[child].poll():
                     i = held.pop(child)
-                    results[i], exc, child_tb = conn[child].recv()
+                    try:
+                        results[i], exc, child_tb = conn[child].recv()
+                    except (EOFError, OSError):  # OSError: the child ended partway through a message
+                        raise died(child) from None
                     if exc is not None:
                         exc.__cause__ = _ChildTraceback(child_tb)
                         errors[i] = exc
                     hand(child)
-                elif child.sentinel in ready:
-                    child.join()
-                    raise WorkerDied(
-                        f"a compare worker process ended without sending its results (exit code {child.exitcode})"
-                    )
         if errors:
             raise errors[min(errors)]
         return results
     finally:
-        for child in children:
+        for child, end in conn.items():
             if child.is_alive():
                 child.terminate()
             if child.pid is not None:
                 child.join()
-        for end in itertools.chain.from_iterable(pipes):
             end.close()
 
 

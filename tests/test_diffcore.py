@@ -1,3 +1,5 @@
+import threading
+import time
 import weakref
 
 import numpy as np
@@ -232,6 +234,89 @@ def test_nonfinite_node_is_named_even_when_squashed():
     with np.errstate(over="ignore"), pytest.raises(NonFiniteOutput) as info:
         evaluate(g, {"x": np.array([[[1.0], [1e10]]])})
     assert info.value.node_id == big
+
+
+class TestSplit:
+    """`_split` inside `splitting`: parts on threads, errors as in a serial run, and no thread left behind."""
+
+    def test_the_lowest_index_failing_part_is_raised(self):
+        ran = []
+
+        def part(s):
+            ran.append(s.start)
+            if s.start == 2:
+                time.sleep(0.05)  # fails after part 2 has failed
+                raise ValueError("part 1")
+            if s.start >= 4:
+                raise ValueError(f"part {s.start // 2}")
+
+        before = threading.active_count()
+        with diffcore.splitting(3):
+            with pytest.raises(ValueError, match="part 1"):
+                diffcore._split(diffcore.SPLIT_MIN, (part, 6, 0))
+            assert sorted(ran) == [0, 2, 4]
+        assert threading.active_count() == before
+
+    def test_when_every_part_fails_the_first_parts_error_is_raised(self):
+        def part(s):
+            raise ValueError(f"part {s.start}")
+
+        with diffcore.splitting(2), pytest.raises(ValueError, match="part 0"):
+            diffcore._split(diffcore.SPLIT_MIN, (part, 8, 0), (part, 8, 0))
+
+    def test_a_stalled_thread_keeps_no_part_alive(self):
+        """The caller runs the parts a thread without a CPU never started, and what that thread still has
+        queued holds none of their arrays: a training step's arrays are freed on time."""
+        gate = threading.Event()
+        with diffcore.splitting(2):
+            diffcore._split(diffcore.SPLIT_MIN, (lambda s: None, 2, 0))  # starts the pool's thread
+            diffcore._local.pool.submit(gate.wait)  # which then stalls
+            data, ran = np.zeros(8), []
+            alive = weakref.ref(data)
+            diffcore._split(diffcore.SPLIT_MIN, (lambda s, a=data: ran.append(a[s].size), 8, 0))  # holds the array
+            del data
+            kept = alive() is not None
+            gate.set()
+        assert ran == [4, 4] and not kept
+
+    def test_small_work_and_one_worker_run_whole_on_the_calling_thread(self):
+        threads = []
+        part = lambda s: threads.append((threading.get_ident(), s))  # noqa: E731
+        with diffcore.splitting(3):
+            diffcore._split(diffcore.SPLIT_MIN - 1, (part, 64, 0))
+        with diffcore.splitting(1):
+            diffcore._split(diffcore.SPLIT_MIN, (part, 64, 0))
+        diffcore._split(diffcore.SPLIT_MIN, (part, 64, 0))  # outside `splitting`
+        assert threads == [(threading.get_ident(), slice(0, 64))] * 3
+
+    @pytest.mark.parametrize("rows, macs, want", [
+        (64, 0, [0, 21, 42, 64]),  # rows of an elementwise or per-row rule split anywhere
+        (2, 0, [0, 1, 2]),
+        (0, 0, [0, 0]),
+        (1152, 4096, [0, 384, 768, 1152]),  # GEMM rows: on multiples of 16, over 100**3 multiply-adds each
+        (666, 1_000_000, [0, 208, 432, 666]),
+        (666, 4096, [0, 320, 666]),
+        (100, 4096, [0, 100]),
+    ])
+    def test_parts_hold_enough_rows_and_gemm_parts_start_on_multiples_of_16(self, rows, macs, want):
+        got = []
+        with diffcore.splitting(3):
+            diffcore._split(diffcore.SPLIT_MIN, (lambda s: got.append(s), rows, macs))
+        assert sorted((s.start, s.stop) for s in got) == list(zip(want, want[1:]))
+
+    def test_a_non_finite_split_node_is_named_as_in_a_serial_run(self):
+        g = Graph()
+        y = g.linear(g.input("x"), g.param("w"), g.param("b"))
+        g.mark_output("out", g.frobenius_sq(g.gelu(y)))
+        rng = np.random.default_rng(0)
+        bindings = {"x": rng.normal(size=(1152, 64)), "w": rng.normal(size=(64, 64)), "b": np.zeros(64)}
+        bindings["x"][1000, 3:5] = [np.inf, -np.inf]  # NaN in the linear's last part: inf - inf
+        raised = []
+        for width in (1, 3):  # the parts run in the caller's numpy error state, as the whole would
+            with np.errstate(invalid="ignore"), diffcore.splitting(width), pytest.raises(NonFiniteOutput) as info:
+                evaluate_with_gradient(g, bindings, "out")
+            raised.append((info.value.node_id, info.value.kind))
+        assert raised == [(y, "linear")] * 2
 
 
 def test_sigmoid_saturates_without_overflow():

@@ -8,6 +8,8 @@ import os
 import pickle
 import pkgutil
 import signal
+import struct
+import sys
 import threading
 import time
 
@@ -759,6 +761,30 @@ class TestCompare:
             trainer._run_cells(lambda k: k, range(8))
         assert multiprocessing.active_children() == []
 
+    def test_child_that_dies_partway_through_a_result_raises_worker_died(self, monkeypatch, patch_cpus, time_limit):
+        """A child that ends after the first 1000 bytes of a 1 MiB message: the caller's read meets the end
+        of the pipe instead of waiting for the rest."""
+
+        def cut_off(run_cell, cells, conn):
+            conn.recv()
+            os.write(conn.fileno(), struct.pack("!i", 1 << 20) + bytes(1000))  # Connection's length header, then data
+            os._exit(9)
+
+        monkeypatch.setattr(trainer, "_serve_cells", cut_off)
+        patch_cpus(3)
+        time_limit(20)
+        with pytest.raises(trainer.WorkerDied, match=r"ended without sending its results \(exit code 9\)"):
+            trainer._run_cells(lambda k: k, range(8))
+        assert multiprocessing.active_children() == []
+
+    def test_a_compare_child_works_alone(self, patch_cpus, time_limit):
+        """A cell in a child sees one worker, so neither forward's chunks nor train's splits start threads there."""
+        patch_cpus(3)
+        time_limit(20)
+        assert model._worker_count(10) == 3
+        assert trainer._run_cells(lambda k: model._worker_count(10), range(6)) == [1] * 6
+        assert model._worker_count(10) == 3  # the caller's count is its own
+
     def test_the_caller_runs_no_cell_on_more_than_one_worker(self, patch_cpus, time_limit):
         def pid(k):
             time.sleep(0.01)  # long enough that a caller taking its own share would get a cell
@@ -829,6 +855,120 @@ class TestCompare:
         data = small_data()
         with pytest.raises(TrainerError):
             data.restrict("nobody")
+
+
+def wide_data(n_s=100, n_sub=2):
+    """small_data's kind with 16 patches: a model of `wide_model`'s width has rules above diffcore.SPLIT_MIN."""
+    features = stimfeat.synth_features(n_s, 4, 8, 12, seed=0)
+    datasets, _ = neurodata.synth_generate(n_sub, n_s, 16, 6, features, snr=5.0, seed=0)
+    splits = neurodata.split_dataset(datasets, SplitSpec("same-stimuli", counts=(70, 15, 15), seed=0))
+    return TrainData(datasets, features, splits)
+
+
+def wide_model(variant="clip-mused"):
+    return small_model(layers=2, heads=4, d_model=32, patch_count=16, variant=variant)
+
+
+def wide_step(variant, dtype, rows):
+    """(loss graph, bindings) of one training step of `rows` rows, alternating subjects, in `dtype`."""
+    data, mcfg = wide_data(), wide_model(variant)
+    params = {k: v.astype(dtype) for k, v in trainer._init_state(small_cfg(), mcfg, data).params.items()}
+    subjects = model.token_subjects(mcfg, params)
+    pool = [(ds.subject_id, int(r)) for r in range(70) for ds in data.datasets]
+    batch = neurodata.gather_batch({ds.subject_id: ds for ds in data.datasets}, data.features, pool[:rows])
+    batch = dataclasses.replace(batch, patches=batch.patches.astype(dtype))
+    g = trainer._build_loss_graph(mcfg, small_cfg().weights, subjects, False)
+    return g, {**params, **trainer._batch_bindings(batch, mcfg, subjects, False, [0])}
+
+
+def step_bytes(g, bindings):
+    outputs, grads = diffcore.evaluate_with_gradient(g, bindings, "loss")
+    return {k: (v.dtype, v.tobytes()) for k, v in {**outputs, **{"d " + n: a for n, a in grads.items()}}.items()}
+
+
+class TestSplitRules:
+    """Inside `train`, rules over diffcore.SPLIT_MIN elements split their rows over `model._worker_count` threads;
+    `patch_cpus` sets how many."""
+
+    @pytest.mark.parametrize("variant", ["clip-mused", "ss-vit", "ss-mlp"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("rows", [64, 37, 1])
+    @pytest.mark.parametrize("split_min", [diffcore.SPLIT_MIN, 1])  # 1: every rule splits, even on one row
+    def test_a_step_is_bitwise_equal_on_one_and_three_workers(
+        self, monkeypatch, patch_cpus, thread_pools, variant, dtype, rows, split_min
+    ):
+        monkeypatch.setattr(diffcore, "SPLIT_MIN", split_min)
+        g, bindings = wide_step(variant, dtype, rows)
+        runs = []
+        for cpus in (1, 3):
+            patch_cpus(cpus)
+            with diffcore.splitting(model._worker_count(64)):  # as `train` with batch size 64
+                runs.append(step_bytes(g, bindings))
+        assert runs[0] == runs[1]
+        assert all(dt == dtype for dt, _ in runs[0].values())
+        splits = split_min == 1 or (rows > 1 and variant != "ss-mlp")  # the MLP blocks' hidden layers split
+        assert thread_pools == ([2] if splits else [])
+
+    def test_training_is_bitwise_equal_on_one_and_three_workers(self, patch_cpus, thread_pools):
+        data, mcfg = wide_data(), wide_model()
+        before = threading.active_count()
+        runs = []
+        for cpus in (1, 3):
+            patch_cpus(cpus)
+            state, report = train(small_cfg(batch_size=64), mcfg, data)
+            assert threading.active_count() == before
+            runs.append((trainer._arena(state.params)[0].tobytes(), json.dumps(report.loss_history),
+                         json.dumps(report.val_history)))
+        assert runs[0] == runs[1]
+        assert thread_pools == [2]  # one for the whole call, started at its first split
+
+    def test_split_steps_under_rapid_thread_switches_equal_serial_ones(self, monkeypatch):
+        monkeypatch.setattr(diffcore, "SPLIT_MIN", 1)
+        g, bindings = wide_step("clip-mused", np.float64, 64)
+        want = step_bytes(g, bindings)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with diffcore.splitting(3):
+                for _ in range(50):
+                    assert step_bytes(g, bindings) == want
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_no_thread_outlives_train(self, monkeypatch, patch_cpus):
+        """Train starts threads at its first split and joins them when it returns, and when it raises."""
+        patch_cpus(3)
+        data, mcfg, cfg = wide_data(), wide_model(), small_cfg(batch_size=64)
+        before = threading.active_count()
+        counts, (gelu_fwd, gelu_bwd) = [], diffcore._RULES["gelu"]
+
+        def counting_gelu(ins, attrs):
+            counts.append(threading.active_count())
+            return gelu_fwd(ins, attrs)
+
+        monkeypatch.setitem(diffcore._RULES, "gelu", (counting_gelu, gelu_bwd))
+        train(cfg, mcfg, data)
+        assert max(counts) == before + 2 and threading.active_count() == before
+
+        def nan_after_a_split(ins, attrs):
+            out, cdf = counting_gelu(ins, attrs)
+            return (np.full_like(out, np.nan) if counts[-1] > before else out), cdf
+
+        monkeypatch.setitem(diffcore._RULES, "gelu", (nan_after_a_split, gelu_bwd))
+        with pytest.raises(trainer.TrainingDiverged, match=r"node \d+ \(gelu\) produced non-finite values"):
+            train(cfg, mcfg, data)
+        assert threading.active_count() == before
+
+    def test_forward_chunk_threads_do_not_split(self, monkeypatch, patch_cpus, thread_pools):
+        """A chunk thread of `model.forward` runs its rules whole, even inside `splitting`."""
+        monkeypatch.setattr(diffcore, "SPLIT_MIN", 1)
+        patch_cpus(3)
+        data, mcfg = wide_data(n_s=600, n_sub=1), wide_model()
+        ds = data.datasets[0]
+        params = trainer._init_state(small_cfg(), mcfg, data).params
+        with diffcore.splitting(3):
+            model.forward(params, mcfg, ds.responses, [ds.subject_id] * len(ds.responses))
+        assert thread_pools == [3]  # forward's three chunks; no pool of split parts
 
 
 def _exception_classes():
