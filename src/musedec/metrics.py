@@ -32,45 +32,61 @@ class EvalResult:
         return {"map": self.map, "auc": self.auc, "hamming": self.hamming}
 
 
-def _class_ap_auc(scores: np.ndarray, labels: np.ndarray):
-    """(AP, AUC) of one class from one stable descending sort.
+def _class_ap_auc(keys: np.ndarray, positive: np.ndarray):
+    """(AP, AUC) of one class from its negated float64 scores and boolean labels.
 
-    AP is None without a positive, AUC also without a negative.  AUC is the
-    Mann-Whitney U through midranks, so ties get half credit.
+    Samples rank by descending score, ties broken by original index, NaN
+    last: the order of a stable sort of `keys`.  AP is None without a
+    positive, AUC also without a negative.  AUC is the Mann-Whitney U through
+    midranks, so ties get half credit.
     """
-    n = len(scores)
-    # descending scores, ties broken by stable original index
-    order = np.argsort(-scores, kind="stable")
-    hits = labels[order] > 0
-    n_pos = int(hits.sum())
+    n, n_pos = len(keys), int(positive.sum())
     if n_pos == 0:
         return None, None
-    cum_hits = np.cumsum(hits)
-    ranks = np.arange(1, n + 1)
-    ap = float((cum_hits[hits] / ranks[hits]).sum() / n_pos)
+    ranked = np.sort(keys)  # numpy's default sort: a SIMD quicksort where the CPU has one
+    # strictly increasing keys (no tie, no NaN, no 0.0 next to -0.0) have one
+    # order only, the stable sort's, in which a sample's position is the
+    # number of keys below its own
+    distinct = bool((ranked[1:] > ranked[:-1]).all())
+    if distinct:
+        at = np.searchsorted(ranked, np.sort(keys[positive]))
+    else:
+        order = np.argsort(keys, kind="stable")
+        ranked = keys[order]
+        at = np.flatnonzero(positive[order])
+    # `at`: the positives' descending positions, ascending; the k-th one's precision is k / (at + 1)
+    ap = float((np.arange(1, n_pos + 1) / (at + 1)).sum() / n_pos)
     if n_pos == n:
         return ap, None
-    # a run of equal scores at descending positions [a, b) holds the
-    # ascending ranks n-b+1 .. n-a, whose mean is n - (a+b-1)/2
-    ranked = scores[order]
-    if np.isnan(ranked[-1]):  # NaN sorts last; a NaN score leaves the ranks undefined
+    if distinct:  # descending position i holds ascending rank n - i; an exact integer sum
+        rank_sum = (n - at).sum()
+    elif np.isnan(ranked[-1]):  # NaN sorts last; a NaN score leaves the ranks undefined
         return ap, float("nan")
-    starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
-    ends = np.r_[starts[1:], n]
-    midranks = np.repeat(n - (starts + ends - 1) / 2.0, ends - starts)
-    u = midranks[hits].sum() - n_pos * (n_pos + 1) / 2.0
+    else:
+        # a run of equal scores at descending positions [a, b) holds the
+        # ascending ranks n-b+1 .. n-a, whose mean is n - (a+b-1)/2
+        starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+        ends = np.r_[starts[1:], n]
+        rank_sum = np.repeat(n - (starts + ends - 1) / 2.0, ends - starts)[at].sum()
+    u = rank_sum - n_pos * (n_pos + 1) / 2.0
     return ap, float(u / (n_pos * (n - n_pos)))
+
+
+def _checked(scores, labels):
+    """`scores` and `labels` as arrays of one (samples, classes) shape, or MetricsError."""
+    scores, labels = np.asarray(scores), np.asarray(labels)
+    if scores.shape != labels.shape or scores.ndim != 2:
+        raise MetricsError(f"shape mismatch {scores.shape} vs {labels.shape}")
+    return scores, labels
 
 
 def _per_class(scores: np.ndarray, labels: np.ndarray):
     """(per-class AP list, per-class AUC list), None where undefined."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    if scores.shape != labels.shape or scores.ndim != 2:
-        raise MetricsError(f"shape mismatch {scores.shape} vs {labels.shape}")
+    scores, labels = _checked(scores, labels)
     per_ap, per_auc = [], []
     for c in range(scores.shape[1]):
-        ap, auc = _class_ap_auc(scores[:, c], labels[:, c])
+        # one column at a time, cast to float64 as it is negated: no copy of the whole matrix
+        ap, auc = _class_ap_auc(np.negative(scores[:, c], dtype=np.float64), labels[:, c] > 0)
         per_ap.append(ap)
         per_auc.append(auc)
     return per_ap, per_auc
@@ -101,9 +117,8 @@ def macro_auc(scores: np.ndarray, labels: np.ndarray):
 
 def hamming_distance(scores: np.ndarray, labels: np.ndarray) -> float:
     """Fraction of (sample, class) cells where the thresholded score misses the label."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    hard = scores >= THRESHOLD
+    scores, labels = _checked(scores, labels)
+    hard = scores >= np.float64(THRESHOLD)  # compared as float64, without a float64 copy
     return float((hard != (labels > 0)).mean())
 
 

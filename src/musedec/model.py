@@ -11,6 +11,7 @@ one graph serves every subject mix and every number of rows.
 
 from __future__ import annotations
 
+import contextvars
 import os
 from dataclasses import dataclass
 
@@ -281,9 +282,10 @@ def forward(params: dict, cfg: EncoderConfig, x: np.ndarray, subject_index: list
 
     The chunks run on `_worker_count(chunks)` threads (numpy and BLAS release
     the GIL), which are joined before `forward` returns or raises; one worker
-    runs them in a loop on the calling thread.  Outputs are assembled in chunk
-    order, so they are bitwise those of a serial run, and a failure raises
-    the first failing chunk's error.
+    runs them in a loop on the calling thread.  Each thread runs its chunk in
+    a copy of the caller's context, so numpy's error state holds there too.
+    Outputs are assembled in chunk order, so they are bitwise those of a
+    serial run, and a failure raises the first failing chunk's error.
     """
     subjects = token_subjects(cfg, params)
     idx = subject_positions(cfg, subjects, subject_index)
@@ -305,9 +307,11 @@ def forward(params: dict, cfg: EncoderConfig, x: np.ndarray, subject_index: list
     else:
         from concurrent.futures import ThreadPoolExecutor
 
+        # each chunk runs in its own copy of the caller's context, so that numpy's error state holds in it;
         # `map` yields in chunk order and cancels the chunks not yet started once one raises
+        contexts = [contextvars.copy_context() for _ in starts]
         with ThreadPoolExecutor(workers) as pool:
-            chunks = list(pool.map(chunk, starts))
+            chunks = list(pool.map(lambda context, s: context.run(chunk, s), contexts, starts))
     return {name: np.concatenate([c[name] for c in chunks]) for name in chunks[0]}
 
 

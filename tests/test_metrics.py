@@ -1,8 +1,10 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from musedec import metrics
 from musedec.metrics import (
     MetricsError,
     evaluate_scores,
@@ -41,6 +43,34 @@ def _auc_oracle(scores, labels):
             elif p == n:
                 wins += 0.5
     return wins / (len(pos) * len(neg))
+
+
+def _stable_ap_auc(scores, labels):
+    """(AP, AUC) of one class from one stable descending sort, with midranks for every run of equal scores:
+    the per-class ranking before the unstable fast path, kept as the reference it must equal bitwise."""
+    n = len(scores)
+    order = np.argsort(-scores, kind="stable")
+    hits = labels[order] > 0
+    n_pos = int(hits.sum())
+    if n_pos == 0:
+        return None, None
+    cum_hits = np.cumsum(hits)
+    ranks = np.arange(1, n + 1)
+    ap = float((cum_hits[hits] / ranks[hits]).sum() / n_pos)
+    if n_pos == n:
+        return ap, None
+    ranked = scores[order]
+    if np.isnan(ranked[-1]):
+        return ap, float("nan")
+    starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+    ends = np.r_[starts[1:], n]
+    midranks = np.repeat(n - (starts + ends - 1) / 2.0, ends - starts)
+    u = midranks[hits].sum() - n_pos * (n_pos + 1) / 2.0
+    return ap, float(u / (n_pos * (n - n_pos)))
+
+
+def _bits(values):
+    return [None if v is None else np.float64(v).tobytes() for v in values]
 
 
 class TestMeanAveragePrecision:
@@ -196,6 +226,13 @@ class TestHamming:
         labels = np.array([[1, 0], [0, 1]], dtype=float)
         assert hamming_distance(labels, labels) == 0.0
 
+    @pytest.mark.parametrize("labels_shape", [(3, 1), (1, 2), (2, 3), (6,)])
+    def test_shape_mismatch(self, labels_shape):
+        # (3, 1) and (1, 2) labels would broadcast against (3, 2) scores
+        with pytest.raises(MetricsError, match="shape mismatch"):
+            hamming_distance(np.full((3, 2), 0.7), np.ones(labels_shape))
+
+
 class TestEvaluateScores:
     def test_bundle_consistency(self):
         rng = np.random.default_rng(3)
@@ -207,6 +244,84 @@ class TestEvaluateScores:
         assert res.hamming == pytest.approx(hamming_distance(scores, labels))
         d = res.as_dict()
         assert set(d) == {"map", "auc", "hamming"}
+
+
+class TestRankingAgainstTheStableSort:
+    """Every per-class AP and AUC is bitwise that of `_stable_ap_auc`, on the fast path and the fallback alike."""
+
+    @staticmethod
+    def _branch(column):
+        ranked = np.sort(-column.astype(np.float64))
+        if np.isnan(ranked[-1]):
+            return "nan"
+        return "distinct" if (ranked[1:] > ranked[:-1]).all() else "tie"
+
+    def _assert_bitwise(self, scores, labels):
+        per_ap, per_auc = metrics._per_class(scores, labels)
+        want = [_stable_ap_auc(scores[:, c].astype(np.float64), labels[:, c]) for c in range(scores.shape[1])]
+        assert _bits(per_ap) == _bits([ap for ap, _ in want])
+        assert _bits(per_auc) == _bits([auc for _, auc in want])
+        return {self._branch(scores[:, c]) for c in range(scores.shape[1])}
+
+    def test_seeded_matrices_hit_every_branch(self):
+        rng = np.random.default_rng(26)
+        branches = set()
+        for n in (1, 2, 3, 7, 40, 301):
+            for kind in ("distinct", "ties", "nan", "signed-zero", "saturated", "float32"):
+                scores = rng.random((n, 6))
+                if kind == "ties":
+                    scores = rng.integers(0, 4, size=(n, 6)) / 4
+                elif kind == "nan":
+                    scores[rng.random((n, 6)) < 0.2] = np.nan
+                    scores[0, 0] = np.nan
+                elif kind == "signed-zero":  # the only equal pair in column 1; many in column 2
+                    scores[0, 1], scores[-1, 1] = 0.0, -0.0
+                    scores[:, 2] = rng.choice([0.0, -0.0], size=n)
+                elif kind == "saturated":
+                    scores = np.clip(rng.normal(0.5, 3.0, size=(n, 6)), 0.0, 1.0)
+                elif kind == "float32":
+                    scores = rng.random((n, 6)).astype(np.float32)
+                labels = rng.integers(0, 2, size=(n, 6)).astype(float)
+                labels[:, 4] = 1.0  # every sample positive: AP only
+                labels[:, 5] = rng.choice([0.0, -1.0], size=n)  # no positive: neither
+                branches |= self._assert_bitwise(scores, labels)
+        assert branches == {"distinct", "tie", "nan"}
+
+    def test_eval_infer_shape_with_tied_columns(self):
+        rng = np.random.default_rng(16000)
+        scores = rng.random((16000, 80))
+        scores[:, 3] = np.round(scores[:, 3], 2)  # 101 levels
+        scores[:, 41] = 1.0  # saturated
+        scores[rng.integers(0, 16000, 50), 77] = 0.5
+        labels = (rng.random((16000, 80)) < 0.05).astype(float)
+        assert self._assert_bitwise(scores, labels) == {"distinct", "tie"}
+
+    def test_float32_scores_equal_the_same_scores_in_float64(self):
+        rng = np.random.default_rng(32)
+        scores = rng.random((500, 7)).astype(np.float32)
+        scores[:50, 2] = scores[50:100, 2]  # ties that a float32 matrix keeps
+        labels = rng.integers(0, 2, size=(500, 7))
+        got, want = evaluate_scores(scores, labels), evaluate_scores(scores.astype(np.float64), labels)
+        assert [np.float64(v).tobytes() for v in got.as_dict().values()] == [
+            np.float64(v).tobytes() for v in want.as_dict().values()
+        ]
+        for a, b in zip(metrics._per_class(scores, labels), metrics._per_class(scores.astype(np.float64), labels)):
+            assert _bits(a) == _bits(b)
+
+    @pytest.mark.parametrize("dtype, bound", [(np.float64, 0.5), (np.float32, 1.0)])
+    def test_evaluation_copies_no_whole_matrix(self, dtype, bound):
+        """The peak traced allocation of `evaluate_scores` stays below `bound` times the scores' own size;
+        a float64 copy of the whole matrix would be 1.0 (float64) or 2.0 (float32) times it on its own."""
+        rng = np.random.default_rng(40)
+        scores = rng.random((20000, 40)).astype(dtype)
+        labels = (rng.random((20000, 40)) < 0.1).astype(float)
+        tracemalloc.start()
+        try:
+            evaluate_scores(scores, labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * scores.nbytes, peak / scores.nbytes
 
 
 class TestTTest:

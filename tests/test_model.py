@@ -3,6 +3,7 @@ import hashlib
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -617,6 +618,28 @@ class TestThreadedForward:
             raised.append((type(info.value), str(info.value), info.value.node_id, info.value.kind))
         assert raised[0] == raised[1]
         assert raised[0][3] == "take-rows"
+
+    def test_the_callers_error_state_holds_in_the_chunk_threads(self, patch_cpus):
+        """Under the caller's `np.errstate(invalid="ignore")`, +inf and -inf in `embed/E` raise the same
+        NonFiniteOutput on 1 and 3 workers and warn on neither, and no thread outlives the call."""
+        cfg = tiny_cfg()
+        params = init_params(cfg, SUBJECTS, np.random.default_rng(17))
+        params["embed/E"][0, :] = np.inf
+        params["embed/E"][1, :] = -np.inf
+        patches, idx = make_inputs(cfg, 600, seed=18)
+        raised = []
+        for cpus in (1, 3):
+            patch_cpus(cpus)
+            before = threading.active_count()
+            with warnings.catch_warnings(record=True) as caught, np.errstate(invalid="ignore"):
+                warnings.simplefilter("always")
+                with pytest.raises(diffcore.NonFiniteOutput) as info:
+                    forward(params, cfg, patches, idx)
+            assert threading.active_count() == before
+            assert [str(w.message) for w in caught] == [], cpus
+            raised.append((str(info.value), info.value.node_id, info.value.kind))
+        assert raised[0] == raised[1]
+        assert raised[0][1:] == (2, "matmul")
 
     def test_the_first_failing_chunk_in_chunk_order_is_raised(self, monkeypatch, patch_cpus):
         """Chunks 1 and 2 of three fail, chunk 2 first in time: three workers raise chunk 1's error, as one does."""
