@@ -6,12 +6,12 @@ error, 4 numeric failure.  MUSEDEC_THREADS caps intra-run BLAS parallelism
 (default 1, which keeps runs deterministic).  It also sets how many processes
 `compare` runs its trainings on, how many threads a forward pass (as in
 `eval`'s and `predict`'s scoring) runs its 256-row chunks on, and how many
-threads training splits its large rules over: CPUs // MUSEDEC_THREADS, at
-most one per training, chunk or batch row.  Results stay bitwise those of a
-serial run.  Each forward thread holds about one chunk's activations and a
-malloc arena of its own; a `compare` child works alone.  Small models, whose
-rules stay under `diffcore.SPLIT_MIN` elements, start no training thread.
-There is deliberately no `--threads` or `--jobs` flag.
+threads training runs its micro-batches on: CPUs // MUSEDEC_THREADS, at most
+one per training, chunk or micro-batch.  A training step of over 32 rows runs
+as 32-row micro-batches (`diffcore.MICRO`) on any CPU count, so results are
+bitwise the same on any.  Each forward thread holds about one
+chunk's activations and a malloc arena of its own; a `compare` child works
+alone.  There is deliberately no `--threads` or `--jobs` flag.
 """
 
 from __future__ import annotations

@@ -10,15 +10,14 @@ sigmoid that turns logits into scores is the plain array function
 :func:`sigmoid`, outside any graph.  All arithmetic is plain numpy; float64 is
 the default and float32 is accepted with identical semantics.
 
-Inside :func:`splitting`, as `trainer.train` runs its steps and validation
-forwards, a rule whose tensors hold at least `SPLIT_MIN` elements splits its
-row-independent work over CPUs // MUSEDEC_THREADS threads: `linear`'s GEMMs,
-`gelu`, `affine-layer-norm` (forward, and its input's adjoint),
-`attention-probs` and `attend`.  Every part writes its own rows of outputs
-the calling thread allocates, GEMM parts start on multiples of `ROW_ALIGN`
-rows, and every sum over the batch axis stays whole on the calling thread,
-so results are bitwise those of one thread.  Small models start no thread,
-and there is no `--threads` flag.
+`evaluate_with_gradient` runs a graph's per-row part (`Graph.row_part`) as
+`MICRO`-row micro-batches when a step has more than `MICRO` rows
+(`_micro_batches`), then the nodes after it (the loss terms that couple
+rows) once on its outputs concatenated in micro-batch order, and sums each
+gradient over the micro-batches in order.  That reads only the batch's shape, so results are
+bitwise the same on any number of CPUs; inside :func:`splitting`, as
+`trainer.train` runs, the micro-batches run on CPUs // MUSEDEC_THREADS
+threads (`run_parts`).  There is no `--threads` flag.
 """
 
 from __future__ import annotations
@@ -68,18 +67,8 @@ class NotAScalar(DiffcoreError):
 # a GEMM split into parts that start on multiples of this many rows gives
 # every row the bits of the whole GEMM
 ROW_ALIGN = 16
-# a rule splits its rows only when its tensors hold this many elements.  On a
-# wide-train step (d_model 64, batch 64) this splits every block's rules but
-# the last block's query rows: 72 splits, ~0.70-0.81 of the step's time on two
-# free CPUs, ~1.02-1.12 on one.  131072 splits only the MLP blocks (18
-# splits): ~0.76-0.88 on two, ~1.00-1.13 on one.  pooled-train's largest
-# tensor holds 20480 elements and never splits.
-SPLIT_MIN = 65536
-# OpenBLAS's SkylakeX kernels run a GEMM of at most 100**3 multiply-adds on a
-# small-matrix kernel that sums in another order: a 32-row part of the
-# (128, 666) @ (666, 32) weight adjoint of a batch of 37 differs from the
-# whole GEMM's rows in the last bits
-_SMALL_GEMM = 100**3
+# rows of a micro-batch, and a step of at most this many rows runs whole
+MICRO = 32
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -106,6 +95,9 @@ class Graph:
         self.shapes: dict[str, tuple] = {}  # declared parameter shapes; undeclared ones are unchecked
         self.inputs: dict[str, int] = {}
         self.outputs: dict[str, int] = {}
+        # node count of the leading nodes whose row b depends only on their inputs' row b, and which later
+        # nodes read only through marked outputs and parameters
+        self.row_part = None
 
     # -- leaves ----------------------------------------------------------
 
@@ -215,17 +207,16 @@ def _swap_last(x):
     return np.swapaxes(x, -1, -2)
 
 
-def _normalize(x, eps, xhat=None, inv=None, sq=None):
-    """Layer norm over the last axis -> (xhat, 1/std), written into `xhat` and `inv` when given.
+def _normalize(x, eps, sq=None):
+    """Layer norm over the last axis -> (xhat, 1/std); `sq`, when given, holds the squares on the way.
 
-    `sq`, when given, holds the squares on the way.  The means are sums
-    divided by the count, as np.mean computes them.
+    The means are sums divided by the count, as np.mean computes them.
     """
     n = x.shape[-1]
-    xhat = np.subtract(x, x.sum(axis=-1, keepdims=True) / n, out=xhat)
+    xhat = x - x.sum(axis=-1, keepdims=True) / n
     var = np.multiply(xhat, xhat, out=sq).sum(axis=-1, keepdims=True) / n
     var += eps
-    inv = np.divide(1.0, np.sqrt(var, out=var), out=inv)
+    inv = np.divide(1.0, np.sqrt(var, out=var), out=var)
     xhat *= inv
     return xhat, inv
 
@@ -297,18 +288,18 @@ def _cosine_sim_forward(z):
 
 
 # ---------------------------------------------------------------------------
-# row splits
+# parts on threads
 
 # `width` and `pool` of a thread inside `splitting`; other threads, among them
-# the pool's own and `model.forward`'s, have neither and never split
+# the pool's own and `model.forward`'s, have neither and run parts in a loop
 _local = threading.local()
 
 
 @contextlib.contextmanager
 def splitting(width: int):
-    """Rules that this thread runs inside split large work over `width` workers: itself and `width` - 1 threads.
+    """`run_parts` calls on this thread share their parts over `width` workers: itself and `width` - 1 threads.
 
-    The threads start at the first split and are joined on exit.
+    The threads start at the first call with more than one part and are joined on exit.
     """
     _local.width, _local.pool = width, None
     try:
@@ -319,48 +310,33 @@ def splitting(width: int):
         del _local.width, _local.pool
 
 
-def _split(size, *jobs):
-    """Run each job (part, rows, macs) as part(s) over slices s of axis 0 that cover range(rows).
+def run_parts(fn, n: int) -> list:
+    """[fn(i) for i in range(n)] on the calling thread's `splitting` workers, or in a loop outside it.
 
-    Below `SPLIT_MIN` elements (`size`) or outside `splitting`, each job is
-    one part, run on the calling thread.  Otherwise a job splits into up to
-    one part per worker.  A job with `macs`, the multiply-adds per row of a
-    GEMM, splits on multiples of `ROW_ALIGN` rows into parts of more than
-    `_SMALL_GEMM` multiply-adds, so each part runs the whole GEMM's kernel.
-    The threads take parts from the front and the caller from the back, so
-    a thread without a CPU holds up at most the part it has started.  Once
-    all started parts are done, the lowest-index failing part's exception is
+    Threads take parts from the front and the caller from the back, so a
+    thread without a CPU holds up at most the part it has started.  Once all
+    started parts are done, the lowest-index failing part's exception is
     raised; a part after a failed one may be skipped.
     """
-    width = getattr(_local, "width", 1) if size >= SPLIT_MIN else 1
-    if width == 1:
-        for part, rows, _ in jobs:
-            part(slice(0, rows))
-        return
-    parts = []
-    for part, rows, macs in jobs:
-        align, least = (ROW_ALIGN, max(ROW_ALIGN, _SMALL_GEMM // macs + 1)) if macs else (1, 1)
-        n = max(1, min(width, rows // (least + align - 1)))  # so that every part holds `least` rows
-        bounds = [i * rows // n // align * align for i in range(n)] + [rows]
-        parts += [(part, slice(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
-    if len(parts) == 1:
-        parts[0][0](parts[0][1])
-        return
+    width = min(getattr(_local, "width", 1), n)
+    if width <= 1:
+        return [fn(i) for i in range(n)]
     if _local.pool is None:
         from concurrent.futures import ThreadPoolExecutor
 
-        _local.pool = ThreadPoolExecutor(width - 1)
-    todo, errors = collections.deque(enumerate(parts)), {}
+        _local.pool = ThreadPoolExecutor(_local.width - 1)
+    # emptied before return, so a stalled thread's queued `drain` keeps no part's arrays alive
+    todo, done, errors = collections.deque((i, fn) for i in range(n)), {}, {}
 
     def drain(take):
         while todo:
             try:
-                i, (part, s) = take()
+                i, part = take()
             except IndexError:  # another worker took the last part
                 return
             if i < min(errors, default=i + 1):
                 try:
-                    part(s)
+                    done[i] = part(i)
                 except Exception as exc:
                     errors[i] = exc
 
@@ -370,15 +346,18 @@ def _split(size, *jobs):
     for future in futures:
         future.cancel() or future.result()  # a thread that has not started drains nothing
     if errors:
-        raise errors[min(errors)]
+        exc = errors[min(errors)]
+        errors.clear()
+        done.clear()
+        raise exc
+    return [done.pop(i) for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
 # rules: forward(ins, attrs) -> (out, saved); backward(g, ins, out, saved, attrs)
 # -> one adjoint per input.  `saved` is whatever the forward keeps for its
 # backward.  No rule writes into `g` or an input: adjoints may alias each other.
-# Rules mutate in place only arrays they allocated themselves.  A rule that
-# splits (`_split`) allocates its outputs whole; each part writes its own rows.
+# Rules mutate in place only arrays they allocated themselves.
 
 
 def _matmul_bwd(g, ins, out, saved, a):
@@ -391,43 +370,23 @@ def _matmul_bwd(g, ins, out, saved, a):
 
 def _linear_fwd(ins, a):
     x, w, b = ins
-    x2 = x.reshape(-1, w.shape[0])
-    y = np.empty((len(x2), w.shape[1]), np.result_type(x2, w))
-
-    def part(s):
-        np.matmul(x2[s], w, out=y[s])
-        y[s] += b
-
-    _split(max(x.size, y.size), (part, len(x2), w.size))
+    y = x.reshape(-1, w.shape[0]) @ w
+    y += b
     return y.reshape(*x.shape[:-1], w.shape[1]), None
 
 
 def _linear_bwd(g, ins, out, saved, a):
     x, w, _ = ins
     x2, g2 = x.reshape(-1, w.shape[0]), g.reshape(-1, w.shape[1])
-    gx, gw = np.empty(x2.shape, np.result_type(g2, w)), np.empty(w.shape, np.result_type(x2, g2))
-
-    def gx_part(s):
-        np.matmul(g2[s], w.T, out=gx[s])
-
-    def gw_part(s):  # rows of the weight's adjoint: each sums over every batch row
-        np.matmul(x2[:, s].T, g2, out=gw[s])
-
-    _split(max(x.size, g.size), (gx_part, len(x2), w.size), (gw_part, len(w), g2.size))
-    return gx.reshape(x.shape), gw, g2.sum(axis=0)
+    return (g2 @ w.T).reshape(x.shape), x2.T @ g2, g2.sum(axis=0)
 
 
 def _affine_ln_fwd(ins, a):
     x, gamma, beta = ins
-    xhat, inv = np.empty(x.shape, x.dtype), np.empty((*x.shape[:-1], 1), x.dtype)
     out = np.empty(x.shape, np.result_type(x, gamma, beta))
-
-    def part(s):
-        _normalize(x[s], a["eps"], xhat[s], inv[s], out[s])
-        np.multiply(xhat[s], gamma, out=out[s])
-        out[s] += beta
-
-    _split(x.size, (part, len(x), 0))
+    xhat, inv = _normalize(x, a["eps"], sq=out)
+    np.multiply(xhat, gamma, out=out)
+    out += beta
     return out, (xhat, inv)
 
 
@@ -436,36 +395,26 @@ def _affine_ln_bwd(g, ins, out, saved, a):
     gamma = ins[1]
     d = g.shape[-1]
     gx = np.empty(g.shape, np.result_type(g, gamma, xhat))
-    _split(g.size, (lambda s: _normalize_adjoint(g[s] * gamma, xhat[s], inv[s], gx[s]), len(g), 0))
+    _normalize_adjoint(g * gamma, xhat, inv, gx)
     return gx, (g * xhat).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0)
 
 
 def _attention_probs_fwd(ins, a):
     q, k = ins
     h = a["heads"]
-    p = np.empty((len(q), h, q.shape[1], k.shape[1]), np.result_type(q, k))
-
-    def part(s):
-        np.matmul(_split_heads(q[s], h), _swap_last(_split_heads(k[s], h)), out=p[s])
-        p[s] *= _head_scale(q, h)
-        _softmax(p[s], out=p[s])
-
-    _split(p.size, (part, len(q), 0))
-    return p, None
+    p = np.matmul(_split_heads(q, h), _swap_last(_split_heads(k, h)))
+    p *= _head_scale(q, h)
+    return _softmax(p, out=p), None
 
 
 def _attention_probs_bwd(g, ins, p, saved, a):
     q, k = ins
     h = a["heads"]
     gq, gk = np.empty(q.shape, np.result_type(g, k)), np.empty(k.shape, np.result_type(g, q))
-
-    def part(s):
-        gs = _softmax_adjoint(g[s], p[s])
-        gs *= _head_scale(q, h)
-        np.matmul(gs, _split_heads(k[s], h), out=_split_heads(gq[s], h))
-        np.matmul(_swap_last(gs), _split_heads(q[s], h), out=_split_heads(gk[s], h))
-
-    _split(g.size, (part, len(q), 0))
+    gs = _softmax_adjoint(g, p)
+    gs *= _head_scale(q, h)
+    np.matmul(gs, _split_heads(k, h), out=_split_heads(gq, h))
+    np.matmul(_swap_last(gs), _split_heads(q, h), out=_split_heads(gk, h))
     return gq, gk
 
 
@@ -473,22 +422,16 @@ def _attend_fwd(ins, a):
     p, v = ins
     h = p.shape[1]
     out = np.empty((len(p), p.shape[2], v.shape[2]), np.result_type(p, v))
-    _split(p.size, (lambda s: np.matmul(p[s], _split_heads(v[s], h), out=_split_heads(out[s], h)), len(p), 0))
+    np.matmul(p, _split_heads(v, h), out=_split_heads(out, h))
     return out, None
 
 
 def _attend_bwd(g, ins, out, saved, a):
     p, v = ins
     h = p.shape[1]
-    gp, gv = np.empty(p.shape, np.result_type(g, v)), np.empty(v.shape, np.result_type(g, p))
-
-    def part(s):
-        gctx = _split_heads(g[s], h)
-        np.matmul(gctx, _swap_last(_split_heads(v[s], h)), out=gp[s])
-        np.matmul(_swap_last(p[s]), gctx, out=_split_heads(gv[s], h))
-
-    _split(p.size, (part, len(p), 0))
-    return gp, gv
+    gctx, gv = _split_heads(g, h), np.empty(v.shape, np.result_type(g, p))
+    np.matmul(_swap_last(p), gctx, out=_split_heads(gv, h))
+    return gctx @ _swap_last(_split_heads(v, h)), gv
 
 
 def _concat_bwd(g, ins, out, saved, a):
@@ -505,34 +448,23 @@ def _rows_bwd(g, ins, out, saved, a):
 
 def _gelu_fwd(ins, a):
     x = ins[0]
-    y, cdf = np.empty_like(x), np.empty_like(x)
-
-    def part(s):
-        c = np.multiply(x[s], _INV_SQRT2, out=cdf[s])
-        erf(c, out=c)
-        c += 1.0
-        c *= 0.5
-        np.multiply(x[s], c, out=y[s])
-
-    _split(x.size, (part, len(x), 0))
-    return y, cdf
+    cdf = np.multiply(x, _INV_SQRT2)
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    return x * cdf, cdf
 
 
 def _gelu_bwd(g, ins, out, cdf, a):
     x = ins[0]
-    gx = np.empty(x.shape, np.result_type(g, x))
-
-    def part(s):
-        xs, t = x[s], np.multiply(-0.5, x[s], out=gx[s])
-        t *= xs
-        np.exp(t, out=t)
-        t *= _INV_SQRT_2PI  # the normal pdf
-        t *= xs
-        t += cdf[s]
-        t *= g[s]
-
-    _split(x.size, (part, len(x), 0))
-    return (gx,)
+    t = np.multiply(-0.5, x, out=np.empty(x.shape, np.result_type(g, x)))
+    t *= x
+    np.exp(t, out=t)
+    t *= _INV_SQRT_2PI  # the normal pdf
+    t *= x
+    t += cdf
+    t *= g
+    return (t,)
 
 
 def _cosine_sim_fwd(ins, a):
@@ -641,18 +573,18 @@ def _last_uses(graph: Graph, keep) -> list:
     return drop
 
 
-def _run_forward(graph: Graph, bindings: dict, keep=None):
-    """Values of every node, and what each rule saved for its backward.
+def _run_forward(graph: Graph, bindings: dict, keep=None, start=0, stop=None, vals=None):
+    """Values of nodes `start` to `stop` (all by default; `vals` holds earlier ones), and what each rule saved.
 
     With `keep` (node ids) the pass is forward-only: it keeps no saved state
     and drops each node's value after its last consumer has run, unless the
     node is in `keep`.  A value may be a view of another (reshape, rows,
     transpose), so rules mutate in place only arrays they allocated themselves.
     """
-    vals = [None] * len(graph.nodes)
+    vals = [None] * len(graph.nodes) if vals is None else vals
     saved = [None] * len(graph.nodes)
     drop = None if keep is None else _last_uses(graph, keep)
-    for i, node in enumerate(graph.nodes):
+    for i, node in enumerate(graph.nodes[start:stop], start):
         kind = node.kind
         if kind in _LEAVES:
             vals[i] = _leaf_value(graph, i, node, bindings)
@@ -683,13 +615,12 @@ def evaluate(graph: Graph, bindings: dict) -> dict:
     return {name: vals[nid] for name, nid in graph.outputs.items()}
 
 
-def _run_backward(graph: Graph, vals: list, saved: list, scalar_id: int) -> dict:
-    """Reverse sweep; releases each node's value, saved state and adjoint once used."""
-    if vals[scalar_id].shape != (1,):
-        raise NotAScalar(f"output node has shape {vals[scalar_id].shape}, expected (1,)")
+def _run_backward(graph: Graph, vals: list, saved: list, seeds: dict, stop=0) -> list:
+    """Adjoints from `seeds` ({node: adjoint}) back to node `stop`; frees each node's value, state and adjoint once used."""
     adjoint = [None] * len(graph.nodes)
-    adjoint[scalar_id] = np.ones(1, dtype=vals[scalar_id].dtype)
-    for i in range(scalar_id, -1, -1):
+    for i, g in seeds.items():
+        adjoint[i] = g
+    for i in range(max(seeds, default=-1), stop - 1, -1):
         node = graph.nodes[i]
         g = adjoint[i]
         if g is None or node.kind in _LEAVES:
@@ -699,20 +630,66 @@ def _run_backward(graph: Graph, vals: list, saved: list, scalar_id: int) -> dict
         # no copy: rules never write into an adjoint, and `+` allocates
         for j, gj in zip(node.inputs, grads):
             adjoint[j] = gj if adjoint[j] is None else adjoint[j] + gj
-    out = {}
-    for name, nid in graph.params.items():
-        if adjoint[nid] is None:
-            out[name] = np.zeros_like(vals[nid])
-        else:
-            out[name] = adjoint[nid]
-    return out
+    return adjoint
+
+
+def _micro_batches(graph: Graph, bindings: dict) -> list:
+    """`MICRO`-row slices (the last one the rest) of a per-row part's B rows, if B > `MICRO`; else [], and the
+    step runs whole."""
+    if graph.row_part is None:
+        return []
+    end = graph.row_part
+    shapes = {name: np.shape(bindings[name]) for name, nid in graph.inputs.items() if nid < end and name in bindings}
+    if len({shape[:1] for shape in shapes.values()}) > 1 or () in shapes.values():
+        raise DiffcoreError(f"the per-row part's inputs do not share a leading axis: {shapes}")
+    rows = next(iter(shapes.values()), (0,))[0]
+    if rows <= MICRO:
+        return []
+    return [slice(lo, lo + MICRO) for lo in range(0, rows, MICRO)]
 
 
 def evaluate_with_gradient(graph: Graph, bindings: dict, scalar_output: str):
-    """(every marked output, the partials of the named scalar output w.r.t. every parameter) from one forward pass."""
-    vals, saved = _run_forward(graph, bindings)
+    """(every marked output, the partials of the named scalar output w.r.t. every parameter) from one forward pass.
+
+    A non-finite value raises the `NonFiniteOutput` of the smallest node id
+    over the micro-batches, the node a whole batch names.
+    """
+    parts = _micro_batches(graph, bindings)
+    end = graph.row_part if parts else 0  # a whole step runs every node after an empty per-row part
+    outs = sorted({nid for nid in graph.outputs.values() if nid < end})
+    shared = outs + [nid for nid in graph.params.values() if nid < end]
+    if end and not {j for node in graph.nodes[end:] for j in node.inputs if j < end} <= set(shared):
+        raise DiffcoreError("nodes after the per-row part read it other than through its marked outputs and parameters")
+
+    def forward(k):
+        rows = {name: np.asarray(bindings[name])[parts[k]] for name, nid in graph.inputs.items() if nid < end}
+        try:
+            return _run_forward(graph, {**bindings, **rows}, stop=end)
+        except NonFiniteOutput as exc:  # every micro-batch runs, so the smallest node id is known
+            return exc
+
+    runs = run_parts(forward, len(parts))
+    failed = [run for run in runs if isinstance(run, NonFiniteOutput)]
+    if failed:
+        raise min(failed, key=lambda exc: exc.node_id)  # the lowest micro-batch's on a tie
+    vals = [None] * len(graph.nodes)
+    for nid in shared:
+        vals[nid] = np.concatenate([run[0][nid] for run in runs]) if nid in outs else runs[0][0][nid]
+    vals, saved = _run_forward(graph, bindings, start=end, vals=vals)
     outputs = {name: vals[nid] for name, nid in graph.outputs.items()}
-    grads = _run_backward(graph, vals, saved, graph.outputs[scalar_output])
+    scalar_id = graph.outputs[scalar_output]
+    if vals[scalar_id].shape != (1,):
+        raise NotAScalar(f"output node has shape {vals[scalar_id].shape}, expected (1,)")
+    after = _run_backward(graph, vals, saved, {scalar_id: np.ones(1, dtype=vals[scalar_id].dtype)}, stop=end)
+
+    def backward(k):
+        return _run_backward(graph, *runs[k], {nid: after[nid][parts[k]] for nid in outs if after[nid] is not None})
+
+    grads = {}
+    adjoints = run_parts(backward, len(parts)) + [after]
+    for name, nid in graph.params.items():  # summed over the micro-batches in order, then the nodes after them
+        terms = [adjoint[nid] for adjoint in adjoints if adjoint[nid] is not None]
+        grads[name] = sum(terms[1:], terms[0]) if terms else np.zeros_like(np.asarray(bindings[name]))
     return outputs, grads
 
 

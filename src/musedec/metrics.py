@@ -144,6 +144,8 @@ def t_test(runs_a, runs_b) -> TTestResult:
         raise MetricsError("paired test needs equal-length runs")
     if len(a) < 2:
         raise MetricsError("need at least two runs per group")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise MetricsError("runs must be finite")
     diffs = a - b
     gap, se2 = diffs.mean(), diffs.var(ddof=1) / len(diffs)
     if se2 == 0.0:
@@ -157,7 +159,7 @@ def t_test(runs_a, runs_b) -> TTestResult:
 def holm_bonferroni(p_values, alpha: float = 0.05):
     """Step-down Holm adjustment; returns (adjusted p-values, reject flags)."""
     p = np.asarray(p_values, dtype=np.float64)
-    if (p < 0).any() or (p > 1).any():
+    if not ((p >= 0) & (p <= 1)).all():  # NaN fails both
         raise MetricsError("p-values must lie in [0, 1]")
     m = len(p)
     order = np.argsort(p, kind="stable")

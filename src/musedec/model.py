@@ -256,8 +256,8 @@ _alone = False  # set in a compare child
 def _worker_count(n: int) -> int:
     """Workers that share `n` independent tasks: min(n, CPUs // MUSEDEC_THREADS), at least 1.
 
-    `forward`'s threads share its chunks, `trainer.train`'s threads the rows of
-    its large rules and `trainer.compare`'s processes its cells.
+    `forward`'s threads share its chunks, `trainer.train`'s threads the
+    micro-batches of its steps and `trainer.compare`'s processes its cells.
     MUSEDEC_THREADS is read as `cli._cap_threads` reads it (default 1); a value
     that is not a positive integer counts as 1.  A compare child, whose
     siblings hold the other CPUs, and a process without `os.sched_getaffinity`

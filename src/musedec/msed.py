@@ -84,7 +84,7 @@ def write_ids(path, ids: list) -> None:
 
 
 def read_ids(path) -> list:
-    """The stimulus ids of a JSON list of strings or integers; ManifestError, naming the file, otherwise."""
+    """The ids of a JSON list of distinct strings or integers, as strings (1 and "1" are one id); else ManifestError."""
     with open(path) as fh:
         try:
             ids = json.load(fh)
@@ -92,6 +92,7 @@ def read_ids(path) -> list:
             raise ManifestError(f"{path}: not valid JSON: {exc}") from exc
     if not (isinstance(ids, list) and all(isinstance(i, (str, int)) and not isinstance(i, bool) for i in ids)):
         raise ManifestError(f"{path}: stimulus ids are not a JSON list of strings or integers")
+    ids = [str(i) for i in ids]
     if len(set(ids)) != len(ids):
         raise ManifestError(f"{path}: duplicate stimulus ids")
     return ids

@@ -282,7 +282,7 @@ def load_experiment(manifest_path):
     """
     manifest = msed.load_manifest(manifest_path)
     base = Path(manifest_path).parent
-    feat_ids = [str(s) for s in msed.read_ids(base / manifest["features"]["stimulus_ids"])]
+    feat_ids = msed.read_ids(base / manifest["features"]["stimulus_ids"])
     f_llv = msed.read_tensor(base / manifest["features"]["llv"])
     f_hlv = msed.read_tensor(base / manifest["features"]["hlv"])
     csv_ids, labels = msed.read_labels_csv(base / msed.FEATURE_LABELS)
@@ -293,7 +293,7 @@ def load_experiment(manifest_path):
     datasets = []
     for sub in manifest["subjects"]:
         responses = msed.read_tensor(base / sub["responses"])
-        sids = [str(s) for s in msed.read_ids(base / sub["stimulus_ids"])]
+        sids = msed.read_ids(base / sub["stimulus_ids"])
         for sid in sids:
             if sid not in features.index:
                 raise msed.ManifestError(f"subject {sub['id']}: stimulus {sid} missing from features")

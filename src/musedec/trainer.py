@@ -221,6 +221,7 @@ def _clip_grads(grad, max_norm):
 
 def _build_loss_graph(cfg, weights: LossWeights, subjects, mapping):
     g = model.build_forward_graph(cfg, subjects)
+    g.row_part = len(g.nodes)  # the forward graph's nodes are per-row
     parts = {"loss_c": objectives.add_bce_loss(g, g.outputs["logits"], g.input("labels"))}
     if cfg.variant == "clip-mused":
         z_llv, z_hlv = g.outputs["z_llv"], g.outputs["z_hlv"]
@@ -355,9 +356,10 @@ def train(
     """Train one model; returns (final Checkpoint, RunReport).
 
     Passing a loaded `state` resumes that checkpoint bitwise-identically;
-    a `stopped` one (early stopping met) runs no further epochs.  The steps
-    and validation forwards split large rules over `model._worker_count`
-    threads (see `diffcore.splitting`), bitwise as on one.
+    a `stopped` one (early stopping met) runs no further epochs.  A step of
+    more than `diffcore.MICRO` rows runs as micro-batches
+    (see `diffcore.evaluate_with_gradient`), on `model._worker_count`
+    threads, bitwise as on one.
     """
     if METHOD_VARIANT[cfg.method] != model_cfg.variant:
         raise TrainerError(
@@ -374,8 +376,8 @@ def train(
     params, m, v, best = _pack_state(state, g)
     rsm_warnings = [0]
 
-    # the threads that split large rules start at the first split and are joined when the loop ends
-    with diffcore.splitting(model._worker_count(cfg.batch_size)):
+    # the threads that run micro-batches start at the first step that has them and are joined when the loop ends
+    with diffcore.splitting(model._worker_count(-(-cfg.batch_size // diffcore.MICRO))):
         for epoch in range(state.epoch, state.epoch if state.stopped else cfg.max_epochs):
             try:
                 batches = neurodata.make_batches(

@@ -236,87 +236,159 @@ def test_nonfinite_node_is_named_even_when_squashed():
     assert info.value.node_id == big
 
 
-class TestSplit:
-    """`_split` inside `splitting`: parts on threads, errors as in a serial run, and no thread left behind."""
+class TestRunParts:
+    """`run_parts` inside `splitting`: parts on threads, errors as in a serial run, and no thread left behind."""
 
     def test_the_lowest_index_failing_part_is_raised(self):
         ran = []
 
-        def part(s):
-            ran.append(s.start)
-            if s.start == 2:
+        def part(i):
+            ran.append(i)
+            if i == 1:
                 time.sleep(0.05)  # fails after part 2 has failed
-                raise ValueError("part 1")
-            if s.start >= 4:
-                raise ValueError(f"part {s.start // 2}")
+            if i >= 1:
+                raise ValueError(f"part {i}")
 
         before = threading.active_count()
         with diffcore.splitting(3):
             with pytest.raises(ValueError, match="part 1"):
-                diffcore._split(diffcore.SPLIT_MIN, (part, 6, 0))
-            assert sorted(ran) == [0, 2, 4]
+                diffcore.run_parts(part, 3)
+            assert sorted(ran) == [0, 1, 2]
         assert threading.active_count() == before
 
     def test_when_every_part_fails_the_first_parts_error_is_raised(self):
-        def part(s):
-            raise ValueError(f"part {s.start}")
+        def part(i):
+            raise ValueError(f"part {i}")
 
         with diffcore.splitting(2), pytest.raises(ValueError, match="part 0"):
-            diffcore._split(diffcore.SPLIT_MIN, (part, 8, 0), (part, 8, 0))
+            diffcore.run_parts(part, 4)
+
+    def test_results_come_back_in_part_order(self):
+        with diffcore.splitting(3):
+            assert diffcore.run_parts(lambda i: i * i, 7) == [i * i for i in range(7)]
 
     def test_a_stalled_thread_keeps_no_part_alive(self):
         """The caller runs the parts a thread without a CPU never started, and what that thread still has
-        queued holds none of their arrays: a training step's arrays are freed on time."""
+        queued holds none of their arrays or results: a training step's arrays are freed on time."""
         gate = threading.Event()
         with diffcore.splitting(2):
-            diffcore._split(diffcore.SPLIT_MIN, (lambda s: None, 2, 0))  # starts the pool's thread
+            diffcore.run_parts(lambda i: None, 2)  # starts the pool's thread
             diffcore._local.pool.submit(gate.wait)  # which then stalls
             data, ran = np.zeros(8), []
             alive = weakref.ref(data)
-            diffcore._split(diffcore.SPLIT_MIN, (lambda s, a=data: ran.append(a[s].size), 8, 0))  # holds the array
-            del data
+            # each part holds the array, and so does its result
+            results = diffcore.run_parts(lambda i, a=data: ran.append(a[4 * i : 4 * i + 4].size) or a, 2)
+            del data, results
             kept = alive() is not None
             gate.set()
         assert ran == [4, 4] and not kept
 
-    def test_small_work_and_one_worker_run_whole_on_the_calling_thread(self):
+    def test_one_worker_runs_the_parts_in_a_loop_on_the_calling_thread(self):
         threads = []
-        part = lambda s: threads.append((threading.get_ident(), s))  # noqa: E731
+        part = lambda i: threads.append((threading.get_ident(), i))  # noqa: E731
         with diffcore.splitting(3):
-            diffcore._split(diffcore.SPLIT_MIN - 1, (part, 64, 0))
+            diffcore.run_parts(part, 1)
         with diffcore.splitting(1):
-            diffcore._split(diffcore.SPLIT_MIN, (part, 64, 0))
-        diffcore._split(diffcore.SPLIT_MIN, (part, 64, 0))  # outside `splitting`
-        assert threads == [(threading.get_ident(), slice(0, 64))] * 3
+            diffcore.run_parts(part, 2)
+        diffcore.run_parts(part, 2)  # outside `splitting`
+        me = threading.get_ident()
+        assert threads == [(me, 0), (me, 0), (me, 1), (me, 0), (me, 1)]
 
-    @pytest.mark.parametrize("rows, macs, want", [
-        (64, 0, [0, 21, 42, 64]),  # rows of an elementwise or per-row rule split anywhere
-        (2, 0, [0, 1, 2]),
-        (0, 0, [0, 0]),
-        (1152, 4096, [0, 384, 768, 1152]),  # GEMM rows: on multiples of 16, over 100**3 multiply-adds each
-        (666, 1_000_000, [0, 208, 432, 666]),
-        (666, 4096, [0, 320, 666]),
-        (100, 4096, [0, 100]),
+    def test_parts_run_in_the_callers_numpy_error_state(self):
+        def part(i):
+            return np.zeros(1) / np.zeros(1)  # an "invalid" warning fails the suite unless it is ignored
+
+        for width in (1, 3):
+            with np.errstate(invalid="ignore"), diffcore.splitting(width):
+                assert np.isnan(diffcore.run_parts(part, 3)).all()
+
+
+def row_part_graph():
+    """A per-row linear and GELU of 'x' (B, 8) with a mean-square loss that couples the rows."""
+    g = Graph()
+    y = g.gelu(g.linear(g.input("x"), g.param("w", (8, 8)), g.param("b", (8,))))
+    g.mark_output("y", y)
+    g.row_part = len(g.nodes)
+    g.mark_output("out", g.frobenius_sq(g.add(y, g.param("m", (8,))), rows_power=1))
+    return g
+
+
+def row_part_bindings(rows, seed=0):
+    rng = np.random.default_rng(seed)
+    return {"x": rng.normal(size=(rows, 8)), "w": rng.normal(size=(8, 8)), "b": rng.normal(size=8), "m": np.ones(8)}
+
+
+class TestMicroBatches:
+    """`evaluate_with_gradient` runs a marked per-row part in micro-batches of `MICRO` rows."""
+
+    @pytest.mark.parametrize("rows, want", [
+        (1, []),
+        (diffcore.MICRO, []),  # at most MICRO rows: whole
+        (64, [(0, 32), (32, 64)]),
+        (37, [(0, 32), (32, 64)]),  # the last micro-batch holds the 5 rows left
+        (97, [(0, 32), (32, 64), (64, 96), (96, 128)]),
     ])
-    def test_parts_hold_enough_rows_and_gemm_parts_start_on_multiples_of_16(self, rows, macs, want):
-        got = []
-        with diffcore.splitting(3):
-            diffcore._split(diffcore.SPLIT_MIN, (lambda s: got.append(s), rows, macs))
-        assert sorted((s.start, s.stop) for s in got) == list(zip(want, want[1:]))
+    def test_the_batch_shape_decides(self, rows, want):
+        got = diffcore._micro_batches(row_part_graph(), row_part_bindings(rows))
+        assert [(s.start, s.stop) for s in got] == want
 
-    def test_a_non_finite_split_node_is_named_as_in_a_serial_run(self):
+    def test_a_graph_without_a_per_row_part_runs_whole(self):
+        g = row_part_graph()
+        g.row_part = None
+        assert diffcore._micro_batches(g, row_part_bindings(64)) == []
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_gradients_match_the_whole_batch_and_finite_differences(self, width):
+        g, bindings = row_part_graph(), row_part_bindings(70)
+        whole = row_part_graph()
+        whole.row_part = None
+        with diffcore.splitting(width):
+            outputs, grads = evaluate_with_gradient(g, bindings, "out")
+            report = grad_check(g, bindings, "out", h=1e-5, tol=1e-7)
+        want_outputs, want = evaluate_with_gradient(whole, bindings, "out")
+        np.testing.assert_array_equal(outputs["y"], want_outputs["y"])  # rows of a 3-row GEMM part
+        np.testing.assert_allclose(outputs["out"], want_outputs["out"], rtol=1e-14)
+        top = max(np.abs(a).max() for a in want.values())
+        assert all(np.abs(grads[n] - want[n]).max() <= 1e-12 * top for n in want), report
+        assert report.passed, report.per_param
+
+    def test_inputs_of_the_part_must_share_their_leading_axis(self):
         g = Graph()
-        y = g.linear(g.input("x"), g.param("w"), g.param("b"))
-        g.mark_output("out", g.frobenius_sq(g.gelu(y)))
-        rng = np.random.default_rng(0)
-        bindings = {"x": rng.normal(size=(1152, 64)), "w": rng.normal(size=(64, 64)), "b": np.zeros(64)}
-        bindings["x"][1000, 3:5] = [np.inf, -np.inf]  # NaN in the linear's last part: inf - inf
+        g.mark_output("y", g.add(g.input("x"), g.input("z")))
+        g.row_part = len(g.nodes)
+        g.mark_output("out", g.frobenius_sq(g.param("w")))
+        with pytest.raises(diffcore.DiffcoreError, match="do not share a leading axis"):
+            evaluate_with_gradient(g, {"x": np.ones((40, 2)), "z": np.ones((1, 2)), "w": np.ones(1)}, "out")
+
+    def test_later_nodes_may_read_the_part_only_through_outputs_and_parameters(self):
+        g = Graph()
+        h = g.gelu(g.input("x"))
+        g.mark_output("y", g.gelu(h))
+        g.row_part = len(g.nodes)
+        g.mark_output("out", g.frobenius_sq(h))
+        with pytest.raises(diffcore.DiffcoreError, match="read it other than through its marked outputs and parameters"):
+            evaluate_with_gradient(g, {"x": np.ones((40, 2))}, "out")
+
+    def test_a_non_finite_value_names_the_smallest_node_over_the_micro_batches(self):
+        def build(per_row):
+            g = Graph()
+            y = g.scale(g.linear(g.input("x"), g.param("w"), g.param("b")), 1e10)
+            g.mark_output("y", y)
+            if per_row:
+                g.row_part = len(g.nodes)
+            g.mark_output("out", g.frobenius_sq(y))
+            return g
+
+        bindings = row_part_bindings(64)
+        bindings["x"][2] = 1e300  # finite in the linear (node 3), inf in the first micro-batch's scale (node 4)
+        bindings["x"][40, 3:5] = [np.inf, -np.inf]  # NaN in the second micro-batch's linear: inf - inf
         raised = []
-        for width in (1, 3):  # the parts run in the caller's numpy error state, as the whole would
-            with np.errstate(invalid="ignore"), diffcore.splitting(width), pytest.raises(NonFiniteOutput) as info:
-                evaluate_with_gradient(g, bindings, "out")
+        for per_row, width in ((False, 1), (True, 1), (True, 3)):  # the parts run in the caller's error state
+            with np.errstate(invalid="ignore", over="ignore"), diffcore.splitting(width):
+                with pytest.raises(NonFiniteOutput) as info:
+                    evaluate_with_gradient(build(per_row), bindings, "out")
             raised.append((info.value.node_id, info.value.kind))
-        assert raised == [(y, "linear")] * 2
+        assert raised == [(3, "linear")] * 3
 
 
 def test_sigmoid_saturates_without_overflow():

@@ -377,6 +377,13 @@ class TestTTest:
         with pytest.raises(MetricsError):
             t_test([0.5, 0.6], [0.4, 0.5, 0.6])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_run_is_rejected(self, bad):
+        with pytest.raises(MetricsError, match="finite"):
+            t_test([0.5, bad, 0.7], [0.4, 0.5, 0.6])
+        with pytest.raises(MetricsError, match="finite"):
+            t_test([0.5, 0.6], [bad, 0.5])
+
 
 class TestHolmBonferroni:
     def test_two_hypotheses_hand_case(self):
@@ -415,6 +422,7 @@ class TestHolmBonferroni:
         assert max(adjusted) <= 1.0
         assert reject == [False, False]
 
-    def test_invalid_p(self):
-        with pytest.raises(MetricsError):
-            holm_bonferroni([0.5, 1.2])
+    @pytest.mark.parametrize("bad", [1.2, -0.1, np.nan])
+    def test_invalid_p(self, bad):
+        with pytest.raises(MetricsError, match=r"\[0, 1\]"):
+            holm_bonferroni([0.01, bad, 0.02])

@@ -70,10 +70,17 @@ def test_unknown_dtype_code(tmp_path):
         msed.read_tensor(path)
 
 
-def test_duplicate_ids_rejected(tmp_path):
+def test_integer_ids_read_as_strings(tmp_path):
     path = tmp_path / "ids.json"
-    msed.write_ids(path, ["a", "b", "a"])
-    with pytest.raises(msed.ManifestError):
+    msed.write_ids(path, [1, "b", 30])
+    assert msed.read_ids(path) == ["1", "b", "30"]
+
+
+@pytest.mark.parametrize("ids", [["a", "b", "a"], [1, "1", 2]])  # 1 reads as "1"
+def test_duplicate_ids_rejected(tmp_path, ids):
+    path = tmp_path / "ids.json"
+    msed.write_ids(path, ids)
+    with pytest.raises(msed.ManifestError, match="duplicate stimulus ids"):
         msed.read_ids(path)
 
 

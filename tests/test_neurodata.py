@@ -392,6 +392,13 @@ class TestExperimentFiles:
         with pytest.raises(msed.ManifestError, match="sub_00: stimulus not_a_stimulus missing from features"):
             load_experiment(path)
 
+    def test_stimulus_ids_that_collide_as_strings(self, experiment):
+        """1 and "1" name one stimulus once read as strings, so the features' row 0 could never be reached."""
+        path, _, features = experiment
+        msed.write_ids(path.parent / "features" / "stimulus_ids.json", [1, "1", *features.stimulus_ids[2:]])
+        with pytest.raises(msed.ManifestError, match="stimulus_ids.json: duplicate stimulus ids"):
+            load_experiment(path)
+
     @pytest.mark.parametrize("owner, rel", [("features", "features")], ids=["features"])
     def test_labels_csv_ids_swapped(self, experiment, owner, rel):
         # the label rows stay in place; only two ids of the id column trade places

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import hashlib
 import importlib
@@ -778,7 +779,7 @@ class TestCompare:
         assert multiprocessing.active_children() == []
 
     def test_a_compare_child_works_alone(self, patch_cpus, time_limit):
-        """A cell in a child sees one worker, so neither forward's chunks nor train's splits start threads there."""
+        """A cell in a child sees one worker, so neither forward's chunks nor train's micro-batches start threads there."""
         patch_cpus(3)
         time_limit(20)
         assert model._worker_count(10) == 3
@@ -858,7 +859,7 @@ class TestCompare:
 
 
 def wide_data(n_s=100, n_sub=2):
-    """small_data's kind with 16 patches: a model of `wide_model`'s width has rules above diffcore.SPLIT_MIN."""
+    """small_data's kind with 16 patches: steps of over diffcore.MICRO rows of `wide_model` micro-batch."""
     features = stimfeat.synth_features(n_s, 4, 8, 12, seed=0)
     datasets, _ = neurodata.synth_generate(n_sub, n_s, 16, 6, features, snr=5.0, seed=0)
     splits = neurodata.split_dataset(datasets, SplitSpec("same-stimuli", counts=(70, 15, 15), seed=0))
@@ -869,16 +870,17 @@ def wide_model(variant="clip-mused"):
     return small_model(layers=2, heads=4, d_model=32, patch_count=16, variant=variant)
 
 
-def wide_step(variant, dtype, rows):
+def wide_step(variant, dtype, rows, method="clip-mused"):
     """(loss graph, bindings) of one training step of `rows` rows, alternating subjects, in `dtype`."""
     data, mcfg = wide_data(), wide_model(variant)
-    params = {k: v.astype(dtype) for k, v in trainer._init_state(small_cfg(), mcfg, data).params.items()}
-    subjects = model.token_subjects(mcfg, params)
+    cfg = small_cfg(method=method, weights=dataclasses.replace(small_cfg().weights, lambda_map=0.1))
+    params = {k: v.astype(dtype) for k, v in trainer._init_state(cfg, mcfg, data).params.items()}
+    subjects, mapping = model.token_subjects(mcfg, params), method == "mapping-based"
     pool = [(ds.subject_id, int(r)) for r in range(70) for ds in data.datasets]
     batch = neurodata.gather_batch({ds.subject_id: ds for ds in data.datasets}, data.features, pool[:rows])
     batch = dataclasses.replace(batch, patches=batch.patches.astype(dtype))
-    g = trainer._build_loss_graph(mcfg, small_cfg().weights, subjects, False)
-    return g, {**params, **trainer._batch_bindings(batch, mcfg, subjects, False, [0])}
+    g = trainer._build_loss_graph(mcfg, cfg.weights, subjects, mapping)
+    return g, {**params, **trainer._batch_bindings(batch, mcfg, subjects, mapping, [0])}
 
 
 def step_bytes(g, bindings):
@@ -886,28 +888,26 @@ def step_bytes(g, bindings):
     return {k: (v.dtype, v.tobytes()) for k, v in {**outputs, **{"d " + n: a for n, a in grads.items()}}.items()}
 
 
-class TestSplitRules:
-    """Inside `train`, rules over diffcore.SPLIT_MIN elements split their rows over `model._worker_count` threads;
-    `patch_cpus` sets how many."""
+class TestMicroBatchedSteps:
+    """A step of more than diffcore.MICRO rows runs as micro-batches, on `model._worker_count` threads inside
+    `train`; `patch_cpus` sets how many."""
 
     @pytest.mark.parametrize("variant", ["clip-mused", "ss-vit", "ss-mlp"])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("rows", [64, 37, 1])
-    @pytest.mark.parametrize("split_min", [diffcore.SPLIT_MIN, 1])  # 1: every rule splits, even on one row
     def test_a_step_is_bitwise_equal_on_one_and_three_workers(
-        self, monkeypatch, patch_cpus, thread_pools, variant, dtype, rows, split_min
+        self, patch_cpus, thread_pools, variant, dtype, rows
     ):
-        monkeypatch.setattr(diffcore, "SPLIT_MIN", split_min)
         g, bindings = wide_step(variant, dtype, rows)
         runs = []
         for cpus in (1, 3):
             patch_cpus(cpus)
-            with diffcore.splitting(model._worker_count(64)):  # as `train` with batch size 64
+            with diffcore.splitting(model._worker_count(2)):  # as `train` with batch size 64: two micro-batches
                 runs.append(step_bytes(g, bindings))
         assert runs[0] == runs[1]
         assert all(dt == dtype for dt, _ in runs[0].values())
-        splits = split_min == 1 or (rows > 1 and variant != "ss-mlp")  # the MLP blocks' hidden layers split
-        assert thread_pools == ([2] if splits else [])
+        assert len(diffcore._micro_batches(g, bindings)) == (2 if rows > 1 else 0)
+        assert thread_pools == ([1] if rows > 1 else [])
 
     def test_training_is_bitwise_equal_on_one_and_three_workers(self, patch_cpus, thread_pools):
         data, mcfg = wide_data(), wide_model()
@@ -920,10 +920,9 @@ class TestSplitRules:
             runs.append((trainer._arena(state.params)[0].tobytes(), json.dumps(report.loss_history),
                          json.dumps(report.val_history)))
         assert runs[0] == runs[1]
-        assert thread_pools == [2]  # one for the whole call, started at its first split
+        assert thread_pools == [1]  # one for the whole call, sized for two micro-batches
 
-    def test_split_steps_under_rapid_thread_switches_equal_serial_ones(self, monkeypatch):
-        monkeypatch.setattr(diffcore, "SPLIT_MIN", 1)
+    def test_split_steps_under_rapid_thread_switches_equal_serial_ones(self):
         g, bindings = wide_step("clip-mused", np.float64, 64)
         want = step_bytes(g, bindings)
         interval = sys.getswitchinterval()
@@ -936,7 +935,7 @@ class TestSplitRules:
             sys.setswitchinterval(interval)
 
     def test_no_thread_outlives_train(self, monkeypatch, patch_cpus):
-        """Train starts threads at its first split and joins them when it returns, and when it raises."""
+        """Train starts a thread at its first micro-batched step and joins it when it returns, and when it raises."""
         patch_cpus(3)
         data, mcfg, cfg = wide_data(), wide_model(), small_cfg(batch_size=64)
         before = threading.active_count()
@@ -948,7 +947,7 @@ class TestSplitRules:
 
         monkeypatch.setitem(diffcore._RULES, "gelu", (counting_gelu, gelu_bwd))
         train(cfg, mcfg, data)
-        assert max(counts) == before + 2 and threading.active_count() == before
+        assert max(counts) == before + 1 and threading.active_count() == before
 
         def nan_after_a_split(ins, attrs):
             out, cdf = counting_gelu(ins, attrs)
@@ -959,16 +958,76 @@ class TestSplitRules:
             train(cfg, mcfg, data)
         assert threading.active_count() == before
 
-    def test_forward_chunk_threads_do_not_split(self, monkeypatch, patch_cpus, thread_pools):
-        """A chunk thread of `model.forward` runs its rules whole, even inside `splitting`."""
-        monkeypatch.setattr(diffcore, "SPLIT_MIN", 1)
+    def test_forward_chunk_threads_do_not_split(self, patch_cpus, thread_pools):
+        """`model.forward` evaluates whole chunks on its own threads, even inside `splitting`."""
         patch_cpus(3)
         data, mcfg = wide_data(n_s=600, n_sub=1), wide_model()
         ds = data.datasets[0]
         params = trainer._init_state(small_cfg(), mcfg, data).params
         with diffcore.splitting(3):
             model.forward(params, mcfg, ds.responses, [ds.subject_id] * len(ds.responses))
-        assert thread_pools == [3]  # forward's three chunks; no pool of split parts
+        assert thread_pools == [3]  # forward's three chunks; no pool of micro-batches
+
+    def test_a_step_of_at_most_micro_rows_runs_whole_bitwise(self):
+        g, bindings = wide_step("clip-mused", np.float64, diffcore.MICRO)
+        want = step_bytes(g, bindings)
+        g.row_part = None
+        assert step_bytes(g, bindings) == want
+
+    @pytest.mark.parametrize("method", ["clip-mused", "mapping-based"])
+    def test_micro_batched_gradients_match_the_whole_batch(self, method):
+        g, bindings = wide_step("clip-mused", np.float64, 64, method)
+        assert len(diffcore._micro_batches(g, bindings)) == 2
+        outputs, grads = diffcore.evaluate_with_gradient(g, bindings, "loss")
+        g.row_part = None
+        want_outputs, want = diffcore.evaluate_with_gradient(g, bindings, "loss")
+        top = max(np.abs(a).max() for a in want.values())
+        worst = max(np.abs(grads[name] - want[name]).max() for name in want)
+        assert worst <= 1e-12 * top, worst / top
+        for name, value in want_outputs.items():
+            np.testing.assert_allclose(outputs[name], value, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("residual", ["paper", "conventional"])
+    def test_micro_batched_step_matches_finite_differences(self, residual):
+        """Criteria 1 and 9 on a step of 40 rows: two micro-batches, the second of 8 rows."""
+        cfg = EncoderConfig(layers=1, heads=2, d_model=8, patch_dim=4, patch_count=4, n_classes=3,
+                            residual_variant=residual)
+        subjects = ["subA", "subB"]
+        g = trainer._build_loss_graph(cfg, LossWeights(0.001, 0.1, 0.1), subjects, mapping=False)
+        rng = np.random.default_rng(1)
+        params = model.init_params(cfg, subjects, rng)
+        for name in params:  # non-unit gains so the check covers the affine normalization
+            params[name] = params[name] + 0.05 * rng.normal(size=params[name].shape)
+        feats = stimfeat.synth_features(40, 3, 6, 6, seed=1)
+        bindings = {
+            **params,
+            "patches": rng.normal(size=(40, 4, 4)),
+            "subject_idx": model.subject_positions(cfg, subjects, subjects * 20),
+            "labels": feats.labels,
+            "m_llv": stimfeat.compute_stimulus_rsm(feats.f_llv),
+            "m_hlv": stimfeat.compute_stimulus_rsm(feats.f_hlv),
+        }
+        assert len(diffcore._micro_batches(g, bindings)) == 2
+        report = diffcore.grad_check(g, bindings, "loss", h=1e-5, tol=1e-4)
+        assert report.passed, report.per_param
+
+    def test_nan_tokens_in_the_second_micro_batch_are_named_as_in_a_whole_batch(self, patch_cpus):
+        """The first micro-batch holds subject 0 only, whose hlv token is NaN; the second holds subject 1, whose
+        llv token, picked earlier in the graph, is NaN.  A whole batch names the llv pick; so must the step."""
+        g, bindings = wide_step("clip-mused", np.float64, 64)
+        bindings["subject_idx"] = np.repeat([0, 1], 32)
+        s0, s1 = model.token_subjects(wide_model(), bindings)
+        bindings[f"token/hlv/{s0}"] = np.full(32, np.nan)
+        bindings[f"token/llv/{s1}"] = np.full(32, np.nan)
+        whole = copy.copy(g)
+        whole.row_part = None
+        raised = []
+        for graph, cpus in ((whole, 1), (g, 1), (g, 3)):
+            patch_cpus(cpus)
+            with diffcore.splitting(model._worker_count(2)), pytest.raises(diffcore.NonFiniteOutput) as info:
+                diffcore.evaluate_with_gradient(graph, bindings, "loss")
+            raised.append((info.value.node_id, info.value.kind))
+        assert raised == [raised[0]] * 3 and raised[0][1] == "take-rows"
 
 
 def _exception_classes():
