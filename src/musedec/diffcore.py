@@ -17,7 +17,8 @@ rows) once on its outputs concatenated in micro-batch order, and sums each
 gradient over the micro-batches in order.  That reads only the batch's shape, so results are
 bitwise the same on any number of CPUs; inside :func:`splitting`, as
 `trainer.train` runs, the micro-batches run on CPUs // MUSEDEC_THREADS
-threads (`run_parts`).  There is no `--threads` flag.
+threads (`run_parts`, the one thread runner, which runs `model.forward`'s
+chunks too).  There is no `--threads` flag.
 """
 
 from __future__ import annotations
@@ -291,7 +292,7 @@ def _cosine_sim_forward(z):
 # parts on threads
 
 # `width` and `pool` of a thread inside `splitting`; other threads, among them
-# the pool's own and `model.forward`'s, have neither and run parts in a loop
+# the pool's own, have neither and run parts in a loop
 _local = threading.local()
 
 
@@ -299,8 +300,12 @@ _local = threading.local()
 def splitting(width: int):
     """`run_parts` calls on this thread share their parts over `width` workers: itself and `width` - 1 threads.
 
-    The threads start at the first call with more than one part and are joined on exit.
+    The threads start at the first call with more than one part and are joined on exit.  Inside another scope
+    it changes nothing, so `model.forward`'s own scope leaves its chunks to `trainer.train`'s workers.
     """
+    if hasattr(_local, "width"):
+        yield
+        return
     _local.width, _local.pool = width, None
     try:
         yield
@@ -313,9 +318,9 @@ def splitting(width: int):
 def run_parts(fn, n: int) -> list:
     """[fn(i) for i in range(n)] on the calling thread's `splitting` workers, or in a loop outside it.
 
-    Threads take parts from the front and the caller from the back, so a
-    thread without a CPU holds up at most the part it has started.  Once all
-    started parts are done, the lowest-index failing part's exception is
+    It runs `evaluate_with_gradient`'s micro-batches and `model.forward`'s chunks.  Threads take parts
+    from the front and the caller from the back, so a thread without a CPU holds up at most the part
+    it has started.  Once all started parts are done, the lowest-index failing part's exception is
     raised; a part after a failed one may be skipped.
     """
     width = min(getattr(_local, "width", 1), n)

@@ -11,8 +11,8 @@ one graph serves every subject mix and every number of rows.
 
 from __future__ import annotations
 
-import contextvars
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -256,8 +256,9 @@ _alone = False  # set in a compare child
 def _worker_count(n: int) -> int:
     """Workers that share `n` independent tasks: min(n, CPUs // MUSEDEC_THREADS), at least 1.
 
-    `forward`'s threads share its chunks, `trainer.train`'s threads the
-    micro-batches of its steps and `trainer.compare`'s processes its cells.
+    `forward`'s workers share its chunks, `trainer.train`'s the micro-batches
+    of its steps and the chunks of its validations, and `trainer.compare`'s
+    processes its cells.
     MUSEDEC_THREADS is read as `cli._cap_threads` reads it (default 1); a value
     that is not a positive integer counts as 1.  A compare child, whose
     siblings hold the other CPUs, and a process without `os.sched_getaffinity`
@@ -272,47 +273,45 @@ def _worker_count(n: int) -> int:
     return max(1, min(n, len(os.sched_getaffinity(0)) // threads))
 
 
-def forward(params: dict, cfg: EncoderConfig, x: np.ndarray, subject_index: list, want_attention: bool = False) -> dict:
+def forward(params: dict, cfg: EncoderConfig, x, subject_index: list, want_attention: bool = False) -> dict:
     """Run the model on patches (B, M, d_in) of any B; returns every marked output by name, B rows each.
 
     The one forward entry point: it builds one graph and evaluates it on
     `CHUNK` rows at a time, so the chunks, and not B, bound the size of the
-    activations.  `subject_index` names each row's subject.  With
-    `want_attention`, 'attn/<layer>' holds that layer's (B, H, T, T) weights.
+    activations.  `x` is an array or anything whose `len` and slices act like
+    one (`trainer.predict`'s gathers a chunk's rows as it is sliced).
+    `subject_index` names each row's subject.  With `want_attention`,
+    'attn/<layer>' holds that layer's (B, H, T, T) weights.
 
-    The chunks run on `_worker_count(chunks)` threads (numpy and BLAS release
-    the GIL), which are joined before `forward` returns or raises; one worker
-    runs them in a loop on the calling thread.  Each thread runs its chunk in
-    a copy of the caller's context, so numpy's error state holds there too.
-    Outputs are assembled in chunk order, so they are bitwise those of a
-    serial run, and a failure raises the first failing chunk's error.
+    The chunks run on `diffcore.run_parts`, with the workers of the enclosing
+    `diffcore.splitting` scope or of its own, `_worker_count(chunks)`.  Each is padded to
+    a multiple of `ROW_ALIGN` rows and writes its rows into outputs allocated
+    once, in its outputs' dtype, so they are bitwise those of a serial run; a
+    failure raises the first failing chunk's error.
     """
     subjects = token_subjects(cfg, params)
     idx = subject_positions(cfg, subjects, subject_index)
     g = build_forward_graph(cfg, subjects, want_attention)
+    n, out, allocating = len(x), {}, threading.Lock()
 
-    def chunk(s):
+    def chunk(k):
+        s = k * CHUNK
         rows, pos = x[s : s + CHUNK], idx[s : s + CHUNK]
-        n = len(rows)
-        if n % ROW_ALIGN:  # padded with copies of its own rows, so a row's outputs do not depend on its chunk
-            take = np.arange(n + -n % ROW_ALIGN) % n
+        m = len(rows)
+        if m % ROW_ALIGN:  # padded with copies of its own rows, so a row's outputs do not depend on its chunk
+            take = np.arange(m + -m % ROW_ALIGN) % m
             rows, pos = rows[take], pos[take]
-        out = diffcore.evaluate(g, {**params, "patches": rows, "subject_idx": pos})
-        return {name: value[:n] for name, value in out.items()}
+        result = diffcore.evaluate(g, {**params, "patches": rows, "subject_idx": pos})
+        with allocating:  # by the first chunk to finish
+            if not out:
+                out.update((name, np.empty((n, *value.shape[1:]), value.dtype)) for name, value in result.items())
+        for name, value in result.items():
+            out[name][s : s + m] = value[:m]
 
-    starts = range(0, max(len(x), 1), CHUNK)  # one evaluation even of zero rows, so every output has its shape
-    workers = _worker_count(len(starts))
-    if workers == 1:
-        chunks = [chunk(s) for s in starts]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        # each chunk runs in its own copy of the caller's context, so that numpy's error state holds in it;
-        # `map` yields in chunk order and cancels the chunks not yet started once one raises
-        contexts = [contextvars.copy_context() for _ in starts]
-        with ThreadPoolExecutor(workers) as pool:
-            chunks = list(pool.map(lambda context, s: context.run(chunk, s), contexts, starts))
-    return {name: np.concatenate([c[name] for c in chunks]) for name in chunks[0]}
+    chunks = max(1, -(-n // CHUNK))  # one evaluation even of zero rows, so every output has its shape
+    with diffcore.splitting(_worker_count(chunks)):
+        diffcore.run_parts(chunk, chunks)
+    return out
 
 
 TOKEN_POSITIONS = {

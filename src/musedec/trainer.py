@@ -260,22 +260,38 @@ def _batch_bindings(batch: Batch, cfg: EncoderConfig, subjects, mapping: bool, r
 # prediction
 
 
+class _SplitRows:
+    """Every subject's rows of a split end to end, for `model.forward`: a slice gathers only its own rows."""
+
+    def __init__(self, parts):
+        self.parts, self.starts = parts, np.cumsum([0] + [len(rows) for _, rows in parts])
+
+    def __len__(self):
+        return int(self.starts[-1])
+
+    def __getitem__(self, span):
+        lo, hi, _ = span.indices(len(self))
+        pieces = [
+            ds.responses[rows[max(lo - a, 0) : hi - a]]
+            for (ds, rows), a in zip(self.parts, self.starts)
+            if lo < a + len(rows) and a < hi
+        ] or [self.parts[0][0].responses[:0]]  # of a split of zero rows
+        return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+
+
 def predict(params, cfg: EncoderConfig, data: TrainData, split: str):
     """Scores/labels over one split, pooled across subjects (row-aligned); labels come from the feature set.
 
-    One `model.forward` call per subject writes its scores into one array for
-    the whole split, in the logits' dtype.
+    One `model.forward` call scores every subject's rows, each chunk gathering its own; the sigmoid
+    then runs in place, `model.CHUNK` rows at a time, so scores are in the logits' dtype.
     """
     parts = [(ds, data.splits[ds.subject_id][split]) for ds in data.datasets]
     index = data.features.index
     labels = data.features.labels[[index[ds.stimulus_ids[r]] for ds, rows in parts for r in rows]]
-    scores, start = None, 0
-    for ds, rows in parts:
-        logits = model.forward(params, cfg, ds.responses[rows], [ds.subject_id] * len(rows))["logits"]
-        if scores is None:
-            scores = np.empty((len(labels), logits.shape[1]), logits.dtype)
-        scores[start : start + len(rows)] = diffcore.sigmoid(logits)
-        start += len(rows)
+    subject_index = [ds.subject_id for ds, rows in parts for _ in rows]
+    scores = model.forward(params, cfg, _SplitRows(parts), subject_index)["logits"]
+    for s in range(0, len(scores), model.CHUNK):
+        scores[s : s + model.CHUNK] = diffcore.sigmoid(scores[s : s + model.CHUNK])
     return scores, labels
 
 
@@ -357,9 +373,8 @@ def train(
 
     Passing a loaded `state` resumes that checkpoint bitwise-identically;
     a `stopped` one (early stopping met) runs no further epochs.  A step of
-    more than `diffcore.MICRO` rows runs as micro-batches
-    (see `diffcore.evaluate_with_gradient`), on `model._worker_count`
-    threads, bitwise as on one.
+    more than `diffcore.MICRO` rows runs as micro-batches (`diffcore.evaluate_with_gradient`),
+    and a validation of more than `model.CHUNK` rows as chunks, on `model._worker_count` threads, bitwise as on one.
     """
     if METHOD_VARIANT[cfg.method] != model_cfg.variant:
         raise TrainerError(
@@ -376,8 +391,10 @@ def train(
     params, m, v, best = _pack_state(state, g)
     rsm_warnings = [0]
 
-    # the threads that run micro-batches start at the first step that has them and are joined when the loop ends
-    with diffcore.splitting(model._worker_count(-(-cfg.batch_size // diffcore.MICRO))):
+    # the threads that run micro-batches and validation chunks start at the first call with more than one part
+    val_rows = sum(len(data.splits[ds.subject_id]["val"]) for ds in data.datasets)
+    parts = max(-(-cfg.batch_size // diffcore.MICRO), -(-val_rows // model.CHUNK))
+    with diffcore.splitting(model._worker_count(parts)):
         for epoch in range(state.epoch, state.epoch if state.stopped else cfg.max_epochs):
             try:
                 batches = neurodata.make_batches(

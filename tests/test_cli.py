@@ -596,8 +596,8 @@ class TestExports:
         assert capsys.readouterr().err.startswith("numeric failure: node 2 (matmul) produced non-finite values")
 
     def test_non_finite_tokens_in_a_threaded_forward_are_numeric_error(self, trained, capsys, patch_cpus, thread_pools):
-        """300-row val splits take two chunks each; the second subject's NaN tokens fail its forward
-        with the same message on 1 and 3 workers."""
+        """Two 300-row val splits are one forward of three chunks; the second subject's NaN tokens fail
+        chunks 1 and 2 with the same message on 1 and 3 workers."""
         tmp_path, _, config_path, ckpt = trained
         big = tmp_path / "big"
         assert cli.main([*GEN_ARGS, "--samples", "600", "--out", str(big)]) == cli.EXIT_OK
@@ -617,7 +617,7 @@ class TestExports:
             )
             assert code == cli.EXIT_NUMERIC == 4
             errors.append(capsys.readouterr().err)
-        assert thread_pools == [2, 2]  # on 3 workers: the first subject's two chunks, then the second's
+        assert thread_pools == [2]  # on 3 workers: the caller and two threads share the three chunks
         assert errors[0] == errors[1] and errors[0].startswith("numeric failure: node ")
         assert "(take-rows) produced non-finite values" in errors[0]
 

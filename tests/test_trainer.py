@@ -13,6 +13,7 @@ import struct
 import sys
 import threading
 import time
+import tracemalloc
 
 import musedec
 import numpy as np
@@ -343,16 +344,17 @@ class TestTrainLoop:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_predict_is_bitwise_equal_on_one_and_three_workers(self, patch_cpus, dtype):
-        """Subjects of 600, 0 and 300 rows score as the serial per-subject forwards concatenated, in their dtypes;
-        a split of zero rows gives (0, C) arrays, as it always has."""
-        base, mcfg = small_data(n_s=600, n_sub=3), small_model()
+        """Subjects of 600, 0, 300, 37 and 260 rows score in one forward whose chunks mix subjects, as the serial
+        per-subject forwards concatenated, in their dtypes; a split of zero rows gives (0, C) arrays, as it
+        always has."""
+        base, mcfg = small_data(n_s=600, n_sub=5), small_model()
         data = TrainData(
             [neurodata.SubjectDataset(d.subject_id, d.responses.astype(dtype), d.stimulus_ids) for d in base.datasets],
             base.features,
             base.splits,
         )
         rows = np.random.default_rng(5).permutation(600)
-        parts = list(zip(data.datasets, (rows, rows[:0], rows[:300])))
+        parts = list(zip(data.datasets, (rows, rows[:0], rows[:300], rows[300:337], rows[340:])))
         for ds, part in parts:
             data.splits[ds.subject_id]["test"] = part
             data.splits[ds.subject_id]["val"] = part[:0]
@@ -367,11 +369,45 @@ class TestTrainLoop:
             patch_cpus(cpus)
             scores, labels = predict(params, mcfg, data, "test")
             assert scores.dtype == want.dtype == dtype and labels.dtype == want_labels.dtype
-            assert scores.shape == (900, mcfg.n_classes) and scores.tobytes() == want.tobytes()
+            assert scores.shape == (1197, mcfg.n_classes) and scores.tobytes() == want.tobytes()
             assert labels.shape == want_labels.shape and labels.tobytes() == want_labels.tobytes()
             scores, labels = predict(params, mcfg, data, "val")
             assert scores.shape == labels.shape == (0, mcfg.n_classes)
             assert scores.dtype == dtype and labels.dtype == data.features.labels.dtype
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_predict_holds_no_copy_of_the_splits_responses(self, patch_cpus, cpus):
+        """Over 8 subjects of 600 rows, predict's traced peak stays under half of the split's response bytes:
+        each chunk gathers only its own rows."""
+        features = stimfeat.synth_features(600, 4, 8, 12, seed=0)
+        datasets, _ = neurodata.synth_generate(8, 600, 8, 64, features, snr=5.0, seed=0)
+        splits = {ds.subject_id: {"test": np.arange(600)} for ds in datasets}
+        data, mcfg = TrainData(datasets, features, splits), small_model(patch_dim=64, patch_count=8)
+        params = model.init_params(mcfg, [ds.subject_id for ds in datasets], np.random.default_rng(6))
+        patch_cpus(cpus)
+        tracemalloc.start()
+        try:
+            scores, _ = predict(params, mcfg, data, "test")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert scores.shape == (4800, mcfg.n_classes)
+        assert peak < sum(ds.responses.nbytes for ds in datasets) / 2
+
+    def test_no_thread_outlives_predict(self, patch_cpus):
+        """On 3 workers, a predict of three chunks joins its threads when it returns and when a NaN token raises."""
+        patch_cpus(3)
+        data, mcfg = small_data(n_s=600, n_sub=2), small_model()
+        for ds in data.datasets:
+            data.splits[ds.subject_id]["test"] = np.arange(300)
+        params = trainer._init_state(small_cfg(), mcfg, data).params
+        before = threading.active_count()
+        predict(params, mcfg, data, "test")
+        assert threading.active_count() == before
+        params[f"token/llv/{data.datasets[1].subject_id}"][:] = np.nan
+        with pytest.raises(diffcore.NonFiniteOutput, match=r"\(take-rows\) produced non-finite values"):
+            predict(params, mcfg, data, "test")
+        assert threading.active_count() == before
 
     def test_training_and_its_predicts_start_no_thread(self, monkeypatch, patch_cpus):
         """Splits under model.CHUNK rows are one chunk each, so a train, a predict and a compare of
@@ -959,14 +995,14 @@ class TestMicroBatchedSteps:
         assert threading.active_count() == before
 
     def test_forward_chunk_threads_do_not_split(self, patch_cpus, thread_pools):
-        """`model.forward` evaluates whole chunks on its own threads, even inside `splitting`."""
+        """Inside `splitting`, `model.forward` evaluates whole chunks on the scope's workers and makes no pool."""
         patch_cpus(3)
         data, mcfg = wide_data(n_s=600, n_sub=1), wide_model()
         ds = data.datasets[0]
         params = trainer._init_state(small_cfg(), mcfg, data).params
         with diffcore.splitting(3):
             model.forward(params, mcfg, ds.responses, [ds.subject_id] * len(ds.responses))
-        assert thread_pools == [3]  # forward's three chunks; no pool of micro-batches
+        assert thread_pools == [2]  # the scope's: its caller and two threads share forward's three chunks
 
     def test_a_step_of_at_most_micro_rows_runs_whole_bitwise(self):
         g, bindings = wide_step("clip-mused", np.float64, diffcore.MICRO)
