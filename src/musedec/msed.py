@@ -3,12 +3,20 @@
 An MSED file is: magic b"MSED", version byte (1), dtype byte (1=float32 LE,
 2=float64 LE), ndim byte, `ndim` little-endian uint32 dims, then the
 row-major payload.  Anything else is rejected.
+
+`read_tensor` returns a copy-on-write map of the file: the array is writable,
+but a write to it never reaches the file.  Each live tensor holds one file
+descriptor until it is freed, and its data is unaligned (the header is
+7 + 4*ndim bytes).  `write_tensor` writes a temporary sibling and renames it
+into place, so a mapped file is never truncated under a live tensor; it does
+not fsync.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import mmap
 import os
 import struct
 from pathlib import Path
@@ -46,9 +54,17 @@ def write_tensor(path, array: np.ndarray) -> None:
         raise MsedError("too many dimensions")
     header = MAGIC + struct.pack("<BBB", VERSION, DTYPE_BYTES[array.dtype], array.ndim)
     header += struct.pack(f"<{array.ndim}I", *array.shape)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(array).tobytes())
+    head, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(header)
+            fh.write(np.ascontiguousarray(array).tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def read_tensor(path) -> np.ndarray:
@@ -67,15 +83,13 @@ def read_tensor(path) -> np.ndarray:
         shape = struct.unpack(f"<{ndim}I", dims)
         dtype = DTYPE_CODES[dtype_code]
         expected = math.prod(shape) * dtype.itemsize
-        # size the payload before allocating, so a corrupt header cannot ask for a huge array
-        payload = os.fstat(fh.fileno()).st_size - fh.tell()
+        # size the payload before mapping, so a corrupt header cannot ask for a huge array
+        offset = fh.tell()
+        payload = os.fstat(fh.fileno()).st_size - offset
         if payload != expected:
             raise DimMismatch(f"{path}: payload is {payload} bytes, expected {expected}")
-        out = np.empty(shape, dtype=dtype)
-        got = fh.readinto(out.reshape(-1).view(np.uint8))
-    if got != expected:
-        raise DimMismatch(f"{path}: payload is {got} bytes, expected {expected}")
-    return out
+        buf = mmap.mmap(fh.fileno(), offset + expected, access=mmap.ACCESS_COPY)
+    return np.frombuffer(buf, dtype, offset=offset).reshape(shape)
 
 
 def write_ids(path, ids: list) -> None:
@@ -90,9 +104,11 @@ def read_ids(path) -> list:
             ids = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ManifestError(f"{path}: not valid JSON: {exc}") from exc
-    if not (isinstance(ids, list) and all(isinstance(i, (str, int)) and not isinstance(i, bool) for i in ids)):
+    kinds = set(map(type, ids)) if isinstance(ids, list) else None
+    if kinds is None or not kinds <= {str, int}:  # json yields exact types, so bool is not int here
         raise ManifestError(f"{path}: stimulus ids are not a JSON list of strings or integers")
-    ids = [str(i) for i in ids]
+    if int in kinds:
+        ids = [str(i) for i in ids]
     if len(set(ids)) != len(ids):
         raise ManifestError(f"{path}: duplicate stimulus ids")
     return ids

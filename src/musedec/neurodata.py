@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import msed
 from .stimfeat import StimulusFeatureSet
@@ -195,6 +194,7 @@ def synth_generate(
         raise NeuroDataError("snr must be positive")
     if not subject_scramble >= 0:
         raise NeuroDataError("subject_scramble must be >= 0")
+    from scipy.linalg import expm  # scipy.linalg costs about 6 MiB at import, and only synthesis needs it
     rng = np.random.default_rng(seed)
     n_s, n_classes = features.labels.shape
     d_total = n_patches * patch_dim

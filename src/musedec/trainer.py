@@ -287,7 +287,8 @@ def predict(params, cfg: EncoderConfig, data: TrainData, split: str):
     """
     parts = [(ds, data.splits[ds.subject_id][split]) for ds in data.datasets]
     index = data.features.index
-    labels = data.features.labels[[index[ds.stimulus_ids[r]] for ds, rows in parts for r in rows]]
+    feature_rows = [np.fromiter(map(index.__getitem__, ds.stimulus_ids), np.intp)[rows] for ds, rows in parts]
+    labels = data.features.labels[np.concatenate(feature_rows)]
     subject_index = [ds.subject_id for ds, rows in parts for _ in rows]
     scores = model.forward(params, cfg, _SplitRows(parts), subject_index)["logits"]
     for s in range(0, len(scores), model.CHUNK):

@@ -777,12 +777,21 @@ class TestExports:
             np.testing.assert_allclose(np.diag(mat), 1.0, atol=1e-12)
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about 40 MiB and 0.4 s at import; metrics needs only scipy.special
+def _loaded_by_cli_import(package):
+    """The modules of `package` that `import musedec.cli` loads, in a fresh interpreter."""
     src = str(Path(cli.__file__).parents[1])
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import musedec.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+        f"print(sorted(m for m in sys.modules if m.startswith({package!r})))"
     )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout.strip()
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about 40 MiB and 0.4 s at import; metrics needs only scipy.special
+    assert _loaded_by_cli_import("scipy.stats") == "[]"
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # scipy.linalg costs about 6 MiB at import; only neurodata.synth_generate needs it, for expm
+    assert _loaded_by_cli_import("scipy.linalg") == "[]"

@@ -1,7 +1,11 @@
+import errno
+import gc
+import os
+
 import numpy as np
 import pytest
 
-from musedec import msed
+from musedec import msed, neurodata, stimfeat
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -60,6 +64,79 @@ def test_empty_and_scalar_tensors(tmp_path, shape):
     np.testing.assert_array_equal(back, arr)
 
 
+def test_rewrite_leaves_a_read_tensor_intact(tmp_path):
+    path = tmp_path / "t.msed"
+    msed.write_tensor(path, np.arange(4096.0))  # several pages, so a truncated map would fault past the first
+    old = msed.read_tensor(path)
+    msed.write_tensor(path, np.ones(3))
+    np.testing.assert_array_equal(old, np.arange(4096.0))
+    np.testing.assert_array_equal(msed.read_tensor(path), np.ones(3))
+
+
+def test_writing_a_read_tensor_leaves_its_file(tmp_path):
+    path = tmp_path / "t.msed"
+    msed.write_tensor(path, np.arange(6.0).reshape(2, 3))
+    blob = path.read_bytes()
+    arr = msed.read_tensor(path)
+    arr[...] = np.nan
+    assert np.isnan(arr).all()
+    assert path.read_bytes() == blob
+    np.testing.assert_array_equal(msed.read_tensor(path), np.arange(6.0).reshape(2, 3))
+
+
+class _FullDisk:
+    """A binary file whose writes fail after the first, as on a full disk."""
+
+    def __init__(self, file, mode):
+        self.fh, self.writes = open(file, mode), 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.fh.write(data)
+
+
+def _failing_replace(src, dst):
+    raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+
+@pytest.mark.parametrize("fault", ["payload-write", "replace"])
+def test_failed_write_keeps_the_previous_file(tmp_path, monkeypatch, fault):
+    path = tmp_path / "t.msed"
+    msed.write_tensor(path, np.arange(5.0))
+    blob = path.read_bytes()
+    if fault == "payload-write":
+        monkeypatch.setattr(msed, "open", _FullDisk, raising=False)
+    else:
+        monkeypatch.setattr(msed.os, "replace", _failing_replace)
+    with pytest.raises(OSError):
+        msed.write_tensor(path, np.zeros((4, 4)))
+    assert path.read_bytes() == blob
+    assert os.listdir(tmp_path) == ["t.msed"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_dropping_an_experiment_closes_its_descriptors(tmp_path):
+    features = stimfeat.synth_features(20, 3, 4, 5, seed=0)
+    datasets, _ = neurodata.synth_generate(2, 20, 3, 4, features, snr=5.0, seed=1)
+    manifest = neurodata.write_experiment(tmp_path, datasets, features, "same-stimuli")
+    del features, datasets
+    gc.collect()
+    before = len(os.listdir("/proc/self/fd"))
+    loaded = neurodata.load_experiment(manifest)
+    assert len(os.listdir("/proc/self/fd")) == before + 4  # llv, hlv and two subjects' responses
+    del loaded
+    gc.collect()
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
 def test_unknown_dtype_code(tmp_path):
     path = tmp_path / "t.msed"
     msed.write_tensor(path, np.ones(2))
@@ -81,6 +158,20 @@ def test_duplicate_ids_rejected(tmp_path, ids):
     path = tmp_path / "ids.json"
     msed.write_ids(path, ids)
     with pytest.raises(msed.ManifestError, match="duplicate stimulus ids"):
+        msed.read_ids(path)
+
+
+def test_string_ids_read_as_given(tmp_path):
+    path = tmp_path / "ids.json"
+    msed.write_ids(path, ["s2", "s10", "1"])
+    assert msed.read_ids(path) == ["s2", "s10", "1"]
+
+
+@pytest.mark.parametrize("text", ['[true]', '["a", false]', '[1.5]', '[null]', '[["a"]]', '{"a": 1}', '"a"'])
+def test_ids_of_other_types_rejected(tmp_path, text):
+    path = tmp_path / "ids.json"
+    path.write_text(text)
+    with pytest.raises(msed.ManifestError, match="not a JSON list of strings or integers"):
         msed.read_ids(path)
 
 
