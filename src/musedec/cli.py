@@ -26,9 +26,11 @@ import os
 import sys
 from pathlib import Path
 
+from . import thread_cap  # numpy-free, so the cap below is set before numpy loads
+
 
 def _cap_threads():
-    n = os.environ.get("MUSEDEC_THREADS", "1")
+    n = str(thread_cap())
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, n)
 
@@ -223,7 +225,7 @@ def cmd_compare(args):
 def cmd_export_attn(args):
     state, manifest, data = _load_run(args)
     mcfg = state.model_cfg
-    tokens = model.TOKEN_POSITIONS.get(mcfg.variant)
+    tokens = mcfg.subject_tokens
     if not tokens:
         print(f"variant {mcfg.variant!r} has no exportable tokens", file=sys.stderr)
         return EXIT_DATA

@@ -64,10 +64,6 @@ class NotAScalar(DiffcoreError):
     pass
 
 
-# BLAS sums the rows past a GEMM kernel's last full block in another order, so
-# a GEMM split into parts that start on multiples of this many rows gives
-# every row the bits of the whole GEMM
-ROW_ALIGN = 16
 # rows of a micro-batch, and a step of at most this many rows runs whole
 MICRO = 32
 

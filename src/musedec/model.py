@@ -17,15 +17,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import diffcore
-from .diffcore import ROW_ALIGN, Graph, cosine_similarity_matrix
+from . import diffcore, thread_cap
+from .diffcore import Graph, cosine_similarity_matrix
 
-VARIANTS = ("clip-mused", "ss-vit", "ms-smodel", "ms-emb", "ss-mlp")
-# param-name prefix of each variant's per-subject token rows
-SUBJECT_TOKEN = {"clip-mused": "token/llv", "ms-emb": "token/emb"}
+# The tokens each variant puts before the patches, in sequence order.  'class'
+# is one shared row and leads where a variant has it; every other kind is one
+# row per subject, 'token/<kind>/<subject>'.  The head reads the class row, or
+# else every lead row.
+LEAD_TOKENS = {
+    "clip-mused": ("llv", "hlv"),
+    "ss-vit": ("class",),
+    "ms-smodel": ("class",),
+    "ms-emb": ("class", "emb"),
+    "ss-mlp": (),
+}
+VARIANTS = tuple(LEAD_TOKENS)
 INIT_STD = 0.02
 LN_EPS = 1e-5
 CHUNK = 256  # rows per graph evaluation in `forward`
+# `forward` pads a chunk to a multiple of this many rows: BLAS sums the rows
+# past a GEMM kernel's last full block in another order, so a row's outputs
+# would otherwise depend on where its chunk ends
+ROW_ALIGN = 16
 
 
 class ModelConfigError(Exception):
@@ -65,11 +78,12 @@ class EncoderConfig:
 
     @property
     def n_lead_tokens(self):
-        if self.variant in ("clip-mused", "ms-emb"):
-            return 2
-        if self.variant == "ss-mlp":
-            return 0
-        return 1
+        return len(LEAD_TOKENS[self.variant])
+
+    @property
+    def subject_tokens(self):
+        """The lead token kinds that hold one row per subject, in sequence order."""
+        return tuple(kind for kind in LEAD_TOKENS[self.variant] if kind != "class")
 
     @property
     def seq_len(self):
@@ -79,20 +93,13 @@ class EncoderConfig:
 def param_shapes(cfg: EncoderConfig, subject_ids: list) -> dict:
     """Shape of every named parameter, as the forward graph declares it.
 
-    In `init_params`' draw order: the shared parameters in graph order, then
-    'token/class', then each subject's token rows in `subject_ids` order (llv
-    before hlv), so a new subject leaves every shared initial value as it was.
+    In `init_params`' draw order: the shared parameters, then the tokens, each
+    in graph order, which is 'token/class' and then each subject's token rows
+    in `subject_ids` order, kinds in `LEAD_TOKENS` order.  So a new subject
+    leaves every shared initial value as it was.
     """
     shapes = build_forward_graph(cfg, subject_ids).shapes
-    rank = {sid: i for i, sid in enumerate(dict.fromkeys(subject_ids))}
-
-    def order(name):  # sorted() is stable: graph order within each rank
-        parts = name.split("/", 2)
-        if parts[0] != "token":
-            return -2
-        return -1 if len(parts) == 2 else rank[parts[2]]
-
-    return {name: shapes[name] for name in sorted(shapes, key=order)}
+    return {name: shapes[name] for name in sorted(shapes, key=lambda name: name.startswith("token/"))}
 
 
 def init_params(cfg: EncoderConfig, subject_ids: list, rng: np.random.Generator) -> dict:
@@ -178,8 +185,8 @@ def build_forward_graph(cfg: EncoderConfig, subjects: list, want_attention: bool
 
     Inputs are 'patches' (B, M, d_in) and, for the token variants,
     'subject_idx': each row's position in `subjects` (see
-    `subject_positions`).  Outputs are 'logits' plus 'z_llv'/'z_hlv'
-    (clip-mused) or 'z' (other variants), and
+    `subject_positions`).  Outputs are 'logits' plus 'z', the class row, or
+    'z_<kind>' for each lead row the head reads ('z_llv', 'z_hlv'), and
     'attn/<layer>' when `want_attention`.  Without `want_attention` the last
     block runs only on the token rows the read-out uses.
     """
@@ -193,47 +200,35 @@ def build_forward_graph(cfg: EncoderConfig, subjects: list, want_attention: bool
         return g
 
     embedded = g.matmul(patches, g.param("embed/E", (cfg.patch_dim, d)))  # (B, M, d)
-
-    def subject_tokens(prefix):
-        rows = g.take_rows([g.param(f"{prefix}/{sid}", (d,)) for sid in subjects], g.input("subject_idx"))
-        return g.reshape(rows, (-1, 1, d))
-
-    if cfg.variant == "clip-mused":
-        lead = [subject_tokens("token/llv"), subject_tokens("token/hlv")]
-    else:
-        lead = [g.reshape(g.repeat_rows(g.param("token/class", (d,)), patches), (-1, 1, d))]
-        if cfg.variant == "ms-emb":
-            lead.append(subject_tokens("token/emb"))
-
+    kinds = LEAD_TOKENS[cfg.variant]
+    lead = [g.repeat_rows(g.param("token/class", (d,)), patches)] if kinds[0] == "class" else []
+    # each subject's rows declared together, so `param_shapes` only moves the tokens last
+    owned = [[g.param(f"token/{kind}/{sid}", (d,)) for kind in cfg.subject_tokens] for sid in subjects]
+    lead += [g.take_rows([rows[k] for rows in owned], g.input("subject_idx")) for k in range(len(cfg.subject_tokens))]
+    lead = [g.reshape(token, (-1, 1, d)) for token in lead]
     z = g.add(g.concat(lead + [embedded], axis=1), g.param("embed/E_pos", (cfg.seq_len, d)))
-    # the read-out below uses rows 0-1 (clip-mused) or row 0 of the last block,
-    # so that block runs on those rows only unless its attention map is wanted
-    read_rows = 2 if cfg.variant == "clip-mused" else 1
+    # the read-out below uses only the first rows of the last block, so that
+    # block runs on those rows only unless its attention map is wanted
+    read = ("class",) if kinds[0] == "class" else kinds
     for l in range(cfg.layers):
         last = l == cfg.layers - 1 and not want_attention
-        z, attn = _encoder_block(g, z, l, cfg, rows=read_rows if last else None)
+        z, attn = _encoder_block(g, z, l, cfg, rows=len(read) if last else None)
         if want_attention:
             g.mark_output(f"attn/{l}", attn)
 
-    if cfg.variant == "clip-mused":
-        z_llv = _affine_ln(g, g.rows(z, 0), "final_ln", d)
-        z_hlv = _affine_ln(g, g.rows(z, 1), "final_ln", d)
-        g.mark_output("z_llv", z_llv)
-        g.mark_output("z_hlv", z_hlv)
-        _classifier(g, g.concat([z_llv, z_hlv], axis=1), "head", 2 * d, cfg)
-    else:
-        z_out = _affine_ln(g, g.rows(z, 0), "final_ln", d)
-        g.mark_output("z", z_out)
-        _classifier(g, z_out, "head", d, cfg)
+    outs = [_affine_ln(g, g.rows(z, i), "final_ln", d) for i in range(len(read))]
+    for kind, out in zip(read, outs):
+        g.mark_output("z" if kind == "class" else f"z_{kind}", out)
+    _classifier(g, outs[0] if len(outs) == 1 else g.concat(outs, axis=1), "head", len(outs) * d, cfg)
     return g
 
 
 def token_subjects(cfg: EncoderConfig, params: dict) -> list:
     """Subjects that own token rows in `params`, sorted: the `take_rows` order."""
-    prefix = SUBJECT_TOKEN.get(cfg.variant)
-    if prefix is None:
+    if not cfg.subject_tokens:
         return []
-    return sorted(name[len(prefix) + 1 :] for name in params if name.startswith(prefix + "/"))
+    prefix = f"token/{cfg.subject_tokens[0]}/"
+    return sorted(name[len(prefix) :] for name in params if name.startswith(prefix))
 
 
 def subject_positions(cfg: EncoderConfig, subjects: list, subject_index: list) -> np.ndarray:
@@ -241,7 +236,7 @@ def subject_positions(cfg: EncoderConfig, subjects: list, subject_index: list) -
 
     Variants without subject tokens take any subject (all positions 0).
     """
-    if cfg.variant not in SUBJECT_TOKEN:
+    if not cfg.subject_tokens:
         return np.zeros(len(subject_index), dtype=np.intp)
     pos = {sid: i for i, sid in enumerate(subjects)}
     missing = sorted({sid for sid in subject_index if sid not in pos})
@@ -259,18 +254,13 @@ def _worker_count(n: int) -> int:
     `forward`'s workers share its chunks, `trainer.train`'s the micro-batches
     of its steps and the chunks of its validations, and `trainer.compare`'s
     processes its cells.
-    MUSEDEC_THREADS is read as `cli._cap_threads` reads it (default 1); a value
-    that is not a positive integer counts as 1.  A compare child, whose
-    siblings hold the other CPUs, and a process without `os.sched_getaffinity`
-    or `os.fork` work alone.
+    MUSEDEC_THREADS is read by `musedec.thread_cap`, as `cli._cap_threads`
+    reads it.  A compare child, whose siblings hold the other CPUs, and a
+    process without `os.sched_getaffinity` or `os.fork` work alone.
     """
     if _alone or not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
         return 1
-    try:
-        threads = max(1, int(os.environ.get("MUSEDEC_THREADS", "1")))
-    except ValueError:
-        threads = 1
-    return max(1, min(n, len(os.sched_getaffinity(0)) // threads))
+    return max(1, min(n, len(os.sched_getaffinity(0)) // thread_cap()))
 
 
 def forward(params: dict, cfg: EncoderConfig, x, subject_index: list, want_attention: bool = False) -> dict:
@@ -314,21 +304,15 @@ def forward(params: dict, cfg: EncoderConfig, x, subject_index: list, want_atten
     return out
 
 
-TOKEN_POSITIONS = {
-    "clip-mused": {"llv": 0, "hlv": 1},
-    "ms-emb": {"emb": 1},
-}
-
-
 def extract_attention(weights: np.ndarray, token: str, cfg: EncoderConfig) -> np.ndarray:
     """Head-averaged attention of a lead token over patch positions, renormalized.
 
     `weights` is one layer's (B, H, T, T) 'attn/<layer>' output of `forward`.
     """
-    positions = TOKEN_POSITIONS.get(cfg.variant, {})
-    if token not in positions:
+    kinds = LEAD_TOKENS[cfg.variant]
+    if token not in kinds:
         raise ModelConfigError(f"variant {cfg.variant!r} has no {token!r} token")
-    row = weights[:, :, positions[token], cfg.n_lead_tokens :].mean(axis=1)  # (B, M)
+    row = weights[:, :, kinds.index(token), cfg.n_lead_tokens :].mean(axis=1)  # (B, M)
     sums = row.sum(axis=1, keepdims=True)
     return row / sums
 

@@ -9,7 +9,7 @@ patches (PCA fit on training rows, say) happens before the data reach here.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +49,6 @@ class Batch:
     labels: np.ndarray  # (B, C)
     f_llv: np.ndarray  # (B, d_l)
     f_hlv: np.ndarray  # (B, d_h)
-    stimulus_ids: list = field(default_factory=list)
 
 
 @dataclass
@@ -150,7 +149,7 @@ def gather_batch(datasets_by_id, features: StimulusFeatureSet, members) -> Batch
         subject_index.append(sid)
         stim_ids.append(ds.stimulus_ids[row])
     f_llv, f_hlv, labels = features.rows(stim_ids)
-    return Batch(np.stack(patches), subject_index, labels, f_llv, f_hlv, stim_ids)
+    return Batch(np.stack(patches), subject_index, labels, f_llv, f_hlv)
 
 
 def make_batches(datasets: list, features: StimulusFeatureSet, index_sets: dict, batch_size: int, rng: np.random.Generator):

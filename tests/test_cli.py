@@ -795,3 +795,22 @@ def test_import_leaves_scipy_stats_unloaded():
 def test_import_leaves_scipy_linalg_unloaded():
     # scipy.linalg costs about 6 MiB at import; only neurodata.synth_generate needs it, for expm
     assert _loaded_by_cli_import("scipy.linalg") == "[]"
+
+
+BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize(
+    "threads, preset, want",
+    [("0", {}, ["1", "1", "1"]), ("x", {}, ["1", "1", "1"]), ("2", {}, ["2", "2", "2"]),
+     ("x", {"OPENBLAS_NUM_THREADS": "3"}, ["1", "3", "1"])],
+)
+def test_import_caps_blas_threads_as_the_workers_read_the_cap(threads, preset, want):
+    """A MUSEDEC_THREADS that is not a positive integer caps BLAS at one thread, as `model._worker_count`
+    counts it; a BLAS variable the caller set is kept."""
+    src = str(Path(cli.__file__).parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(preset, MUSEDEC_THREADS=threads)
+    code = f"import os, sys; sys.path.insert(0, {src!r}); import musedec.cli; print([os.environ[v] for v in {BLAS_VARS!r}])"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env).stdout
+    assert out.strip() == str(want)

@@ -138,6 +138,13 @@ class TestConfig:
         assert tiny_cfg(variant="ss-vit").n_lead_tokens == 1
         assert tiny_cfg(variant="ms-smodel").n_lead_tokens == 1
         assert tiny_cfg(variant="ss-mlp").n_lead_tokens == 0
+        rng = np.random.default_rng(0)
+        for variant, kinds in model.LEAD_TOKENS.items():
+            cfg = tiny_cfg(variant=variant)
+            weights = rng.random((2, cfg.heads, cfg.seq_len, cfg.seq_len))
+            for token in kinds:
+                want = weights[:, :, kinds.index(token), len(kinds) :].mean(axis=1)
+                np.testing.assert_array_equal(extract_attention(weights, token, cfg), want / want.sum(axis=1, keepdims=True))
 
 
 class TestParamCounts:
@@ -185,13 +192,14 @@ class TestParamCounts:
         assert np.array_equal(params["head/b2"], np.zeros(cfg.n_classes))
         assert abs(params["embed/E"].std() - 0.02) < 0.01
 
-    @pytest.mark.parametrize("variant", sorted(model.SUBJECT_TOKEN))
+    @pytest.mark.parametrize("variant", [v for v in model.VARIANTS if tiny_cfg(variant=v).subject_tokens])
     def test_token_rows_do_not_depend_on_how_a_subject_is_named(self, variant):
         """Ids that end like a gain or a bias name still get drawn token rows."""
         ids = ["sub1", "sub2", "gamma", "b1", "lab1"]
-        params = init_params(tiny_cfg(variant=variant), ids, np.random.default_rng(3))
+        cfg = tiny_cfg(variant=variant)
+        params = init_params(cfg, ids, np.random.default_rng(3))
         rows = [v for n, v in params.items() if n.startswith("token/") and n != "token/class"]
-        assert len(rows) == len(ids) * (2 if variant == "clip-mused" else 1)
+        assert len(rows) == len(ids) * len(cfg.subject_tokens)
         assert all(np.any(r != 0.0) for r in rows)
         assert len({r.tobytes() for r in rows}) == len(rows)
 
@@ -204,6 +212,18 @@ class TestParamCounts:
         shapes = param_shapes(cfg, subjects)
         assert sorted(shapes) == sorted(g.params) == sorted(g.shapes)
         assert shapes == g.shapes
+
+    @pytest.mark.parametrize("variant", model.VARIANTS)
+    def test_token_rows_are_declared_subject_by_subject(self, variant):
+        """The graph declares each subject's token rows together, kinds in table order, and
+        `param_shapes` is the graph's declaration order with the tokens moved last."""
+        subjects = ["sub_02", "sub_00", "sub_01"]
+        cfg = tiny_cfg(variant=variant)
+        declared = list(build_forward_graph(cfg, subjects).params)
+        tokens = [name for name in declared if name.startswith("token/")]
+        shared_row = ["token/class"] if "class" in model.LEAD_TOKENS[variant] else []
+        assert tokens == shared_row + [f"token/{kind}/{sid}" for sid in subjects for kind in cfg.subject_tokens]
+        assert list(param_shapes(cfg, subjects)) == [name for name in declared if name not in tokens] + tokens
 
     def test_init_params_are_pinned(self):
         """Names in order, shapes and bytes of `init_params` over every variant and several subject orders.
@@ -444,7 +464,7 @@ def _package_graphs():
     for variant in model.VARIANTS:
         for residual in ("paper", "conventional"):
             cfg = tiny_cfg(variant=variant, residual_variant=residual)
-            subjects = SUBJECTS if variant in model.SUBJECT_TOKEN else []
+            subjects = SUBJECTS if cfg.subject_tokens else []
             for mapping in (False, True):
                 loss_graphs.append((cfg, trainer._build_loss_graph(cfg, LossWeights(), subjects, mapping)))
             for want_attention in (False, True):
@@ -736,7 +756,7 @@ def test_forward_only_outputs_equal_the_gradient_pass(dtype):
     pairs = _package_graphs()[0]
     for variant in ("clip-mused", "ss-vit", "ms-smodel", "ms-emb"):  # with attention maps, marked and read on
         cfg = tiny_cfg(variant=variant)
-        subjects = SUBJECTS if variant in model.SUBJECT_TOKEN else []
+        subjects = SUBJECTS if cfg.subject_tokens else []
         pairs.append((cfg, _forward_loss_graph(cfg, subjects, want_attention=True)[0]))
     for k, (cfg, g) in enumerate(pairs):
         params = _guard_params(cfg, g, seed=k)

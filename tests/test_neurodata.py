@@ -129,10 +129,12 @@ class TestBatches:
         batches = make_batches(datasets, features, splits, 16, np.random.default_rng(0))
         # 120 pooled train samples, batch 16 -> 7 batches, tail of 8 dropped
         assert len(batches) == 7
+        # a stimulus is known by its feature row, which no other stimulus shares
+        assert len({row.tobytes() for row in features.f_llv}) == 60
         seen = []
         for b in batches:
             assert b.patches.shape[0] == 16
-            seen.extend(zip(b.subject_index, b.stimulus_ids))
+            seen.extend(zip(b.subject_index, (row.tobytes() for row in b.f_llv)))
         assert len(set(seen)) == len(seen)
 
     def test_make_batches_deterministic_under_seed(self):
