@@ -26,12 +26,44 @@ from __future__ import annotations
 import collections
 import contextlib
 import contextvars
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf
+
+
+def _load_erf():
+    """scipy's compiled `erf` ufunc, without running `scipy.special.__init__`.
+
+    Importing the whole package costs about 24 MiB and 0.18 s per process;
+    its one extension module `_special_ufuncs` costs about 1 MiB.  The module
+    is registered in `sys.modules` under its own name, so a later
+    `import scipy.special` reuses it and `scipy.special.erf is erf`.  Where
+    the module is missing or holds no erf (older scipy releases build erf in
+    another module), the package is imported after all.
+    """
+    name = "scipy.special._special_ufuncs"
+    module = sys.modules.get(name)
+    if module is None:
+        scipy = importlib.util.find_spec("scipy")  # a top-level lookup imports nothing
+        spec = scipy and importlib.machinery.PathFinder.find_spec(
+            name, [os.path.join(d, "special") for d in scipy.submodule_search_locations])
+        if spec is not None:
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[name] = module
+            spec.loader.exec_module(module)
+    erf = getattr(module, "erf", None)
+    if erf is None:
+        from scipy.special import erf
+    return erf
+
+
+erf = _load_erf()
 
 
 class DiffcoreError(Exception):

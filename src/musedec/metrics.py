@@ -10,12 +10,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtr
 
 
 _NO_POSITIVE = "no class has a positive example"
 _ALL_DEGENERATE = "every class is degenerate for AUC"
 THRESHOLD = 0.5  # a score at or above it counts as a predicted positive
+# the most classes `_per_class` gathers at once: one 64-byte cache line of a
+# float64 row (at 16, evaluating a 40-class float32 matrix allocated more than
+# the matrix itself)
+_CLASS_BLOCK = 8
 
 
 class MetricsError(Exception):
@@ -83,12 +86,23 @@ def _checked(scores, labels):
 def _per_class(scores: np.ndarray, labels: np.ndarray):
     """(per-class AP list, per-class AUC list), None where undefined."""
     scores, labels = _checked(scores, labels)
+    n, n_classes = scores.shape
+    # a block of columns at a time, cast to float64 as they are negated, into rows
+    # of C-ordered buffers: one pass over the strided columns per block.  A block
+    # is at most a quarter of the classes, so the buffers never near a float64
+    # copy of the whole matrix
+    block = max(1, min(_CLASS_BLOCK, n_classes // 4))
+    keys = np.empty((block, n))
+    positive = np.empty((block, n), dtype=bool)
     per_ap, per_auc = [], []
-    for c in range(scores.shape[1]):
-        # one column at a time, cast to float64 as it is negated: no copy of the whole matrix
-        ap, auc = _class_ap_auc(np.negative(scores[:, c], dtype=np.float64), labels[:, c] > 0)
-        per_ap.append(ap)
-        per_auc.append(auc)
+    for c0 in range(0, n_classes, block):
+        b = min(block, n_classes - c0)
+        np.negative(scores[:, c0:c0 + b], out=keys[:b].T, dtype=np.float64)
+        np.greater(labels[:, c0:c0 + b], 0, out=positive[:b].T)
+        for k in range(b):
+            ap, auc = _class_ap_auc(keys[k], positive[k])
+            per_ap.append(ap)
+            per_auc.append(auc)
     return per_ap, per_auc
 
 
@@ -138,6 +152,7 @@ class TTestResult:
 
 def t_test(runs_a, runs_b) -> TTestResult:
     """Two-sided paired t-test over per-seed differences, n - 1 degrees of freedom."""
+    from scipy.special import stdtr  # the whole package costs about 24 MiB at import; only compare needs it
     a = np.asarray(runs_a, dtype=np.float64)
     b = np.asarray(runs_b, dtype=np.float64)
     if len(a) != len(b):

@@ -777,14 +777,18 @@ class TestExports:
             np.testing.assert_allclose(np.diag(mat), 1.0, atol=1e-12)
 
 
+def _child(code):
+    """Standard output of `code` in a fresh interpreter that sees `src/`; a warning raised at import fails it."""
+    src = str(Path(cli.__file__).parents[1])
+    code = f"import sys\nsys.path.insert(0, {src!r})\n" + code
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-c", code], capture_output=True, text=True, check=True
+    ).stdout.strip()
+
+
 def _loaded_by_cli_import(package):
     """The modules of `package` that `import musedec.cli` loads, in a fresh interpreter."""
-    src = str(Path(cli.__file__).parents[1])
-    code = (
-        f"import sys; sys.path.insert(0, {src!r}); import musedec.cli; "
-        f"print(sorted(m for m in sys.modules if m.startswith({package!r})))"
-    )
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout.strip()
+    return _child(f"import musedec.cli; print(sorted(m for m in sys.modules if m.startswith({package!r})))")
 
 
 def test_import_leaves_scipy_stats_unloaded():
@@ -795,6 +799,42 @@ def test_import_leaves_scipy_stats_unloaded():
 def test_import_leaves_scipy_linalg_unloaded():
     # scipy.linalg costs about 6 MiB at import; only neurodata.synth_generate needs it, for expm
     assert _loaded_by_cli_import("scipy.linalg") == "[]"
+
+
+def test_import_loads_only_the_module_that_holds_erf():
+    # the scipy.special package costs about 24 MiB and 0.18 s at import; diffcore needs only its erf
+    assert _loaded_by_cli_import("scipy") == "['scipy.special._special_ufuncs']"
+
+
+@pytest.mark.parametrize("first, second", [
+    ("from musedec import diffcore", "import scipy.special"),
+    ("import scipy.special", "from musedec import diffcore"),
+])
+def test_diffcore_erf_is_scipy_special_erf_in_either_import_order(first, second):
+    assert _child(f"{first}; {second}; print(scipy.special.erf is diffcore.erf)") == "True"
+
+
+def test_diffcore_falls_back_to_the_package_when_the_module_is_not_found():
+    # the first lookup of the module, diffcore's own, misses; the package's import then finds it as usual
+    got = _child(
+        "import importlib.machinery\n"
+        "finder = importlib.machinery.PathFinder\n"
+        "real, find = vars(finder)['find_spec'], finder.find_spec\n"
+        "def miss_once(name, path=None, target=None):\n"
+        "    if name != 'scipy.special._special_ufuncs':\n"
+        "        return find(name, path, target)\n"
+        "    finder.find_spec = real\n"
+        "finder.find_spec = miss_once\n"
+        "import numpy as np\n"
+        "from musedec import diffcore\n"
+        "print('scipy.special' in sys.modules)\n"
+        "import scipy.special\n"
+        "print(diffcore.erf is scipy.special.erf)\n"
+        "x = np.linspace(-6.0, 6.0, 1001)\n"
+        "print(b''.join(a.tobytes() for a in diffcore._gelu_fwd((x,), {})).hex())\n"
+    ).splitlines()
+    x = np.linspace(-6.0, 6.0, 1001)
+    assert got == ["True", "True", b"".join(a.tobytes() for a in diffcore._gelu_fwd((x,), {})).hex()]
 
 
 BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")

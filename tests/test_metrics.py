@@ -296,6 +296,25 @@ class TestRankingAgainstTheStableSort:
         labels = (rng.random((16000, 80)) < 0.05).astype(float)
         assert self._assert_bitwise(scores, labels) == {"distinct", "tie"}
 
+    @pytest.mark.parametrize("n_classes", [1, 7, 8, 9, 17, 44, 80])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_class_blocks_equal_one_column_at_a_time(self, n_classes, dtype):
+        """`_per_class` gathers blocks of up to `_CLASS_BLOCK` columns; every class's result is
+        bitwise that of `_class_ap_auc` on its own column, across and inside block boundaries."""
+        rng = np.random.default_rng(n_classes)
+        n = 97
+        scores = rng.random((n, n_classes)).astype(dtype)
+        scores[:, ::3] = np.round(scores[:, ::3], 1)  # ties
+        scores[rng.random((n, n_classes)) < 0.02] = np.nan
+        labels = rng.integers(0, 2, size=(n, n_classes)).astype(float)
+        labels[:, 1::4] = 0.0  # no positive
+        labels[:, 2::4] = 1.0  # only positives
+        per_ap, per_auc = metrics._per_class(scores, labels)
+        want = [metrics._class_ap_auc(np.negative(scores[:, c], dtype=np.float64), labels[:, c] > 0)
+                for c in range(n_classes)]
+        assert _bits(per_ap) == _bits([ap for ap, _ in want])
+        assert _bits(per_auc) == _bits([auc for _, auc in want])
+
     def test_float32_scores_equal_the_same_scores_in_float64(self):
         rng = np.random.default_rng(32)
         scores = rng.random((500, 7)).astype(np.float32)
@@ -322,6 +341,19 @@ class TestRankingAgainstTheStableSort:
         finally:
             tracemalloc.stop()
         assert peak < bound * scores.nbytes, peak / scores.nbytes
+
+    def test_a_few_classes_gather_no_more_columns_than_they_have(self):
+        """One class: the block buffers hold one column, not `_CLASS_BLOCK` of them (about 9 times the scores)."""
+        rng = np.random.default_rng(41)
+        scores = rng.random((20000, 1))
+        labels = (rng.random((20000, 1)) < 0.1).astype(float)
+        tracemalloc.start()
+        try:
+            metrics._per_class(scores, labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * scores.nbytes, peak / scores.nbytes
 
 
 class TestTTest:
