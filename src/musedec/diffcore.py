@@ -3,8 +3,10 @@
 A :class:`Graph` is a static, topologically ordered list of primitive nodes
 referencing named parameters and inputs.  ``evaluate`` runs a forward-only
 pass that drops each value after its last use, ``evaluate_with_gradient`` the
-forward and reverse passes, and ``grad_check`` compares analytic gradients
-against central finite differences.  The
+forward and reverse passes, whose forward drops each value no backward reads
+(`_READS`) and GELU outputs, which its backward rebuilds (`_REMAT`), and
+``grad_check`` compares analytic gradients against central finite
+differences.  The
 primitive set holds exactly the kinds the model and loss graphs build; the
 sigmoid that turns logits into scores is the plain array function
 :func:`sigmoid`, outside any graph.  All arithmetic is plain numpy; float64 is
@@ -124,6 +126,7 @@ class Graph:
         self.shapes: dict[str, tuple] = {}  # declared parameter shapes; undeclared ones are unchecked
         self.inputs: dict[str, int] = {}
         self.outputs: dict[str, int] = {}
+        self._steps = None  # `_steps`' tables, built at the first pass and reset by any change to the graph
         # node count of the leading nodes whose row b depends only on their inputs' row b, and which later
         # nodes read only through marked outputs and parameters
         self.row_part = None
@@ -147,6 +150,7 @@ class Graph:
 
     def mark_output(self, name: str, node_id: int):
         self.outputs[name] = node_id
+        self._steps = None
 
     # -- primitives ------------------------------------------------------
 
@@ -215,6 +219,7 @@ class Graph:
 
     def _push(self, node: Node) -> int:
         self.nodes.append(node)
+        self._steps = None
         return len(self.nodes) - 1
 
 
@@ -390,7 +395,9 @@ def run_parts(fn, n: int) -> list:
 # rules: forward(ins, attrs) -> (out, saved); backward(g, ins, out, saved, attrs)
 # -> one adjoint per input.  `saved` is whatever the forward keeps for its
 # backward.  No rule writes into `g` or an input: adjoints may alias each other.
-# Rules mutate in place only arrays they allocated themselves.
+# Rules mutate in place only arrays they allocated themselves.  A backward reads
+# the values of only the inputs (and the output) `_READS` names for its kind;
+# of the others it reads `.shape` and `.dtype` alone.
 
 
 def _matmul_bwd(g, ins, out, saved, a):
@@ -474,7 +481,7 @@ def _concat_bwd(g, ins, out, saved, a):
 
 
 def _rows_bwd(g, ins, out, saved, a):
-    gx = np.zeros_like(ins[0])
+    gx = np.zeros(ins[0].shape, ins[0].dtype)
     gx[:, a["index"], :] = g
     return (gx,)
 
@@ -574,6 +581,41 @@ _RULES = {
 }
 _LEAVES = ("param", "input")
 
+# kind -> (the input positions its backward reads, whether it reads its own output)
+_READS = {
+    "matmul": ((0, 1), False),
+    "linear": ((0, 1), False),
+    "add": ((), False),
+    "scale": ((), False),
+    "concat": ((), False),
+    "rows": ((), False),
+    "affine-layer-norm": ((1,), False),
+    "attention-probs": ((0, 1), True),
+    "attend": ((0, 1), False),
+    "gelu": ((0,), False),
+    "frobenius-sq": ((0,), False),
+    "cosine-sim-matrix": ((), False),
+    "bce-with-logits": ((0, 1), False),
+    "transpose": ((), False),
+    "reshape": ((), False),
+    "take-rows": ((-1,), False),
+    "repeat-rows": ((), False),
+}
+
+# kind -> rebuild(ins, saved, attrs): the output again, from inputs its backward reads and its saved state, by the
+# forward's own operation, so bit for bit; a training pass drops such outputs and rebuilds them for the backward
+_REMAT = {"gelu": lambda ins, cdf, a: ins[0] * cdf}
+
+
+class _Dropped:
+    """Stands in for a training-pass value freed after its last forward use: a backward that does not read the
+    value still has its shape and dtype, and one that reads it fails."""
+
+    __slots__ = ("shape", "dtype")
+
+    def __init__(self, value):
+        self.shape, self.dtype = value.shape, value.dtype
+
 
 # ---------------------------------------------------------------------------
 # public operations
@@ -589,34 +631,58 @@ def _leaf_value(graph: Graph, node_id: int, node: Node, bindings: dict):
     return value
 
 
-def _last_uses(graph: Graph, keep) -> list:
-    """Per node i, the nodes whose value is not needed after node i runs.
+def _steps(graph: Graph) -> tuple:
+    """(forward-only drops, training drops, rebuilds), per node i, cached on the graph.
 
     A node's value is needed until its last consumer has run (until itself,
-    when nothing reads it), unless it is in `keep`.
+    when nothing reads it).  After node i runs, a forward-only pass drops the
+    values whose last use is node i, except marked outputs; a training pass
+    drops those too, except also the values a backward reads (`_READS`), but
+    does drop `_REMAT` outputs that are not marked.  Rebuilds lists the dropped
+    outputs node i's backward reads.  Leaves are never dropped: their bindings
+    hold them anyway.
     """
-    last = list(range(len(graph.nodes)))
-    for i, node in enumerate(graph.nodes):
-        for j in node.inputs:
-            last[j] = i
-    drop = [[] for _ in graph.nodes]
-    for j, i in enumerate(last):
-        if j not in keep:
-            drop[i].append(j)
-    return drop
+    if graph._steps is None:
+        nodes, outputs = graph.nodes, set(graph.outputs.values())
+        last, read, readers = list(range(len(nodes))), set(), collections.defaultdict(list)
+        for i, node in enumerate(nodes):
+            for j in node.inputs:
+                last[j] = i
+            if node.kind in _RULES:  # an unknown kind raises when the forward reaches it
+                positions, reads_out = _READS[node.kind]
+                for p in positions:
+                    read.add(node.inputs[p])
+                    readers[node.inputs[p]].append(i)
+                if reads_out:
+                    read.add(i)
+        remat = {j for j in read - outputs if nodes[j].kind in _REMAT}
+        keep = (outputs | read) - remat
+        fwd, train, rebuild = ([[] for _ in nodes] for _ in range(3))
+        for j, i in enumerate(last):
+            if nodes[j].kind not in _LEAVES and j not in outputs:
+                fwd[i].append(j)
+                if j not in keep:
+                    train[i].append(j)
+        for j in sorted(remat):
+            for i in readers[j]:
+                rebuild[i].append(j)
+        graph._steps = fwd, train, rebuild
+    return graph._steps
 
 
-def _run_forward(graph: Graph, bindings: dict, keep=None, start=0, stop=None, vals=None):
+def _run_forward(graph: Graph, bindings: dict, train=True, start=0, stop=None, vals=None):
     """Values of nodes `start` to `stop` (all by default; `vals` holds earlier ones), and what each rule saved.
 
-    With `keep` (node ids) the pass is forward-only: it keeps no saved state
-    and drops each node's value after its last consumer has run, unless the
-    node is in `keep`.  A value may be a view of another (reshape, rows,
-    transpose), so rules mutate in place only arrays they allocated themselves.
+    Each value is dropped once its last consumer has run, as `_steps` says.
+    A training pass keeps every rule's saved state and leaves a `_Dropped` in
+    place of a dropped value; a forward-only pass (`train` false) keeps no
+    saved state and leaves None.  A value may be a view of another (reshape,
+    rows, transpose), so rules mutate in place only arrays they allocated
+    themselves.
     """
     vals = [None] * len(graph.nodes) if vals is None else vals
     saved = [None] * len(graph.nodes)
-    drop = None if keep is None else _last_uses(graph, keep)
+    drop = _steps(graph)[1 if train else 0]
     for i, node in enumerate(graph.nodes[start:stop], start):
         kind = node.kind
         if kind in _LEAVES:
@@ -634,8 +700,10 @@ def _run_forward(graph: Graph, bindings: dict, keep=None, start=0, stop=None, va
         if not np.isfinite(out).all():
             raise NonFiniteOutput(i, kind)
         vals[i] = out
-        if drop is None:
+        if train:
             saved[i] = state
+            for j in drop[i]:
+                vals[j] = _Dropped(vals[j])
         else:
             for j in drop[i]:
                 vals[j] = None
@@ -644,12 +712,16 @@ def _run_forward(graph: Graph, bindings: dict, keep=None, start=0, stop=None, va
 
 def evaluate(graph: Graph, bindings: dict) -> dict:
     """Run a forward-only pass (see `_run_forward`) and return every marked output."""
-    vals, _ = _run_forward(graph, bindings, keep=set(graph.outputs.values()))
+    vals, _ = _run_forward(graph, bindings, train=False)
     return {name: vals[nid] for name, nid in graph.outputs.items()}
 
 
 def _run_backward(graph: Graph, vals: list, saved: list, seeds: dict, stop=0) -> list:
-    """Adjoints from `seeds` ({node: adjoint}) back to node `stop`; frees each node's value, state and adjoint once used."""
+    """Adjoints from `seeds` ({node: adjoint}) back to node `stop`; frees each node's value, state and adjoint once used.
+
+    A dropped `_REMAT` output is rebuilt before the first backward that reads it.
+    """
+    rebuild = _steps(graph)[2]
     adjoint = [None] * len(graph.nodes)
     for i, g in seeds.items():
         adjoint[i] = g
@@ -658,6 +730,10 @@ def _run_backward(graph: Graph, vals: list, saved: list, seeds: dict, stop=0) ->
         g = adjoint[i]
         if g is None or node.kind in _LEAVES:
             continue
+        for j in rebuild[i]:
+            if type(vals[j]) is _Dropped:
+                made = graph.nodes[j]
+                vals[j] = _REMAT[made.kind]([vals[k] for k in made.inputs], saved[j], made.attrs)
         grads = _RULES[node.kind][1](g, [vals[j] for j in node.inputs], vals[i], saved[i], node.attrs)
         adjoint[i] = vals[i] = saved[i] = None
         # no copy: rules never write into an adjoint, and `+` allocates
@@ -688,6 +764,7 @@ def evaluate_with_gradient(graph: Graph, bindings: dict, scalar_output: str):
     over the micro-batches, the node a whole batch names.
     """
     parts = _micro_batches(graph, bindings)
+    _steps(graph)  # built here, so the threads of `run_parts` only read it
     end = graph.row_part if parts else 0  # a whole step runs every node after an empty per-row part
     outs = sorted({nid for nid in graph.outputs.values() if nid < end})
     shared = outs + [nid for nid in graph.params.values() if nid < end]

@@ -200,11 +200,21 @@ def adam_step(params, grad, moments, lr, t=1):
     if not np.isfinite(grad).all():
         return params, moments, True
     m, v = moments
+    # the operations of `params -= lr * (m / c1) / (sqrt(v / c2) + eps)` in its order, in two scratch arrays
+    step, denom = np.multiply(grad, 1.0 - ADAM_BETA1), np.empty_like(params)
     m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * grad
+    m += step
+    np.multiply(grad, 1.0 - ADAM_BETA2, out=step)
+    step *= grad
     v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * grad * grad
-    params -= lr * (m / (1.0 - ADAM_BETA1**t)) / (np.sqrt(v / (1.0 - ADAM_BETA2**t)) + ADAM_EPS)
+    v += step
+    np.divide(m, 1.0 - ADAM_BETA1**t, out=step)
+    step *= lr
+    np.divide(v, 1.0 - ADAM_BETA2**t, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    step /= denom
+    params -= step
     return params, moments, False
 
 

@@ -459,10 +459,8 @@ def test_marked_output_that_feeds_a_later_node_is_returned_intact():
 
 
 def test_forward_only_drops_each_value_after_its_last_use(monkeypatch):
-    """In x -> a -> b -> c, `evaluate` has dropped a when c runs (b was its last use);
-    the gradient pass keeps it for its backward."""
-    g = Graph()
-    g.mark_output("out", g.frobenius_sq(g.scale(g.scale(g.scale(g.input("x"), 2.0), 3.0), 5.0)))
+    """In x -> a -> b -> c, both passes have dropped a when c runs (b was its last use, and scale's backward
+    reads no input); in x -> a -> gelu -> b -> c, the gradient pass keeps a, which gelu's backward reads."""
     fwd, bwd = diffcore._RULES["scale"]
     refs, alive_at_c = [], []
 
@@ -474,10 +472,14 @@ def test_forward_only_drops_each_value_after_its_last_use(monkeypatch):
         return out, saved
 
     monkeypatch.setitem(diffcore._RULES, "scale", (recording, bwd))
-    for run in (lambda: evaluate(g, {"x": np.ones(3)}), lambda: evaluate_with_gradient(g, {"x": np.ones(3)}, "out")):
-        refs.clear()
-        run()
-    assert alive_at_c == [[False, True], [True, True]]
+    for between, want in ((lambda g, a: a, [[False, True], [False, True]]), (Graph.gelu, [[False, True], [True, True]])):
+        g = Graph()
+        g.mark_output("out", g.frobenius_sq(g.scale(g.scale(between(g, g.scale(g.input("x"), 2.0)), 3.0), 5.0)))
+        alive_at_c.clear()
+        for run in (lambda: evaluate(g, {"x": np.ones(3)}), lambda: evaluate_with_gradient(g, {"x": np.ones(3)}, "out")):
+            refs.clear()
+            run()
+        assert alive_at_c == want
 
 
 def _take_rows_graph(n_parts):
@@ -604,3 +606,73 @@ class TestBuiltInProperties:
         g = scalar_graph(lambda g: g.frobenius_sq(g.param("w")))
         with pytest.raises(diffcore.DiffcoreError):
             grad_check(g, {"w": np.ones(2)}, "out", h=0.1)
+
+
+def _rule_cases():
+    """(graph, bindings) of every per-kind graph of the finite-difference tests above."""
+    rng = np.random.default_rng(40)
+    cases = []
+    for name, build in PRIMITIVE_GRAPHS.items():
+        g = scalar_graph(build)
+        bindings = {p: rng.normal(size=8 if name == "slice-row" else (4, 4)) for p in g.params}
+        cases.append((g, {**bindings, "y": (np.arange(16).reshape(4, 4) % 3 == 0).astype(np.float64)}))
+    for build, shapes in FUSED_GRAPHS.values():
+        cases.append((scalar_graph(build), {p: rng.normal(size=shape) for p, shape in shapes.items()}))
+    parts = {f"p{s}": rng.normal(size=3) for s in range(3)}
+    cases.append((_take_rows_graph(3), {**parts, "idx": np.array([2, 0, 2, 2]), "w": rng.normal(size=(4, 3))}))
+    cases.append((_repeat_rows_graph(), {"t": rng.normal(size=3), "w": rng.normal(size=(4, 1, 3))}))
+    return cases
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_backwards_read_only_the_values_they_declare(dtype):
+    """Each rule's backward, given stand-ins for the inputs (and the output) its `_READS` entry does not name,
+    returns bitwise the adjoints it returns from the real values; a kind without an entry fails."""
+    rng = np.random.default_rng(41)
+    checked = set()
+    for g, bindings in _rule_cases():
+        vals = []
+        for node in g.nodes:
+            if node.kind in diffcore._LEAVES:
+                value = np.asarray(bindings[node.attrs["name"]])
+                vals.append(value.astype(dtype) if value.dtype.kind == "f" else value)
+                continue
+            forward, backward = diffcore._RULES[node.kind]
+            ins = [vals[j] for j in node.inputs]
+            out, saved = forward(ins, node.attrs)
+            positions, reads_out = diffcore._READS[node.kind]
+            read = {p % len(ins) for p in positions}
+            stand_ins = [x if k in read else diffcore._Dropped(x) for k, x in enumerate(ins)]
+            adj = rng.normal(size=out.shape).astype(out.dtype)
+            want = backward(adj, ins, out, saved, node.attrs)
+            got = backward(adj, stand_ins, out if reads_out else diffcore._Dropped(out), saved, node.attrs)
+            assert len(got) == len(want), node.kind
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), node.kind
+            checked.add(node.kind)
+            vals.append(out)
+    assert checked == set(diffcore._RULES) == set(diffcore._READS), sorted(checked ^ set(diffcore._READS))
+
+
+def test_a_dropped_value_fails_loudly_when_read():
+    x = np.ones((2, 3))
+    with pytest.raises(TypeError):
+        diffcore._RULES["gelu"][1](x, [diffcore._Dropped(x)], x, x, {})
+
+
+def test_a_dropped_gelu_output_is_rebuilt_bitwise():
+    """The training pass drops a GELU output that a linear's backward reads and rebuilds it for that backward,
+    so the gradient is bitwise that of a pass that keeps it."""
+    g = Graph()
+    h = g.gelu(g.linear(g.input("x"), g.param("w1"), g.param("b1")))
+    g.mark_output("out", g.frobenius_sq(g.linear(h, g.param("w2"), g.param("b2"))))
+    rng = np.random.default_rng(42)
+    bindings = {"x": rng.normal(size=(5, 3)), "w1": rng.normal(size=(3, 4)), "b1": rng.normal(size=4),
+                "w2": rng.normal(size=(4, 2)), "b2": rng.normal(size=2)}
+    vals, _ = diffcore._run_forward(g, bindings)
+    assert isinstance(vals[h], diffcore._Dropped) and isinstance(vals[g.nodes[h].inputs[0]], np.ndarray)
+    grads = evaluate_with_gradient(g, bindings, "out")[1]
+    hidden = bindings["x"] @ bindings["w1"] + bindings["b1"]
+    kept = hidden * (0.5 * (1.0 + erf(hidden * (1.0 / np.sqrt(2.0)))))
+    adj = 2.0 * (kept @ bindings["w2"] + bindings["b2"])
+    assert grads["w2"].tobytes() == (kept.T @ adj).tobytes()

@@ -109,6 +109,23 @@ class TestAdam:
             ref -= lr * (pm / (1 - b1**t)) / (np.sqrt(pv / (1 - b2**t)) + eps)
         np.testing.assert_allclose(params, ref, rtol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bitwise_equal_to_the_expression_form(self, dtype):
+        """Five in-place steps equal the one-expression update, bit for bit."""
+        rng = np.random.default_rng(3)
+        params, m, v = rng.normal(size=8000).astype(dtype), np.zeros(8000, dtype), np.zeros(8000, dtype)
+        ref, rm, rv = params.copy(), m.copy(), v.copy()
+        for t in range(1, 6):
+            g = rng.normal(size=8000).astype(dtype)
+            adam_step(params, g, (m, v), 1e-3, t=t)
+            rm *= 0.9
+            rm += (1.0 - 0.9) * g
+            rv *= 0.999
+            rv += (1.0 - 0.999) * g * g
+            ref -= 1e-3 * (rm / (1.0 - 0.9**t)) / (np.sqrt(rv / (1.0 - 0.999**t)) + 1e-8)
+        assert params.dtype == dtype
+        assert params.tobytes() == ref.tobytes() and m.tobytes() == rm.tobytes() and v.tobytes() == rv.tobytes()
+
     def test_nonfinite_grad_skips_whole_step(self):
         params, m, v = np.ones(4), np.zeros(4), np.zeros(4)
         _, _, skipped = adam_step(params, np.array([1.0, 1.0, 1.0, np.nan]), (m, v), 0.1, t=1)
